@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from sdgpipe.errors import ConfigError, PipelineError, StageError
+from sdgpipe.errors import PipelineError, StageError
 from sdgpipe.pipeline import (
-    FULL_RUN,
+    FIELD_PARSERS,
     PipelineConfig,
     apply_overrides,
     load_config,
@@ -47,46 +48,16 @@ _STAGE_HELP = {
 }
 
 
-def _csv_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    return tuple(int(p.strip()) for p in text.split(",")) if text else ()
-
-
-def _csv_floats(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    return tuple(float(p.strip()) for p in text.split(",")) if text else ()
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="key=value config file")
-    parser.add_argument("--panel", type=Path, help="input panel CSV")
-    parser.add_argument("--out", type=Path, help="artifact output directory")
-    parser.add_argument("--gdp", type=Path, help="optional country GDP table")
-    parser.add_argument("--perplexity", type=float)
-    parser.add_argument("--pca-components", type=int, dest="pca_components")
-    parser.add_argument("--embed-dim", type=int, dest="embed_dim", choices=(2, 3))
-    parser.add_argument("--iterations", type=int)
-    parser.add_argument("--learning-rate", type=float, dest="learning_rate")
-    parser.add_argument("--momentum-early", type=float, dest="momentum_early")
-    parser.add_argument("--momentum-late", type=float, dest="momentum_late")
-    parser.add_argument("--momentum-switch", type=int, dest="momentum_switch")
-    parser.add_argument("--exaggeration", type=float)
-    parser.add_argument("--exaggeration-until", type=int, dest="exaggeration_until")
-    parser.add_argument("--record-every", type=int, dest="record_every")
-    parser.add_argument("--init-scale", type=float, dest="init_scale")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--min-pts", type=int, dest="min_pts")
-    parser.add_argument("--eps-grid", type=_csv_floats, dest="eps_grid",
-                        metavar="E1,E2,...")
-    parser.add_argument("--exclude-years", type=_csv_ints, dest="exclude_years",
-                        metavar="Y1,Y2,...")
-    parser.add_argument("--distribution-years", type=_csv_ints,
-                        dest="distribution_years", metavar="Y1,Y2,...")
-    parser.add_argument("--per-year", action=argparse.BooleanOptionalAction,
-                        default=None, dest="per_year_correlations",
-                        help="also write one correlation matrix per year")
-    parser.add_argument("--extrapolate-to", type=int, dest="extrapolate_to")
+    for f in fields(PipelineConfig):
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        if f.type == "bool":
+            kind = {"action": argparse.BooleanOptionalAction}
+        else:
+            metavar = "V1,V2,..." if f.type.startswith("tuple") else None
+            kind = {"type": FIELD_PARSERS[f.name], "metavar": metavar}
+        parser.add_argument(flag, dest=f.name, help=f.metadata.get("help"), **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,17 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "panel", "out", "gdp", "perplexity", "pca_components", "embed_dim",
-            "iterations", "learning_rate", "momentum_early", "momentum_late",
-            "momentum_switch", "exaggeration", "exaggeration_until",
-            "record_every", "init_scale", "seed", "eps", "min_pts", "eps_grid",
-            "exclude_years", "distribution_years", "per_year_correlations",
-            "extrapolate_to",
-        )
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)}
     return apply_overrides(config, **overrides)
 
 
@@ -138,10 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return STAGE_EXIT.get(exc.stage, USAGE_EXIT)
-    except (ConfigError, PipelineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except FileNotFoundError as exc:
+    except (PipelineError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

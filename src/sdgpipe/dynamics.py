@@ -106,10 +106,6 @@ class TrajectoryFit:
         t = np.asarray(t, dtype=float)
         return self.a + self.b * t + self.c * t * t
 
-    @property
-    def last_fit_year(self) -> int:
-        return self.years_used[-1]
-
 
 def fit_trajectory(
     mean_by_year: Mapping[int, float],
@@ -143,17 +139,15 @@ def fit_trajectory(
     return TrajectoryFit(a=a, b=b, c=c, rms_residual=rms, years_used=tuple(years))
 
 
-def attainment_year(fit: TrajectoryFit, last_data_year: int) -> int | None:
-    """First integer year at or after the fitted curve's zero crossing.
+def future_root(fit: TrajectoryFit, last_data_year: int) -> float | None:
+    """Earliest zero of the fitted curve strictly after last_data_year.
 
-    Only roots strictly beyond last_data_year count; None when the curve
-    never reaches zero there (complex roots, or both crossings in the past).
+    None when the curve never reaches zero there (complex roots, a constant
+    curve, or every crossing at or before last_data_year).
     """
     a, b, c = fit.a, fit.b, fit.c
     if c == 0.0:
-        if b == 0.0:
-            return None
-        roots = [-a / b]
+        roots = [] if b == 0.0 else [-a / b]
     else:
         disc = b * b - 4.0 * a * c
         if disc < 0.0:
@@ -161,9 +155,17 @@ def attainment_year(fit: TrajectoryFit, last_data_year: int) -> int | None:
         sq = math.sqrt(disc)
         roots = [(-b - sq) / (2.0 * c), (-b + sq) / (2.0 * c)]
     future = [root for root in roots if root > last_data_year]
-    if not future:
-        return None
-    return math.ceil(min(future))
+    return min(future) if future else None
+
+
+def attainment_year(fit: TrajectoryFit, last_data_year: int) -> int | None:
+    """First integer year at or after the fitted curve's zero crossing.
+
+    Only roots strictly beyond last_data_year count; None when future_root
+    finds none.
+    """
+    root = future_root(fit, last_data_year)
+    return None if root is None else math.ceil(root)
 
 
 def displacement_table(
@@ -192,12 +194,3 @@ def displacement_table(
         std = float(np.sqrt(np.mean((values - mean) ** 2)))
         table.append((year, mean, std, values.size))
     return table
-
-
-def displacement_curve(
-    panel: ScorePanel,
-    labels: np.ndarray,
-    cluster_id: int,
-) -> dict[int, float]:
-    """Year -> mean distance to ideal for one cluster (final-year membership)."""
-    return {year: mean for year, mean, _, _ in displacement_table(panel, labels, cluster_id)}

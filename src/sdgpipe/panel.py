@@ -73,9 +73,6 @@ class ScorePanel:
     def row_years(self) -> np.ndarray:
         return np.array([year for _, year in self.index], dtype=int)
 
-    def row_countries(self) -> list[str]:
-        return [country for country, _ in self.index]
-
 
 @dataclass(frozen=True)
 class StandardizedPanel:

@@ -9,9 +9,8 @@ as a StageError naming the stage.
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,6 @@ from sdgpipe.errors import (
 )
 from sdgpipe.panel import (
     GOAL_COLUMNS,
-    N_GOALS,
     ScorePanel,
     filter_complete,
     load_gdp,
@@ -42,11 +40,20 @@ DEFAULT_EPS_GRID = tuple(round(0.5 * k, 1) for k in range(1, 17))
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a run needs; file values < CLI overrides."""
+    """Everything a run needs; file values < CLI overrides.
 
-    panel: Path | None = None
-    out: Path | None = None
-    gdp: Path | None = None
+    Each field is one config-file key and one CLI flag: `--` plus the name
+    with `_` as `-`, unless metadata gives `flag`. Metadata `help` is the
+    flag's help text; `input` marks files the manifest checksums.
+    """
+
+    panel: Path | None = field(
+        default=None, metadata={"help": "input panel CSV", "input": True}
+    )
+    out: Path | None = field(default=None, metadata={"help": "artifact output directory"})
+    gdp: Path | None = field(
+        default=None, metadata={"help": "optional country GDP table", "input": True}
+    )
     perplexity: float = 50.0
     pca_components: int = 10
     embed_dim: int = 2
@@ -65,7 +72,10 @@ class PipelineConfig:
     eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID
     exclude_years: tuple[int, ...] = (2020, 2021, 2022)
     distribution_years: tuple[int, ...] = (2000, 2010, 2020)
-    per_year_correlations: bool = False
+    per_year_correlations: bool = field(
+        default=False,
+        metadata={"flag": "--per-year", "help": "also write one correlation matrix per year"},
+    )
     extrapolate_to: int = 2100
 
     def validate(self) -> None:
@@ -79,28 +89,20 @@ class PipelineConfig:
             raise ConfigError("pca_components must be >= 1")
         if self.embed_dim not in (2, 3):
             raise ConfigError("embed_dim must be 2 or 3")
-        if self.iterations < 1 or self.record_every < 1:
-            raise ConfigError("iterations and record_every must be >= 1")
-        if self.learning_rate <= 0 or self.init_scale <= 0:
-            raise ConfigError("learning_rate and init_scale must be positive")
         if self.eps is not None and self.eps <= 0:
             raise ConfigError("eps must be positive")
         if self.min_pts < 1:
             raise ConfigError("min_pts must be >= 1")
         if not self.eps_grid or any(e <= 0 for e in self.eps_grid):
             raise ConfigError("eps_grid must be nonempty and positive")
+        try:
+            self.schedule().validate()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def schedule(self) -> tsne.GradientSchedule:
         return tsne.GradientSchedule(
-            iterations=self.iterations,
-            learning_rate=self.learning_rate,
-            momentum_early=self.momentum_early,
-            momentum_late=self.momentum_late,
-            momentum_switch=self.momentum_switch,
-            exaggeration=self.exaggeration,
-            exaggeration_until=self.exaggeration_until,
-            record_every=self.record_every,
-            init_scale=self.init_scale,
+            **{f.name: getattr(self, f.name) for f in fields(tsne.GradientSchedule)}
         )
 
 
@@ -113,44 +115,29 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part.strip()) for part in text.split(","))
+def _tuple_parser(item: type):
+    """Parser of comma-separated `item` values; empty text gives ()."""
+
+    def parse(text: str) -> tuple:
+        text = text.strip()
+        return tuple(item(part.strip()) for part in text.split(",")) if text else ()
+
+    parse.__name__ = f"{item.__name__} list"  # argparse names it in errors
+    return parse
 
 
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(float(part.strip()) for part in text.split(","))
+# Field annotation (without "| None") -> parser of its text form.
+_TYPE_PARSERS = {
+    "Path": Path,
+    "float": float,
+    "int": int,
+    "bool": _parse_bool,
+    "tuple[float, ...]": _tuple_parser(float),
+    "tuple[int, ...]": _tuple_parser(int),
+}
 
-
-_FIELD_PARSERS = {
-    "panel": Path,
-    "out": Path,
-    "gdp": Path,
-    "perplexity": float,
-    "pca_components": int,
-    "embed_dim": int,
-    "iterations": int,
-    "learning_rate": float,
-    "momentum_early": float,
-    "momentum_late": float,
-    "momentum_switch": int,
-    "exaggeration": float,
-    "exaggeration_until": int,
-    "record_every": int,
-    "init_scale": float,
-    "seed": int,
-    "eps": float,
-    "min_pts": int,
-    "eps_grid": _parse_float_tuple,
-    "exclude_years": _parse_int_tuple,
-    "distribution_years": _parse_int_tuple,
-    "per_year_correlations": _parse_bool,
-    "extrapolate_to": int,
+FIELD_PARSERS = {
+    f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")] for f in fields(PipelineConfig)
 }
 
 
@@ -168,10 +155,10 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(f"{path}:{line_no}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_PARSERS:
+        if key not in FIELD_PARSERS:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
         try:
-            values[key] = _FIELD_PARSERS[key](value.strip())
+            values[key] = FIELD_PARSERS[key](value.strip())
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
     return PipelineConfig(**values)
@@ -179,10 +166,9 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 def apply_overrides(config: PipelineConfig, **overrides: object) -> PipelineConfig:
     """Replace fields with any non-None override values."""
-    known = {f.name for f in fields(PipelineConfig)}
     cleaned = {}
     for key, value in overrides.items():
-        if key not in known:
+        if key not in FIELD_PARSERS:
             raise ConfigError(f"unknown config field {key!r}")
         if value is not None:
             cleaned[key] = value
@@ -190,7 +176,7 @@ def apply_overrides(config: PipelineConfig, **overrides: object) -> PipelineConf
 
 
 # ---------------------------------------------------------------------------
-# artifact readers
+# artifact readers and writers
 
 
 def _read_panel_artifact(out: Path) -> ScorePanel:
@@ -218,60 +204,49 @@ def _read_labels(out: Path, index: tuple[tuple[str, int], ...]) -> np.ndarray:
     return data[:, 0].astype(int)
 
 
+def _emit(config: PipelineConfig, written: list[Path], name: str, header, rows) -> None:
+    path = config.out / name
+    artifacts.write_csv(path, header, rows)
+    written.append(path)
+
+
+def _emit_json(config: PipelineConfig, written: list[Path], name: str, payload) -> None:
+    path = config.out / name
+    artifacts.write_json(path, payload)
+    written.append(path)
+
+
+def _rows(meta, values, fmt=artifacts.fmt) -> list[list[str]]:
+    """One row per (leading string cells, numbers) pair, numbers formatted."""
+    return [[*cells, *(fmt(v) for v in row)] for cells, row in zip(meta, values)]
+
+
+def _index_meta(index, labels=None) -> list[tuple[str, ...]]:
+    """(country, year[, cluster]) cells for panel rows."""
+    if labels is None:
+        return [(country, str(year)) for country, year in index]
+    return [(c, str(y), str(int(lab))) for (c, y), lab in zip(index, labels)]
+
+
 # ---------------------------------------------------------------------------
 # stages
 
 
 def stage_ingest(config: PipelineConfig, written: list[Path]) -> None:
     """Load, validate, filter, and standardize the input panel."""
-    out = config.out
     panel = filter_complete(load_panel(config.panel))
     zpanel = standardize(panel)
     years, means = yearly_goal_means(panel)
+    goal_header = ["country", "year", *GOAL_COLUMNS]
 
-    path = out / artifacts.PANEL_FILTERED
-    artifacts.write_csv(
-        path,
-        ["country", "year", *GOAL_COLUMNS],
-        [
-            [country, str(year), *(artifacts.fmt(v) for v in row)]
-            for (country, year), row in zip(panel.index, panel.scores)
-        ],
-    )
-    written.append(path)
-
-    path = out / artifacts.MOMENTS
-    artifacts.write_csv(
-        path,
-        ["goal", "mean", "std"],
-        [
-            [GOAL_COLUMNS[g], artifacts.fmt(zpanel.mean[g]), artifacts.fmt(zpanel.std[g])]
-            for g in range(N_GOALS)
-        ],
-    )
-    written.append(path)
-
-    path = out / artifacts.STANDARDIZED
-    artifacts.write_csv(
-        path,
-        ["country", "year", *GOAL_COLUMNS],
-        [
-            [country, str(year), *(artifacts.fmt(v) for v in row)]
-            for (country, year), row in zip(zpanel.index, zpanel.z)
-        ],
-    )
-    written.append(path)
-
-    path = out / artifacts.YEARLY_MEANS
-    artifacts.write_csv(
-        path,
-        ["year", *GOAL_COLUMNS],
-        [
-            [str(int(year)), *(artifacts.fmt(v) for v in row)]
-            for year, row in zip(years, means)
-        ],
-    )
-    written.append(path)
+    _emit(config, written, artifacts.PANEL_FILTERED, goal_header,
+          _rows(_index_meta(panel.index), panel.scores))
+    _emit(config, written, artifacts.MOMENTS, ["goal", "mean", "std"],
+          _rows([(g,) for g in GOAL_COLUMNS], zip(zpanel.mean, zpanel.std)))
+    _emit(config, written, artifacts.STANDARDIZED, goal_header,
+          _rows(_index_meta(zpanel.index), zpanel.z))
+    _emit(config, written, artifacts.YEARLY_MEANS, ["year", *GOAL_COLUMNS],
+          _rows([(str(int(year)),) for year in years], means))
 
 
 def stage_pca(config: PipelineConfig, written: list[Path]) -> None:
@@ -285,54 +260,29 @@ def stage_pca(config: PipelineConfig, written: list[Path]) -> None:
     coords = pca.project(model, Z)
     pc_names = [f"pc{j + 1:02d}" for j in range(model.n_components)]
 
-    path = out / artifacts.PCA_MODEL
-    artifacts.write_json(
-        path,
-        {
-            "components": model.components.tolist(),
-            "explained_variance": model.explained_variance.tolist(),
-            "explained_variance_ratio": model.explained_variance_ratio.tolist(),
-            "center": model.center.tolist(),
-        },
-    )
-    written.append(path)
-
-    path = out / artifacts.PCA_PROJECTION
-    artifacts.write_csv(
-        path,
-        ["country", "year", *pc_names],
-        [
-            [*row_meta, *(artifacts.fmt(v) for v in row)]
-            for row_meta, row in zip(meta, coords)
-        ],
-    )
-    written.append(path)
+    _emit_json(config, written, artifacts.PCA_MODEL, {
+        "components": model.components.tolist(),
+        "explained_variance": model.explained_variance.tolist(),
+        "explained_variance_ratio": model.explained_variance_ratio.tolist(),
+        "center": model.center.tolist(),
+    })
+    _emit(config, written, artifacts.PCA_PROJECTION, ["country", "year", *pc_names],
+          _rows(meta, coords))
 
     # The ideal point (every goal at 100) expressed in the fitted basis.
     ideal_z = (100.0 - mean) / std
     ideal_coords = pca.project(model, ideal_z)[0]
-    path = out / artifacts.PCA_IDEAL
-    artifacts.write_csv(path, pc_names, [[artifacts.fmt(v) for v in ideal_coords]])
-    written.append(path)
+    _emit(config, written, artifacts.PCA_IDEAL, pc_names, _rows([()], [ideal_coords]))
 
     if model.n_components >= 2:
         vectors = pca.loadings(model)
-        path = out / artifacts.PCA_LOADINGS
-        artifacts.write_csv(
-            path,
-            ["goal", "x", "y"],
-            [
-                [GOAL_COLUMNS[g], artifacts.fmt(vectors[g, 0]), artifacts.fmt(vectors[g, 1])]
-                for g in range(N_GOALS)
-            ],
-        )
-        written.append(path)
+        _emit(config, written, artifacts.PCA_LOADINGS, ["goal", "x", "y"],
+              _rows([(g,) for g in GOAL_COLUMNS], vectors[:, :2]))
 
 
 def stage_tsne(config: PipelineConfig, written: list[Path]) -> None:
     """Embed the component coordinates into the low-dimensional map."""
-    out = config.out
-    meta, X = _read_matrix_artifact(out / artifacts.PCA_PROJECTION, 2)
+    meta, X = _read_matrix_artifact(config.out / artifacts.PCA_PROJECTION, 2)
     embedding = tsne.run(
         X,
         config.perplexity,
@@ -342,24 +292,10 @@ def stage_tsne(config: PipelineConfig, written: list[Path]) -> None:
     )
     axis_names = ["x", "y", "z"][: config.embed_dim]
 
-    path = out / artifacts.EMBEDDING
-    artifacts.write_csv(
-        path,
-        ["country", "year", *axis_names],
-        [
-            [*row_meta, *(artifacts.fmt(v) for v in row)]
-            for row_meta, row in zip(meta, embedding.Y)
-        ],
-    )
-    written.append(path)
-
-    path = out / artifacts.KL_HISTORY
-    artifacts.write_csv(
-        path,
-        ["iteration", "kl"],
-        [[str(step), artifacts.fmt(value)] for step, value in embedding.kl_history],
-    )
-    written.append(path)
+    _emit(config, written, artifacts.EMBEDDING, ["country", "year", *axis_names],
+          _rows(meta, embedding.Y))
+    _emit(config, written, artifacts.KL_HISTORY, ["iteration", "kl"],
+          [[str(step), artifacts.fmt(kl)] for step, kl in embedding.kl_history])
 
 
 def stage_cluster(config: PipelineConfig, written: list[Path]) -> None:
@@ -369,53 +305,26 @@ def stage_cluster(config: PipelineConfig, written: list[Path]) -> None:
         raise PipelineError("eps is not set; run scan-eps and pick a value")
     meta, Y = _read_matrix_artifact(out / artifacts.EMBEDDING, 2)
     index = tuple((country, int(year)) for country, year in meta)
-    result = dbscan.cluster(Y, config.eps, config.min_pts)
-    labels = result.labels
+    labels = dbscan.cluster(Y, config.eps, config.min_pts).labels
 
-    path = out / artifacts.LABELS
-    artifacts.write_csv(
-        path,
-        ["country", "year", "cluster"],
-        [
-            [country, str(year), str(int(label))]
-            for (country, year), label in zip(index, labels)
-        ],
-    )
-    written.append(path)
+    _emit(config, written, artifacts.LABELS, ["country", "year", "cluster"],
+          _index_meta(index, labels))
 
     switches = dbscan.detect_switches(labels, list(index))
-    path = out / artifacts.SWITCHES
-    artifacts.write_csv(
-        path,
-        ["country", "year", "from_cluster", "to_cluster"],
-        [
-            [s.country, str(s.year), str(s.from_cluster), str(s.to_cluster)]
-            for s in switches
-        ],
-    )
-    written.append(path)
+    _emit(config, written, artifacts.SWITCHES,
+          ["country", "year", "from_cluster", "to_cluster"],
+          [[s.country, str(s.year), str(s.from_cluster), str(s.to_cluster)]
+           for s in switches])
 
     membership = dbscan.final_year_membership(labels, list(index))
-    path = out / artifacts.CLUSTER_COUNTRIES
-    artifacts.write_csv(
-        path,
-        ["country", "cluster"],
-        [[country, str(membership[country])] for country in sorted(membership)],
-    )
-    written.append(path)
+    _emit(config, written, artifacts.CLUSTER_COUNTRIES, ["country", "cluster"],
+          [[country, str(membership[country])] for country in sorted(membership)])
 
     panel = _read_panel_artifact(out)
     z, _ = standardize_within_cluster(panel, labels)
-    path = out / artifacts.CLUSTER_STANDARDIZED
-    artifacts.write_csv(
-        path,
-        ["country", "year", "cluster", *GOAL_COLUMNS],
-        [
-            [country, str(year), str(int(label)), *(artifacts.fmt(v) for v in row)]
-            for (country, year), label, row in zip(panel.index, labels, z)
-        ],
-    )
-    written.append(path)
+    _emit(config, written, artifacts.CLUSTER_STANDARDIZED,
+          ["country", "year", "cluster", *GOAL_COLUMNS],
+          _rows(_index_meta(panel.index, labels), z))
 
     if config.gdp is not None:
         gdp = load_gdp(config.gdp)
@@ -433,80 +342,44 @@ def stage_cluster(config: PipelineConfig, written: list[Path]) -> None:
             rows.append(
                 [str(cluster_id), str(len(members)), str(values.size), mean, spread]
             )
-        path = out / artifacts.CLUSTER_GDP
-        artifacts.write_csv(
-            path, ["cluster", "n_countries", "n_with_gdp", "gdp_mean", "gdp_std"], rows
-        )
-        written.append(path)
+        _emit(config, written, artifacts.CLUSTER_GDP,
+              ["cluster", "n_countries", "n_with_gdp", "gdp_mean", "gdp_std"], rows)
 
 
 def stage_scan_eps(config: PipelineConfig, written: list[Path]) -> None:
     """Tabulate cluster count and noise share across the eps grid."""
-    out = config.out
-    _, Y = _read_matrix_artifact(out / artifacts.EMBEDDING, 2)
+    _, Y = _read_matrix_artifact(config.out / artifacts.EMBEDDING, 2)
     rows = dbscan.scan_eps(Y, np.array(config.eps_grid), config.min_pts)
-    path = out / artifacts.EPS_SCAN
-    artifacts.write_csv(
-        path,
-        ["eps", "n_clusters", "noise_fraction"],
-        [
-            [artifacts.fmt(eps), str(n), artifacts.fmt(frac)]
-            for eps, n, frac in rows
-        ],
-    )
-    written.append(path)
-
-
-def _write_correlation(path: Path, values: np.ndarray) -> None:
-    artifacts.write_csv(
-        path,
-        ["goal", *GOAL_COLUMNS],
-        [
-            [GOAL_COLUMNS[i], *(artifacts.fmt_signed(v) for v in values[i])]
-            for i in range(N_GOALS)
-        ],
-    )
+    _emit(config, written, artifacts.EPS_SCAN, ["eps", "n_clusters", "noise_fraction"],
+          [[artifacts.fmt(eps), str(n), artifacts.fmt(frac)] for eps, n, frac in rows])
 
 
 def stage_correlate(config: PipelineConfig, written: list[Path]) -> None:
     """Pearson matrices: pooled, per cluster, optionally per year."""
-    out = config.out
-    panel = _read_panel_artifact(out)
-    labels = _read_labels(out, panel.index)
+    panel = _read_panel_artifact(config.out)
+    labels = _read_labels(config.out, panel.index)
 
-    path = out / artifacts.CORRELATION_GLOBAL
-    _write_correlation(path, pearson_matrix(panel).values)
-    written.append(path)
-
+    matrices = {artifacts.CORRELATION_GLOBAL: pearson_matrix(panel)}
     for cluster_id, matrix in cluster_correlations(panel, labels).items():
-        path = out / artifacts.correlation_cluster_name(cluster_id)
-        _write_correlation(path, matrix.values)
-        written.append(path)
-
+        matrices[artifacts.correlation_cluster_name(cluster_id)] = matrix
     if config.per_year_correlations:
         for year, matrix in yearly_correlations(panel).items():
-            path = out / artifacts.correlation_year_name(year)
-            _write_correlation(path, matrix.values)
-            written.append(path)
+            matrices[artifacts.correlation_year_name(year)] = matrix
+
+    goal_meta = [(g,) for g in GOAL_COLUMNS]
+    for name, matrix in matrices.items():
+        _emit(config, written, name, ["goal", *GOAL_COLUMNS],
+              _rows(goal_meta, matrix.values, artifacts.fmt_signed))
 
 
 def stage_dynamics(config: PipelineConfig, written: list[Path]) -> None:
     """Distance-to-ideal series, per-year Gaussian fits, trend extrapolation."""
-    out = config.out
-    panel = _read_panel_artifact(out)
-    labels = _read_labels(out, panel.index)
+    panel = _read_panel_artifact(config.out)
+    labels = _read_labels(config.out, panel.index)
     distances = dynamics.distance_series(panel)
 
-    path = out / artifacts.DISTANCES
-    artifacts.write_csv(
-        path,
-        ["country", "year", "cluster", "distance"],
-        [
-            [country, str(year), str(int(label)), artifacts.fmt(dist)]
-            for (country, year), label, dist in zip(panel.index, labels, distances)
-        ],
-    )
-    written.append(path)
+    _emit(config, written, artifacts.DISTANCES, ["country", "year", "cluster", "distance"],
+          _rows(_index_meta(panel.index, labels), distances[:, None]))
 
     cluster_ids = sorted(c for c in set(labels.tolist()) if c >= 0)
     dist_years = [y for y in config.distribution_years if y in panel.years]
@@ -528,9 +401,8 @@ def stage_dynamics(config: PipelineConfig, written: list[Path]) -> None:
                     str(fit.n_members),
                 ]
             )
-    path = out / artifacts.GAUSSIAN_FITS
-    artifacts.write_csv(path, ["cluster", "year", "mean", "std", "n_members"], fit_rows)
-    written.append(path)
+    _emit(config, written, artifacts.GAUSSIAN_FITS,
+          ["cluster", "year", "mean", "std", "n_members"], fit_rows)
 
     membership = dbscan.final_year_membership(labels, list(panel.index))
     final_ids = sorted(c for c in set(membership.values()) if c >= 0)
@@ -538,53 +410,26 @@ def stage_dynamics(config: PipelineConfig, written: list[Path]) -> None:
     fits_payload: dict[str, dict] = {}
     for cluster_id in final_ids:
         table = dynamics.displacement_table(panel, labels, cluster_id)
-        path = out / artifacts.trajectory_name(cluster_id)
-        artifacts.write_csv(
-            path,
-            ["year", "mean", "std", "n"],
-            [
-                [str(year), artifacts.fmt(mean), artifacts.fmt(std), str(n)]
-                for year, mean, std, n in table
-            ],
-        )
-        written.append(path)
+        _emit(config, written, artifacts.trajectory_name(cluster_id),
+              ["year", "mean", "std", "n"],
+              [[str(year), artifacts.fmt(mean), artifacts.fmt(std), str(n)]
+               for year, mean, std, n in table])
 
         curve = {year: mean for year, mean, _, _ in table}
         fit = dynamics.fit_trajectory(curve, config.exclude_years)
-        attained = dynamics.attainment_year(fit, last_year)
-        zero = _zero_crossing(fit, last_year)
         fits_payload[str(cluster_id)] = {
             "a": fit.a,
             "b": fit.b,
             "c": fit.c,
             "rms_residual": fit.rms_residual,
             "years_used": list(fit.years_used),
-            "excluded_years": sorted(
-                set(config.exclude_years) & set(curve)
-            ),
+            "excluded_years": sorted(set(config.exclude_years) & set(curve)),
             "last_data_year": last_year,
-            "zero_crossing": zero,
-            "attainment_year": attained,
+            "zero_crossing": dynamics.future_root(fit, last_year),
+            "attainment_year": dynamics.attainment_year(fit, last_year),
             "extrapolate_to": config.extrapolate_to,
         }
-    path = out / artifacts.TRAJECTORY_FITS
-    artifacts.write_json(path, fits_payload)
-    written.append(path)
-
-
-def _zero_crossing(fit: dynamics.TrajectoryFit, last_data_year: int) -> float | None:
-    """Exact location of the first future root, for plotting."""
-    a, b, c = fit.a, fit.b, fit.c
-    if c == 0.0:
-        roots = [] if b == 0.0 else [-a / b]
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < 0.0:
-            return None
-        sq = math.sqrt(disc)
-        roots = [(-b - sq) / (2.0 * c), (-b + sq) / (2.0 * c)]
-    future = [root for root in roots if root > last_data_year]
-    return min(future) if future else None
+    _emit_json(config, written, artifacts.TRAJECTORY_FITS, fits_payload)
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +453,16 @@ _STAGES = {
     "figures": _stage_figures,
 }
 
+# Outputs whose set depends on the clustering or the config. A stage deletes
+# its matches before it runs, so a rerun that writes fewer of them (fewer
+# clusters, no --gdp, no --per-year) leaves none from an earlier run behind.
+_VARIABLE_OUTPUTS = {
+    "cluster": (artifacts.CLUSTER_GDP,),
+    "correlate": ("correlation_cluster*.csv", "correlation_year*.csv"),
+    "dynamics": ("trajectory_cluster*.csv",),
+    "figures": ("correlation_cluster*.svg",),
+}
+
 FULL_RUN = ("ingest", "pca", "tsne", "cluster", "correlate", "dynamics", "figures")
 
 
@@ -620,6 +475,9 @@ def run_stage(name: str, config: PipelineConfig) -> tuple[list[Path], float]:
     written: list[Path] = []
     start = time.perf_counter()
     try:
+        for pattern in _VARIABLE_OUTPUTS.get(name, ()):
+            for path in config.out.glob(pattern):
+                path.unlink()
         _STAGES[name](config, written)
     except Exception as exc:
         for path in written:
@@ -641,12 +499,15 @@ def run_pipeline(config: PipelineConfig, stages: tuple[str, ...] = FULL_RUN) -> 
 
 
 def config_snapshot(config: PipelineConfig) -> dict[str, object]:
-    snapshot = asdict(config)
-    for key in ("panel", "out", "gdp"):
-        if snapshot[key] is not None:
-            snapshot[key] = str(snapshot[key])
-    for key in ("eps_grid", "exclude_years", "distribution_years"):
-        snapshot[key] = list(snapshot[key])
+    """Field values in JSON form: paths as strings, tuples as lists."""
+    snapshot = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, Path):
+            value = str(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        snapshot[f.name] = value
     return snapshot
 
 
@@ -657,10 +518,10 @@ def write_manifest(
 ) -> Path:
     """Record config, input checksums, timings, and output checksums."""
     inputs = {}
-    for key in ("panel", "gdp"):
-        value = getattr(config, key)
-        if value is not None:
-            inputs[key] = {"path": str(value), "sha256": artifacts.sha256_of(value)}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.metadata.get("input") and value is not None:
+            inputs[f.name] = {"path": str(value), "sha256": artifacts.sha256_of(value)}
     outputs = {
         path.name: artifacts.sha256_of(path)
         for path in sorted(set(written), key=lambda p: p.name)

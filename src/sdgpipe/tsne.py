@@ -64,6 +64,8 @@ class GradientSchedule:
             raise ValueError("record_every must be >= 1")
         if self.exaggeration < 1.0:
             raise ValueError("exaggeration must be >= 1")
+        if self.init_scale <= 0:
+            raise ValueError("init_scale must be positive")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import itertools
 import os
 import subprocess
 import sys
+from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -33,6 +34,7 @@ import pytest
 from scipy.spatial.distance import cdist, pdist
 
 from conftest import ACCEPTANCE_RESULTS, DEMO_SETTINGS, write_gdp_csv
+import sdgpipe
 from sdgpipe import artifacts, dbscan, dynamics, pca, tsne
 from sdgpipe.correlation import pearson_matrix
 from sdgpipe.panel import (
@@ -555,6 +557,11 @@ def test_criterion_8_determinism(tmp_path):
     for name, threads in runs:
         out_dir = tmp_path / f"out_{name}"
         env = dict(os.environ)
+        # the child runs the same sdgpipe this process imported
+        source_root = str(Path(sdgpipe.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (source_root, env.get("PYTHONPATH")))
+        )
         for var in (
             "OPENBLAS_NUM_THREADS",
             "OMP_NUM_THREADS",

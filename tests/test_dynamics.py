@@ -11,11 +11,11 @@ from sdgpipe.dynamics import (
     TrajectoryFit,
     attainment_year,
     cluster_distance_distribution,
-    displacement_curve,
     displacement_table,
     distance_series,
     distance_to_ideal,
     fit_trajectory,
+    future_root,
 )
 from sdgpipe.errors import (
     EmptyClusterError,
@@ -169,7 +169,6 @@ class TestTrajectory:
         assert fit.evaluate(years) == pytest.approx(
             [curve[y] for y in sorted(curve)], abs=1e-9
         )
-        assert fit.last_fit_year == 2009
         assert fit.years_used == tuple(range(2000, 2010))
 
     def test_excluded_years_dropped(self):
@@ -199,48 +198,59 @@ class TestTrajectory:
 
 
 class TestAttainmentYear:
+    def attained(self, fit, last_data_year):
+        """attainment_year, checked against future_root of the same fit."""
+        got = attainment_year(fit, last_data_year=last_data_year)
+        root = future_root(fit, last_data_year=last_data_year)
+        assert (root is None) == (got is None)
+        if root is not None:
+            assert root > last_data_year
+            assert math.ceil(root) == got
+        return got
+
     def linear(self, root):
         # r(t) = root - t: crosses zero exactly at `root`
         return TrajectoryFit(a=float(root), b=-1.0, c=0.0, rms_residual=0.0,
                              years_used=(2000, 2001, 2002, 2003))
 
     def test_linear_exact_integer_root(self):
-        assert attainment_year(self.linear(2030), last_data_year=2020) == 2030
+        assert self.attained(self.linear(2030), last_data_year=2020) == 2030
 
     def test_linear_fractional_root_rounds_up(self):
         fit = TrajectoryFit(a=2030.2, b=-1.0, c=0.0, rms_residual=0.0,
                             years_used=(2000,))
-        assert attainment_year(fit, last_data_year=2020) == 2031
+        assert self.attained(fit, last_data_year=2020) == 2031
+        assert future_root(fit, last_data_year=2020) == pytest.approx(2030.2)
 
     def test_quadratic_earliest_future_root(self):
         # roots at 2025 and 2040; parabola opens upward
         a, b, c = 2025.0 * 2040.0, -(2025.0 + 2040.0), 1.0
         fit = TrajectoryFit(a=a, b=b, c=c, rms_residual=0.0, years_used=(2000,))
-        assert attainment_year(fit, last_data_year=2020) == 2025
+        assert self.attained(fit, last_data_year=2020) == 2025
         # with the first root already in the past, the later one is reported
-        assert attainment_year(fit, last_data_year=2030) == 2040
+        assert self.attained(fit, last_data_year=2030) == 2040
 
     def test_no_real_roots(self):
         fit = TrajectoryFit(a=1.0, b=0.0, c=1.0, rms_residual=0.0, years_used=(2000,))
-        assert attainment_year(fit, last_data_year=2020) is None
+        assert self.attained(fit, last_data_year=2020) is None
 
     def test_crossings_all_in_past(self):
         fit = TrajectoryFit(a=2010.0, b=-1.0, c=0.0, rms_residual=0.0,
                             years_used=(2000,))
-        assert attainment_year(fit, last_data_year=2020) is None
+        assert self.attained(fit, last_data_year=2020) is None
 
     def test_constant_curve(self):
         fit = TrajectoryFit(a=1.0, b=0.0, c=0.0, rms_residual=0.0, years_used=(2000,))
-        assert attainment_year(fit, last_data_year=2020) is None
+        assert self.attained(fit, last_data_year=2020) is None
 
     def test_root_on_boundary_excluded(self):
         # crossing exactly at the last data year is not a future crossing
-        assert attainment_year(self.linear(2020), last_data_year=2020) is None
+        assert self.attained(self.linear(2020), last_data_year=2020) is None
 
     @given(st.floats(2021.0, 2200.0))
     @settings(max_examples=50)
     def test_ceiling_convention(self, root):
-        got = attainment_year(self.linear(root), last_data_year=2020)
+        got = self.attained(self.linear(root), last_data_year=2020)
         assert got == math.ceil(root)
         assert got - root > -1e-9
         assert got - root < 1.0 or got == root
@@ -299,14 +309,22 @@ class TestDisplacement:
             displacement_table(panel, labels, 5)
 
     def test_curve_matches_table(self):
+        # the (year, mean) curve the dynamics stage fits: per-year mean over
+        # the final-year members, every year
         panel = self.make_panel()
         labels = self.labels_with_switcher(panel)
-        table = displacement_table(panel, labels, 0)
-        curve = displacement_curve(panel, labels, 0)
-        assert curve == {year: mean for year, mean, _, _ in table}
+        curve = {year: mean for year, mean, _, _ in displacement_table(panel, labels, 0)}
+        members = {"AAA", "BBB", "SWI"}
+        for year in (2000, 2001, 2002):
+            want = [
+                float(distance_to_ideal(scores))
+                for (country, y), scores in zip(panel.index, panel.scores)
+                if y == year and country in members
+            ]
+            assert curve[year] == pytest.approx(np.mean(want))
 
     def test_distances_shrink_as_scores_rise(self):
         panel = self.make_panel()
         labels = self.labels_with_switcher(panel)
-        curve = displacement_curve(panel, labels, 0)
-        assert curve[2000] > curve[2001] > curve[2002]
+        means = [mean for _, mean, _, _ in displacement_table(panel, labels, 0)]
+        assert means[0] > means[1] > means[2]

@@ -1,12 +1,13 @@
 import json
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from sdgpipe import artifacts
-from sdgpipe.cli import STAGE_EXIT, build_parser, main
+from sdgpipe.cli import STAGE_EXIT, _config_from_args, build_parser, main
+from sdgpipe.dynamics import TrajectoryFit, future_root
 from sdgpipe.errors import ConfigError, StageError
 from sdgpipe.panel import GOAL_COLUMNS
 from sdgpipe.pipeline import (
@@ -14,6 +15,7 @@ from sdgpipe.pipeline import (
     FULL_RUN,
     PipelineConfig,
     apply_overrides,
+    config_snapshot,
     load_config,
     run_pipeline,
     run_stage,
@@ -108,6 +110,47 @@ class TestOverrides:
         assert apply_overrides(base, seed=None) is base
 
 
+def non_default_text(f) -> str:
+    """Text form of a value other than the field's default."""
+    if "Path" in f.type:
+        return f"elsewhere/{f.name}"
+    if f.type == "bool":
+        return str(not f.default).lower()
+    if f.type == "tuple[int, ...]":
+        return "1999,2001"
+    if f.type == "tuple[float, ...]":
+        return "1.5,2.5"
+    if "int" in f.type:
+        return str(f.default + 1)
+    return str((f.default or 1.0) * 1.5)
+
+
+class TestSingleSource:
+    def test_flag_and_config_line_agree(self, tmp_path):
+        parser = build_parser()
+        for f in fields(PipelineConfig):
+            text = non_default_text(f)
+            cfg = tmp_path / f"{f.name}.cfg"
+            cfg.write_text(f"{f.name} = {text}\n")
+            from_file = load_config(cfg)
+            if f.name == "per_year_correlations":
+                argv = ["--per-year" if text == "true" else "--no-per-year"]
+            else:
+                argv = ["--" + f.name.replace("_", "-"), text]
+            from_flag = _config_from_args(parser.parse_args(["ingest", *argv]))
+            assert from_flag == from_file, f.name
+            assert getattr(from_file, f.name) != f.default, f.name
+            assert replace(from_file, **{f.name: f.default}) == PipelineConfig()
+
+    def test_snapshot_has_exactly_the_fields(self):
+        config = PipelineConfig(panel=Path("p.csv"), out=Path("o"))
+        snapshot = config_snapshot(config)
+        assert list(snapshot) == [f.name for f in fields(PipelineConfig)]
+        assert snapshot["panel"] == "p.csv" and snapshot["gdp"] is None
+        assert snapshot["eps_grid"] == list(DEFAULT_EPS_GRID)
+        json.dumps(snapshot)
+
+
 class TestValidate:
     def base(self, **kw):
         defaults = dict(panel=Path("p.csv"), out=Path("o"))
@@ -186,6 +229,18 @@ class TestFullRunArtifacts:
             assert (out / artifacts.trajectory_name(cluster_id)).exists()
         fits = artifacts.read_json(out / artifacts.TRAJECTORY_FITS)
         assert sorted(int(k) for k in fits) == ids
+
+    def test_zero_crossing_is_future_root(self, pipeline_run):
+        fits = artifacts.read_json(pipeline_run.out / artifacts.TRAJECTORY_FITS)
+        assert fits
+        for payload in fits.values():
+            fit = TrajectoryFit(
+                a=payload["a"], b=payload["b"], c=payload["c"],
+                rms_residual=payload["rms_residual"],
+                years_used=tuple(payload["years_used"]),
+            )
+            root = future_root(fit, payload["last_data_year"])
+            assert payload["zero_crossing"] == root
 
     def test_labels_align_with_panel(self, pipeline_run):
         out = pipeline_run.out
@@ -294,6 +349,27 @@ class TestFailureHandling:
             run_stage("scan-eps", config)
 
 
+class TestStaleOutputs:
+    def test_rerun_removes_outputs_it_no_longer_writes(self, pipeline_run, tmp_path):
+        config = copy_run(pipeline_run, tmp_path / "copy")
+        out = config.out
+        assert (out / artifacts.CLUSTER_GDP).exists()
+        planted = [
+            "correlation_cluster99.csv",
+            "correlation_year1999.csv",
+            "trajectory_cluster99.csv",
+            "correlation_cluster99.svg",
+        ]
+        for name in planted:
+            shutil.copy(out / artifacts.CORRELATION_GLOBAL, out / name)
+        rerun = replace(config, gdp=None)
+        for stage in ("cluster", "correlate", "dynamics", "figures"):
+            run_stage(stage, rerun)
+        for name in [*planted, artifacts.CLUSTER_GDP]:
+            assert not (out / name).exists(), name
+        assert (out / artifacts.CORRELATION_GLOBAL).exists()
+
+
 class TestScanEpsStage:
     def test_table_covers_grid(self, pipeline_run, tmp_path):
         config = copy_run(pipeline_run, tmp_path / "copy")
@@ -335,8 +411,6 @@ class TestCli:
             ["ingest", "--config", str(cfg), "--out", str(tmp_path / "out"),
              "--perplexity", "25.0"]
         )
-        from sdgpipe.cli import _config_from_args
-
         config = _config_from_args(args)
         assert config.panel == demo_dir / "panel.csv"
         assert config.perplexity == 25.0  # flag beats file

@@ -271,3 +271,5 @@ class TestRun:
             GradientSchedule(learning_rate=-1.0).validate()
         with pytest.raises(ValueError):
             GradientSchedule(exaggeration=0.5).validate()
+        with pytest.raises(ValueError):
+            GradientSchedule(init_scale=0.0).validate()
