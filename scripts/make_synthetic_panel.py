@@ -1,10 +1,9 @@
 """Generate a synthetic panel CSV (plus GDP table) for trying the pipeline."""
 
 import argparse
-import csv
 from pathlib import Path
 
-from sdgpipe.panel import write_panel_csv
+from sdgpipe.panel import write_gdp_csv, write_panel_csv
 from sdgpipe.synthetic import synthetic_gdp, synthetic_panel
 
 
@@ -22,12 +21,7 @@ def main() -> None:
         n_countries=args.countries, n_groups=args.groups, seed=args.seed
     )
     write_panel_csv(panel, args.out / "panel.csv")
-    gdp = synthetic_gdp(panel)
-    with (args.out / "gdp.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["country", "gdp_per_capita"])
-        for country in sorted(gdp):
-            writer.writerow([country, f"{gdp[country]:.2f}"])
+    write_gdp_csv(synthetic_gdp(panel), args.out / "gdp.csv")
     print(f"wrote {args.out / 'panel.csv'} ({panel.n_observations} rows) and gdp.csv")
 
 

@@ -13,7 +13,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from sdgpipe.panel import write_panel_csv
+from sdgpipe.panel import write_gdp_csv, write_panel_csv
 from sdgpipe.pipeline import PipelineConfig, run_pipeline
 from sdgpipe.synthetic import synthetic_gdp, synthetic_panel
 
@@ -30,12 +30,7 @@ def main() -> None:
 
     panel = synthetic_panel()
     write_panel_csv(panel, work / "panel.csv")
-    gdp = synthetic_gdp(panel)
-    with (work / "gdp.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["country", "gdp_per_capita"])
-        for country in sorted(gdp):
-            writer.writerow([country, f"{gdp[country]:.2f}"])
+    write_gdp_csv(synthetic_gdp(panel), work / "gdp.csv")
 
     config = PipelineConfig(
         panel=work / "panel.csv",

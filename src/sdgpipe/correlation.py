@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sdgpipe.dbscan import final_year_membership
+from sdgpipe.dbscan import final_year_membership, members_of
 from sdgpipe.errors import (
     ShapeMismatchError,
     TooFewObservationsError,
@@ -75,7 +75,7 @@ def cluster_correlations(
     for cluster_id in sorted(set(membership.values())):
         if cluster_id < 0:
             continue
-        countries = {c for c, lab in membership.items() if lab == cluster_id}
+        countries = set(members_of(membership, cluster_id))
         mask = np.array([country in countries for country, _ in panel.index])
         result[cluster_id] = pearson_matrix(panel, mask, basis=f"cluster {cluster_id}")
     return result

@@ -1,16 +1,15 @@
 """Density clustering over map points, plus label utilities.
 
 A point is core when its closed eps-ball (itself included) holds at least
-min_pts points. Clusters grow by breadth-first expansion from core points in
-input order, so cluster ids are assigned deterministically: id 0 goes to the
-cluster seeded by the lowest-index core point, and a border point reachable
-from several clusters keeps the id of the cluster that reached it first.
-Unreachable points get the noise label -1.
+min_pts points. Each cluster is grown from its seed, the lowest-index core
+point not yet labelled, by adding the eps-neighbours of every core point it
+has reached until no new core point joins. So id 0 goes to the cluster of
+the lowest-index core point, and a border point within reach of several
+clusters keeps the lowest id. Unreachable points get the noise label -1.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ from scipy.spatial.distance import cdist
 from sdgpipe.errors import EmptyClusterError, ShapeMismatchError
 
 NOISE = -1
-_UNVISITED = -2
 
 DEFAULT_MIN_PTS = 5
 
@@ -51,47 +49,45 @@ class ClusterSwitch:
     to_cluster: int
 
 
-def _labels_from_distances(dist: np.ndarray, eps: float, min_pts: int) -> np.ndarray:
-    n = dist.shape[0]
-    core = (dist <= eps).sum(axis=1) >= min_pts
-    labels = np.full(n, _UNVISITED, dtype=int)
-    cluster_id = 0
-    for seed in range(n):
-        if labels[seed] != _UNVISITED:
-            continue
-        if not core[seed]:
-            labels[seed] = NOISE
-            continue
-        labels[seed] = cluster_id
-        queue = deque(np.flatnonzero(dist[seed] <= eps).tolist())
-        while queue:
-            point = queue.popleft()
-            if labels[point] == NOISE:
-                labels[point] = cluster_id  # border point reclaimed from noise
-            if labels[point] != _UNVISITED:
-                continue
-            labels[point] = cluster_id
-            if core[point]:
-                queue.extend(np.flatnonzero(dist[point] <= eps).tolist())
-        cluster_id += 1
-    return labels
-
-
-def cluster(points: np.ndarray, eps: float, min_pts: int = DEFAULT_MIN_PTS) -> ClusterLabels:
-    """Label every row of points; eps > 0 and min_pts >= 1 required."""
+def _checked_distances(points: np.ndarray, min_pts: int) -> np.ndarray:
+    """Pairwise distances of a nonempty 2-d array of finite points; min_pts >= 1."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("points must be a nonempty 2-d array")
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
-    dist = cdist(points, points)
-    labels = _labels_from_distances(dist, eps, min_pts)
+    return cdist(points, points)
+
+
+def _label(dist: np.ndarray, eps: float, min_pts: int) -> ClusterLabels:
+    """Cluster ids by frontier expansion from each unlabelled core seed."""
+    near = dist <= eps
+    core = near.sum(axis=1) >= min_pts
+    labels = np.full(dist.shape[0], NOISE, dtype=int)
+    cluster_id = 0
+    for seed in np.flatnonzero(core):
+        if labels[seed] != NOISE:
+            continue
+        reached = near[seed].copy()
+        frontier = reached & core
+        while frontier.any():
+            new = near[frontier].any(axis=0) & ~reached
+            reached |= new
+            frontier = new & core
+        # border points already claimed by a lower id keep it
+        labels[reached & (labels == NOISE)] = cluster_id
+        cluster_id += 1
     labels.flags.writeable = False
     return ClusterLabels(labels=labels, eps=float(eps), min_pts=int(min_pts))
+
+
+def cluster(points: np.ndarray, eps: float, min_pts: int = DEFAULT_MIN_PTS) -> ClusterLabels:
+    """Label every row of points; eps > 0 and min_pts >= 1 required."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return _label(_checked_distances(points, min_pts), eps, min_pts)
 
 
 def scan_eps(
@@ -100,18 +96,14 @@ def scan_eps(
     min_pts: int = DEFAULT_MIN_PTS,
 ) -> list[tuple[float, int, float]]:
     """(eps, n_clusters, noise_fraction) for each eps; no winner is picked."""
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise ValueError("points must be a nonempty 2-d array")
     eps_values = [float(e) for e in np.asarray(eps_values, dtype=float).ravel()]
     if not eps_values or any(e <= 0 for e in eps_values):
         raise ValueError("eps grid must be nonempty and positive")
-    dist = cdist(points, points)
+    dist = _checked_distances(points, min_pts)
     rows = []
     for eps in eps_values:
-        labels = _labels_from_distances(dist, eps, min_pts)
-        n_clusters = int(labels.max(initial=-1) + 1)
-        rows.append((eps, n_clusters, float(np.mean(labels == NOISE))))
+        labels = _label(dist, eps, min_pts)
+        rows.append((eps, labels.n_clusters, labels.noise_fraction))
     return rows
 
 

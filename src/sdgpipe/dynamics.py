@@ -86,7 +86,7 @@ def cluster_distance_distribution(
         raise TooFewMembersError(cluster_id, year, count)
     distances = distance_to_ideal(panel.scores[mask])
     mean = float(distances.mean())
-    std = float(np.sqrt(np.mean((distances - mean) ** 2)))
+    std = float(distances.std())
     fit = GaussianFit(cluster=int(cluster_id), year=int(year), mean=mean, std=std,
                       n_members=count)
     return fit, distances
@@ -190,7 +190,5 @@ def displacement_table(
     table = []
     for year in sorted(by_year):
         values = np.array(by_year[year])
-        mean = float(values.mean())
-        std = float(np.sqrt(np.mean((values - mean) ** 2)))
-        table.append((year, mean, std, values.size))
+        table.append((year, float(values.mean()), float(values.std()), values.size))
     return table

@@ -37,7 +37,7 @@ _MISSING_MARKERS = frozenset({"", "na", "nan", "null"})
 # anything further out is rejected.
 PARSE_TOLERANCE = 1e-6
 
-# Pooled spreads below this are treated as zero variance.
+# Spreads at or below this are treated as zero variance.
 _VARIANCE_FLOOR = 1e-12
 
 
@@ -207,9 +207,7 @@ def filter_complete(panel: ScorePanel) -> ScorePanel:
 
 
 def _pooled_moments(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = scores.mean(axis=0)
-    std = np.sqrt(np.mean((scores - mean) ** 2, axis=0))
-    return mean, std
+    return scores.mean(axis=0), scores.std(axis=0)
 
 
 def standardize(panel: ScorePanel) -> StandardizedPanel:
@@ -248,8 +246,8 @@ def standardize_within_cluster(
 
     labels holds one integer cluster id per observation; noise (-1) forms its
     own group. Returns the z-scored array and a map from cluster id to that
-    cluster's (mean, std). A goal constant within some cluster raises
-    ZeroVarianceError naming the cluster.
+    cluster's (mean, std). A goal constant within some cluster (every goal
+    of a one-member cluster) has z = 0 on that cluster's rows.
     """
     labels = np.asarray(labels)
     if labels.shape != (panel.n_observations,):
@@ -263,10 +261,8 @@ def standardize_within_cluster(
     for label in sorted(set(labels.tolist())):
         rows = labels == label
         mean, std = _pooled_moments(panel.scores[rows])
-        for g, sigma in enumerate(std):
-            if sigma <= _VARIANCE_FLOOR:
-                raise ZeroVarianceError(GOAL_COLUMNS[g], group=f"cluster {label}")
-        z[rows] = (panel.scores[rows] - mean) / std
+        flat = std <= _VARIANCE_FLOOR
+        z[rows] = np.where(flat, 0.0, (panel.scores[rows] - mean) / np.where(flat, 1.0, std))
         moments[int(label)] = (_freeze(mean), _freeze(std))
     return _freeze(z), moments
 
@@ -314,3 +310,12 @@ def load_gdp(path: str | Path) -> dict[str, float]:
                 raise DuplicateObservationError(country)
             table[country] = value
     return table
+
+
+def write_gdp_csv(gdp: dict[str, float], path: str | Path) -> None:
+    """Write a country -> GDP table in the load_gdp schema, countries sorted."""
+    with Path(path).open("w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(GDP_HEADER)
+        for country in sorted(gdp):
+            writer.writerow([country, f"{gdp[country]:.2f}"])

@@ -330,13 +330,11 @@ def stage_cluster(config: PipelineConfig, written: list[Path]) -> None:
         gdp = load_gdp(config.gdp)
         rows = []
         for cluster_id in sorted(set(membership.values())):
-            members = [c for c, lab in membership.items() if lab == cluster_id]
+            members = dbscan.members_of(membership, cluster_id)
             values = np.array([gdp[c] for c in members if c in gdp])
             if values.size:
                 mean = artifacts.fmt(float(values.mean()), 2)
-                spread = artifacts.fmt(
-                    float(np.sqrt(np.mean((values - values.mean()) ** 2))), 2
-                )
+                spread = artifacts.fmt(float(values.std()), 2)
             else:
                 mean = spread = ""
             rows.append(

@@ -1,9 +1,7 @@
-import csv
-
 import pytest
 from hypothesis import HealthCheck, settings
 
-from sdgpipe.panel import write_panel_csv
+from sdgpipe.panel import write_gdp_csv, write_panel_csv
 from sdgpipe.pipeline import PipelineConfig, run_pipeline
 from sdgpipe.synthetic import synthetic_gdp, synthetic_panel
 
@@ -40,14 +38,6 @@ DEMO_SETTINGS = dict(perplexity=30.0, iterations=400, eps=5.0, min_pts=5, seed=0
 @pytest.fixture(scope="session")
 def fixture_panel():
     return synthetic_panel()
-
-
-def write_gdp_csv(gdp: dict, path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["country", "gdp_per_capita"])
-        for country in sorted(gdp):
-            writer.writerow([country, f"{gdp[country]:.2f}"])
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
 
-from conftest import ACCEPTANCE_RESULTS, DEMO_SETTINGS, write_gdp_csv
+from conftest import ACCEPTANCE_RESULTS, DEMO_SETTINGS
 import sdgpipe
 from sdgpipe import artifacts, dbscan, dynamics, pca, tsne
 from sdgpipe.correlation import pearson_matrix
@@ -43,6 +43,7 @@ from sdgpipe.panel import (
     filter_complete,
     load_panel,
     standardize,
+    write_gdp_csv,
     write_panel_csv,
     yearly_goal_means,
 )

@@ -63,6 +63,12 @@ def random_points(seed, n, dim=2):
     return centers[picks] + rng.normal(scale=rng.uniform(0.2, 2.0), size=(n, dim))
 
 
+def lattice_points(seed, n, side=6):
+    """Integer points on a side x side grid; n > side**2 forces duplicates."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, side, size=(n, 2)).astype(float)
+
+
 class TestHandCases:
     def test_two_line_clusters(self):
         pts = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
@@ -150,6 +156,17 @@ class TestAgainstOracle:
         got = cluster(pts, eps=eps, min_pts=min_pts)
         assert got.labels.tolist() == oracle_labels(pts, eps, min_pts).tolist()
 
+    # Lattice neighbours sit at exactly 1, sqrt(2) and 2, so these eps hit the
+    # closed-ball tie that Gaussian fixtures never do.
+    @pytest.mark.parametrize("min_pts", range(1, 7))
+    @pytest.mark.parametrize("eps", [1.0, np.sqrt(2.0), 2.0])
+    def test_exact_labels_lattice_ties(self, eps, min_pts):
+        for seed in range(6):
+            pts = lattice_points(seed, n=20 + 8 * seed)
+            got = cluster(pts, eps=eps, min_pts=min_pts)
+            want = oracle_labels(pts, eps, min_pts)
+            assert got.labels.tolist() == want.tolist(), seed
+
 
 class TestPartitionProperties:
     @given(st.integers(0, 10_000))
@@ -198,6 +215,18 @@ class TestScanEps:
             scan_eps(pts, [])
         with pytest.raises(ValueError):
             scan_eps(pts, [1.0, -0.5])
+
+    def test_rejects_nonfinite_points(self):
+        pts = random_points(7, 20)
+        pts[3, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            scan_eps(pts, [0.5, 1.0])
+        with pytest.raises(ValueError, match="2-d"):
+            scan_eps(np.empty((0, 2)), [1.0])
+
+    def test_rejects_min_pts_below_one(self):
+        with pytest.raises(ValueError, match="min_pts"):
+            scan_eps(random_points(7, 20), [0.5, 1.0], min_pts=0)
 
 
 class TestMembership:

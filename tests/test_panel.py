@@ -25,6 +25,7 @@ from sdgpipe.panel import (
     load_panel,
     standardize,
     standardize_within_cluster,
+    write_gdp_csv,
     write_panel_csv,
     yearly_goal_means,
 )
@@ -273,16 +274,25 @@ class TestStandardizeWithinCluster:
         assert set(moments) == {-1, 0}
         assert moments[-1][0][0] == pytest.approx(5.0)
 
-    def test_constant_within_cluster_raises(self):
+    def test_constant_within_cluster_gives_zero(self):
         rows = [
             ("AAA", 2000, goal_row(10, **{"0": 7})),
             ("BBB", 2000, goal_row(20, **{"0": 7})),
             ("CCC", 2000, goal_row(30, **{"0": 40})),
             ("DDD", 2000, goal_row(40, **{"0": 60})),
+            ("EEE", 2000, goal_row(90)),
         ]
-        with pytest.raises(ZeroVarianceError) as err:
-            standardize_within_cluster(make_panel(rows), np.array([0, 0, 1, 1]))
-        assert "cluster 0" in str(err.value)
+        z, moments = standardize_within_cluster(
+            make_panel(rows), np.array([0, 0, 1, 1, -1])
+        )
+        # goal01 is constant within cluster 0; the other goals are not
+        assert z[:2, 0].tolist() == [0.0, 0.0]
+        assert z[:2, 1].tolist() == [-1.0, 1.0]
+        assert moments[0][1][0] == 0.0
+        # a one-member group is constant on every goal
+        assert z[4].tolist() == [0.0] * N_GOALS
+        assert moments[-1][1].tolist() == [0.0] * N_GOALS
+        assert z[2:4, 0].tolist() == [-1.0, 1.0]
 
     def test_label_shape_checked(self, fixture_panel):
         with pytest.raises(ShapeMismatchError):
@@ -332,3 +342,12 @@ class TestGdp:
         p.write_text("nation,gdp\nAAA,5\n")
         with pytest.raises(MalformedHeaderError):
             load_gdp(p)
+
+    def test_write_round_trip(self, tmp_path):
+        p = tmp_path / "gdp.csv"
+        table = {"BBB": 1234.5, "AAA": 99.25, "CCC": 40000.0}
+        write_gdp_csv(table, p)
+        assert p.read_text().splitlines() == [
+            "country,gdp_per_capita", "AAA,99.25", "BBB,1234.50", "CCC,40000.00"
+        ]
+        assert load_gdp(p) == table

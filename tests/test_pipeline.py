@@ -370,6 +370,39 @@ class TestStaleOutputs:
         assert (out / artifacts.CORRELATION_GLOBAL).exists()
 
 
+class TestLoneNoisePoint:
+    def test_downstream_stages_succeed(self, demo_config, tmp_path):
+        # A hand-made map instead of t-SNE output: one tight blob per group of
+        # four countries, plus one isolated row that is the only noise point.
+        config = replace(demo_config, out=tmp_path / "blobs")
+        run_stage("ingest", config)
+        run_stage("pca", config)
+        _, rows = artifacts.read_csv(config.out / artifacts.PANEL_FILTERED)
+        countries = sorted({row[0] for row in rows})
+        lone = 10  # not a final-year row, so every country keeps a cluster
+        embedding = []
+        for i, (country, year, *_) in enumerate(rows):
+            x = 50.0 * (countries.index(country) % 3) + 0.01 * (i % 7)
+            y = 0.01 * (i % 5)
+            if i == lone:
+                x = y = 500.0
+            embedding.append([country, year, artifacts.fmt(x), artifacts.fmt(y)])
+        artifacts.write_csv(
+            config.out / artifacts.EMBEDDING, ["country", "year", "x", "y"], embedding
+        )
+        for stage in ("cluster", "correlate", "dynamics", "figures"):
+            run_stage(stage, config)
+
+        _, labels = artifacts.read_csv(config.out / artifacts.LABELS)
+        assert [int(row[2]) for row in labels].count(-1) == 1
+        assert labels[lone][2] == "-1"
+        assert {row[2] for row in labels} == {"-1", "0", "1", "2"}
+        _, profile = artifacts.read_csv(config.out / artifacts.CLUSTER_STANDARDIZED)
+        assert [float(cell) for cell in profile[lone][3:]] == [0.0] * len(GOAL_COLUMNS)
+        for cluster_id in range(3):
+            assert (config.out / artifacts.trajectory_name(cluster_id)).exists()
+
+
 class TestScanEpsStage:
     def test_table_covers_grid(self, pipeline_run, tmp_path):
         config = copy_run(pipeline_run, tmp_path / "copy")
