@@ -12,9 +12,7 @@ from sdgpipe.errors import (
     TooFewObservationsError,
     ZeroVarianceError,
 )
-from sdgpipe.panel import GOAL_COLUMNS, ScorePanel
-
-_VARIANCE_FLOOR = 1e-12
+from sdgpipe.panel import _VARIANCE_FLOOR, GOAL_COLUMNS, ScorePanel
 
 
 @dataclass(frozen=True)

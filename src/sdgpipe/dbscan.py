@@ -107,13 +107,19 @@ def scan_eps(
     return rows
 
 
-def final_year_membership(labels: np.ndarray, index: list[tuple[str, int]]) -> dict[str, int]:
-    """Each country's label in its last panel year (noise included, as -1)."""
+def _checked_labels(labels: np.ndarray, index: list[tuple[str, int]]) -> np.ndarray:
+    """labels as an array; raises unless it holds one label per entry of index."""
     labels = np.asarray(labels)
     if labels.shape != (len(index),):
         raise ShapeMismatchError(
             f"{labels.shape[0] if labels.ndim else 0} labels for {len(index)} observations"
         )
+    return labels
+
+
+def final_year_membership(labels: np.ndarray, index: list[tuple[str, int]]) -> dict[str, int]:
+    """Each country's label in its last panel year (noise included, as -1)."""
+    labels = _checked_labels(labels, index)
     latest: dict[str, int] = {}
     latest_year: dict[str, int] = {}
     for label, (country, year) in zip(labels, index):
@@ -139,11 +145,7 @@ def detect_switches(
     The reported year is the first year of the new label. Countries are
     scanned in sorted order, years ascending.
     """
-    labels = np.asarray(labels)
-    if labels.shape != (len(index),):
-        raise ShapeMismatchError(
-            f"{labels.shape[0] if labels.ndim else 0} labels for {len(index)} observations"
-        )
+    labels = _checked_labels(labels, index)
     by_country: dict[str, list[tuple[int, int]]] = {}
     for label, (country, year) in zip(labels, index):
         by_country.setdefault(country, []).append((year, int(label)))

@@ -7,13 +7,11 @@ are written at two decimals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from sdgpipe import artifacts
-from sdgpipe.errors import MissingArtifactError
 from sdgpipe.panel import GOAL_COLUMNS, N_GOALS
 
 CLUSTER_PALETTE = (
@@ -510,6 +508,10 @@ def extrapolation_frame(first_year: int, extrapolate_to: int,
 def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
                      fits: dict[int, dict], extrapolate_to: int) -> str:
     """tables: cluster -> [(year, mean, std)]; fits: cluster -> fit payload."""
+
+    def curve(fit: dict, year: float) -> float:
+        return fit["a"] + fit["b"] * year + fit["c"] * year * year
+
     width, height = 780, 540
     parts = _svg_open(width, height)
     _title(parts, width, "Mean distance to ideal: observed and extrapolated")
@@ -534,8 +536,7 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
         pts = []
         year = float(first_year)
         while year <= last_year + 1e-9:
-            value = fit["a"] + fit["b"] * year + fit["c"] * year * year
-            pts.append((left_frame.x(year), left_frame.y(value)))
+            pts.append((left_frame.x(year), left_frame.y(curve(fit, year))))
             year += EXTRAP_SAMPLE_STEP
         parts.append(_polyline(pts, color, 1.3, opacity=0.9))
 
@@ -549,7 +550,7 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
             if first_year <= vertex <= extrapolate_to:
                 probe.append(vertex)
         for y in probe:
-            curve_max = max(curve_max, fit["a"] + fit["b"] * y + fit["c"] * y * y)
+            curve_max = max(curve_max, curve(fit, y))
     e_lo, e_hi = _padded(min(curve_min, 0.0), curve_max)
     frame = extrapolation_frame(first_year, extrapolate_to, e_lo, e_hi)
     _axes(parts, frame, "year", "mean distance to ideal")
@@ -576,8 +577,7 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
         pts = []
         year = float(first_year)
         while year <= extrapolate_to + 1e-9:
-            value = fit["a"] + fit["b"] * year + fit["c"] * year * year
-            pts.append((frame.x(year), frame.y(max(value, e_lo))))
+            pts.append((frame.x(year), frame.y(max(curve(fit, year), e_lo))))
             year += EXTRAP_SAMPLE_STEP
         parts.append(_polyline(pts, color, 1.3, opacity=0.9))
         attained = fit.get("attainment_year")
@@ -595,13 +595,6 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
 # artifact plumbing
 
 
-def _require(out: Path, name: str) -> Path:
-    path = out / name
-    if not path.exists():
-        raise MissingArtifactError(name)
-    return path
-
-
 def emit_figures(out: str | Path, written: list[Path] | None = None) -> list[Path]:
     """Render every figure from the artifacts in out; returns written paths."""
     out = Path(out)
@@ -612,39 +605,39 @@ def emit_figures(out: str | Path, written: list[Path] | None = None) -> list[Pat
         path.write_text(svg)
         produced.append(path)
 
-    _, mean_rows = artifacts.read_csv(_require(out, artifacts.YEARLY_MEANS))
+    _, mean_rows = artifacts.read_csv(out / artifacts.YEARLY_MEANS)
     years = [int(row[0]) for row in mean_rows]
     means = [[float(v) for v in row[1:]] for row in mean_rows]
     emit("parallel.svg", fig_parallel(years, means))
 
-    _, proj_rows = artifacts.read_csv(_require(out, artifacts.PCA_PROJECTION))
+    _, proj_rows = artifacts.read_csv(out / artifacts.PCA_PROJECTION)
     proj_meta = [row[:2] for row in proj_rows]
     proj = [[float(v) for v in row[2:4]] for row in proj_rows]
-    _, ideal_rows = artifacts.read_csv(_require(out, artifacts.PCA_IDEAL))
+    _, ideal_rows = artifacts.read_csv(out / artifacts.PCA_IDEAL)
     ideal = [float(v) for v in ideal_rows[0][:2]]
     emit("pca_scatter.svg", fig_pca_scatter(proj_meta, proj, ideal))
 
-    _, loading_rows = artifacts.read_csv(_require(out, artifacts.PCA_LOADINGS))
+    _, loading_rows = artifacts.read_csv(out / artifacts.PCA_LOADINGS)
     vectors = [(float(row[1]), float(row[2])) for row in loading_rows]
     emit("pca_biplot.svg", fig_pca_biplot(proj_meta, proj, vectors))
 
-    _, embed_rows = artifacts.read_csv(_require(out, artifacts.EMBEDDING))
+    _, embed_rows = artifacts.read_csv(out / artifacts.EMBEDDING)
     embed_meta = [row[:2] for row in embed_rows]
     embed = [[float(v) for v in row[2:4]] for row in embed_rows]
-    _, label_rows = artifacts.read_csv(_require(out, artifacts.LABELS))
+    _, label_rows = artifacts.read_csv(out / artifacts.LABELS)
     labels = [int(row[2]) for row in label_rows]
-    _, switch_rows = artifacts.read_csv(_require(out, artifacts.SWITCHES))
+    _, switch_rows = artifacts.read_csv(out / artifacts.SWITCHES)
     switchers = sorted({row[0] for row in switch_rows})
     emit("tsne_clusters.svg", fig_tsne_clusters(embed_meta, embed, labels, switchers))
 
-    _, profile_rows = artifacts.read_csv(_require(out, artifacts.CLUSTER_STANDARDIZED))
+    _, profile_rows = artifacts.read_csv(out / artifacts.CLUSTER_STANDARDIZED)
     profiles = [
         (row[0], int(row[1]), int(row[2]), [float(v) for v in row[3:]])
         for row in profile_rows
     ]
     emit("cluster_profiles.svg", fig_cluster_profiles(profiles))
 
-    _, corr_rows = artifacts.read_csv(_require(out, artifacts.CORRELATION_GLOBAL))
+    _, corr_rows = artifacts.read_csv(out / artifacts.CORRELATION_GLOBAL)
     values = [[float(v) for v in row[1:]] for row in corr_rows]
     emit("correlation_global.svg", fig_correlation_heatmap(values, "all countries"))
     for path in sorted(out.glob("correlation_cluster*.csv")):
@@ -654,18 +647,18 @@ def emit_figures(out: str | Path, written: list[Path] | None = None) -> list[Pat
         emit(f"correlation_cluster{cid}.svg",
              fig_correlation_heatmap(values, f"cluster {cid}"))
 
-    _, fit_rows = artifacts.read_csv(_require(out, artifacts.GAUSSIAN_FITS))
+    _, fit_rows = artifacts.read_csv(out / artifacts.GAUSSIAN_FITS)
     fits = [
         (int(r[0]), int(r[1]), float(r[2]), float(r[3]), int(r[4])) for r in fit_rows
     ]
     fit_years = sorted({f[1] for f in fits})
     emit("distributions.svg", fig_distributions(fits, fit_years))
 
-    payload = json.loads(_require(out, artifacts.TRAJECTORY_FITS).read_text())
+    payload = artifacts.read_json(out / artifacts.TRAJECTORY_FITS)
     trajectory_fits = {int(k): v for k, v in payload.items()}
     tables: dict[int, list[tuple[int, float, float]]] = {}
     for cid in sorted(trajectory_fits):
-        _, rows = artifacts.read_csv(_require(out, artifacts.trajectory_name(cid)))
+        _, rows = artifacts.read_csv(out / artifacts.trajectory_name(cid))
         tables[cid] = [(int(r[0]), float(r[1]), float(r[2])) for r in rows]
     if trajectory_fits:
         extrapolate_to = max(v.get("extrapolate_to", 2100) for v in trajectory_fits.values())

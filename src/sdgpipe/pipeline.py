@@ -26,6 +26,7 @@ from sdgpipe.errors import (
 )
 from sdgpipe.panel import (
     GOAL_COLUMNS,
+    N_GOALS,
     ScorePanel,
     filter_complete,
     load_gdp,
@@ -85,8 +86,8 @@ class PipelineConfig:
             raise ConfigError("output directory is required")
         if self.perplexity <= 1:
             raise ConfigError("perplexity must exceed 1")
-        if self.pca_components < 1:
-            raise ConfigError("pca_components must be >= 1")
+        if not 2 <= self.pca_components <= N_GOALS:
+            raise ConfigError(f"pca_components must be in [2, {N_GOALS}]")
         if self.embed_dim not in (2, 3):
             raise ConfigError("embed_dim must be 2 or 3")
         if self.eps is not None and self.eps <= 0:
@@ -274,10 +275,8 @@ def stage_pca(config: PipelineConfig, written: list[Path]) -> None:
     ideal_coords = pca.project(model, ideal_z)[0]
     _emit(config, written, artifacts.PCA_IDEAL, pc_names, _rows([()], [ideal_coords]))
 
-    if model.n_components >= 2:
-        vectors = pca.loadings(model)
-        _emit(config, written, artifacts.PCA_LOADINGS, ["goal", "x", "y"],
-              _rows([(g,) for g in GOAL_COLUMNS], vectors[:, :2]))
+    _emit(config, written, artifacts.PCA_LOADINGS, ["goal", "x", "y"],
+          _rows([(g,) for g in GOAL_COLUMNS], pca.loadings(model)))
 
 
 def stage_tsne(config: PipelineConfig, written: list[Path]) -> None:

@@ -174,6 +174,29 @@ def joint_affinities(X: np.ndarray, perplexity: float) -> AffinityMatrix:
     return AffinityMatrix(P=P, sigmas=sigmas, perplexity=float(perplexity))
 
 
+def _student_t(Y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Write Q for map points Y into q and return the kernel (see q_matrix)."""
+    kernel = cdist(Y, Y, metric="sqeuclidean")
+    np.add(kernel, 1.0, out=kernel)
+    np.reciprocal(kernel, out=kernel)
+    np.fill_diagonal(kernel, 0.0)
+    np.divide(kernel, kernel.sum(), out=q)
+    return kernel
+
+
+def _gradient(target: np.ndarray, Y: np.ndarray, q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gradient of KL(target || Q) with respect to the map points:
+
+        dC/dy_i = 4 sum_j (p_ij - q_ij) (y_i - y_j) (1 + ||y_i - y_j||^2)^-1
+
+    q and w are n x n scratch buffers; Q is left in q.
+    """
+    kernel = _student_t(Y, q)
+    np.subtract(target, q, out=w)
+    np.multiply(w, kernel, out=w)
+    return 4.0 * (w.sum(axis=1)[:, None] * Y - np.einsum("ij,jk->ik", w, Y, optimize=False))
+
+
 def q_matrix(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Student-t similarities for map points.
 
@@ -183,10 +206,8 @@ def q_matrix(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 2:
         raise ValueError("need a 2-d array with at least 2 rows")
-    kernel = 1.0 / (1.0 + cdist(Y, Y, metric="sqeuclidean"))
-    np.fill_diagonal(kernel, 0.0)
-    Q = kernel / kernel.sum()
-    return Q, kernel
+    Q = np.empty((Y.shape[0], Y.shape[0]))
+    return Q, _student_t(Y, Q)
 
 
 def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
@@ -201,18 +222,12 @@ def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
 
 
 def kl_gradient(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Analytic gradient of KL(P || Q) with respect to the map points:
-
-        dC/dy_i = 4 sum_j (p_ij - q_ij) (y_i - y_j) (1 + ||y_i - y_j||^2)^-1
-    """
+    """Analytic gradient of KL(P || Q) with respect to the map points."""
     P = np.asarray(P, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if P.shape != (Y.shape[0], Y.shape[0]):
         raise ShapeMismatchError(f"P {P.shape} does not pair with Y {Y.shape}")
-    Q, kernel = q_matrix(Y)
-    W = (P - Q) * kernel
-    row = W.sum(axis=1)
-    return 4.0 * (row[:, None] * Y - np.einsum("ij,jk->ik", W, Y, optimize=False))
+    return _gradient(P, Y, np.empty_like(P), np.empty_like(P))
 
 
 def run(
@@ -240,36 +255,21 @@ def run(
     exaggerated = P * schedule.exaggeration
 
     rng = np.random.default_rng(seed)
-    # Fortran order keeps the einsum contraction on its fast stride path;
-    # all heavy n x n temporaries are preallocated and reused, and the KL
-    # for a recorded step is read off the next iteration's Q instead of
-    # being recomputed from scratch.
+    # Fortran order keeps the einsum contraction on its fast stride path.
+    # Every step reuses the two n x n buffers for Q and the gradient weights
+    # (a fresh pair per step page-faults in every time), and the KL of a
+    # recorded step is read off the Q that the next step leaves in q.
     Y = np.asfortranarray(rng.normal(0.0, schedule.init_scale, size=(n, n_components)))
     velocity = np.zeros_like(Y)
-    grad = np.empty_like(Y)
-    pulled = np.empty((n, n_components))
-    q_buf = np.empty_like(P)
-    w_buf = np.empty_like(P)
+    q = np.empty_like(P)
+    w = np.empty_like(P)
     history: list[tuple[int, float]] = []
-    pending: int | None = None
 
     for step in range(1, schedule.iterations + 1):
-        kernel = cdist(Y, Y, metric="sqeuclidean")
-        np.add(kernel, 1.0, out=kernel)
-        np.reciprocal(kernel, out=kernel)
-        np.fill_diagonal(kernel, 0.0)
-        np.divide(kernel, kernel.sum(), out=q_buf)
-        if pending is not None:
-            history.append((pending, kl_divergence(P, q_buf)))
-            pending = None
         target = exaggerated if step <= schedule.exaggeration_until else P
-        np.subtract(target, q_buf, out=w_buf)
-        np.multiply(w_buf, kernel, out=w_buf)
-        row = w_buf.sum(axis=1)
-        np.einsum("ij,jk->ik", w_buf, Y, out=pulled, optimize=False)
-        np.multiply(row[:, None], Y, out=grad)
-        np.subtract(grad, pulled, out=grad)
-        grad *= 4.0
+        grad = _gradient(target, Y, q, w)
+        if step > 1 and (step - 1) % schedule.record_every == 0:
+            history.append((step - 1, kl_divergence(P, q)))
         momentum = (
             schedule.momentum_early
             if step < schedule.momentum_switch
@@ -280,9 +280,6 @@ def run(
         velocity -= grad
         Y += velocity
         Y -= Y.mean(axis=0)
-        if step % schedule.record_every == 0 or step == schedule.iterations:
-            pending = step
 
-    if pending is not None:
-        history.append((pending, kl_divergence(P, q_matrix(Y)[0])))
+    history.append((schedule.iterations, kl_divergence(P, q_matrix(Y)[0])))
     return Embedding(Y=Y, seed=seed, kl_history=tuple(history))

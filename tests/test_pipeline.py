@@ -167,6 +167,8 @@ class TestValidate:
             dict(out=None),
             dict(perplexity=1.0),
             dict(pca_components=0),
+            dict(pca_components=1),
+            dict(pca_components=18),
             dict(embed_dim=4),
             dict(iterations=0),
             dict(record_every=0),

@@ -254,6 +254,27 @@ class TestRun:
         c = run(X, perplexity=10.0, seed=10, schedule=sched)
         assert not np.array_equal(a.Y, c.Y)
 
+    def test_recorded_kl_is_kl_of_that_step(self):
+        X = two_blobs(5)
+        P = joint_affinities(X, perplexity=10.0).P
+        emb = run(X, perplexity=10.0, seed=3,
+                  schedule=GradientSchedule(learning_rate=20.0, iterations=120))
+        assert [s for s, _ in emb.kl_history] == [50, 100, 120]
+        for step, kl in emb.kl_history:
+            at_step = run(X, perplexity=10.0, seed=3,
+                          schedule=GradientSchedule(learning_rate=20.0, iterations=step))
+            assert kl == kl_divergence(P, q_matrix(at_step.Y)[0])
+
+    def test_first_step_is_kl_gradient(self):
+        X = two_blobs(6)
+        sched = GradientSchedule(learning_rate=20.0, iterations=1)
+        P = joint_affinities(X, perplexity=10.0).P
+        Y0 = np.random.default_rng(4).normal(0.0, sched.init_scale, size=(40, 2))
+        expected = Y0 - sched.learning_rate * kl_gradient(sched.exaggeration * P, Y0)
+        expected -= expected.mean(axis=0)
+        Y1 = run(X, perplexity=10.0, seed=4, schedule=sched).Y
+        assert np.linalg.norm(Y1 - expected) <= 1e-12 * np.linalg.norm(expected)
+
     def test_three_components(self):
         X = two_blobs(3)
         emb = run(X, perplexity=10.0, n_components=3, seed=0,
