@@ -3,6 +3,10 @@
 Numeric CSV cells are written at fixed six decimals (correlations at four,
 always signed) and JSON numbers at full repr precision, so repeated runs of
 the same configuration produce byte-identical files.
+
+Every artifact is written to a temporary file in its own directory and then
+renamed over the target, so a reader never sees a half-written file and a
+failed write leaves the previous version in place.
 """
 
 from __future__ import annotations
@@ -10,7 +14,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import TextIO
 
 from sdgpipe.errors import MissingArtifactError
 
@@ -57,8 +65,26 @@ def fmt_signed(value: float, decimals: int = 4) -> str:
     return f"{value:+.{decimals}f}"
 
 
+@contextmanager
+def _replacing(path: Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Text handle on a temporary sibling of path that replaces path on success."""
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temporary.open("w", newline=newline) as handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: Path, text: str) -> None:
+    with _replacing(path) as handle:
+        handle.write(text)
+
+
 def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with path.open("w", newline="") as handle:
+    with _replacing(path, newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -76,7 +102,7 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path: Path) -> dict:

@@ -602,7 +602,7 @@ def emit_figures(out: str | Path, written: list[Path] | None = None) -> list[Pat
 
     def emit(name: str, svg: str) -> None:
         path = out / name
-        path.write_text(svg)
+        artifacts.write_text(path, svg)
         produced.append(path)
 
     _, mean_rows = artifacts.read_csv(out / artifacts.YEARLY_MEANS)

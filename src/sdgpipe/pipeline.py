@@ -9,11 +9,13 @@ as a StageError naming the stage.
 
 from __future__ import annotations
 
+import platform
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from sdgpipe import artifacts, dbscan, dynamics, pca, tsne
 from sdgpipe.correlation import cluster_correlations, pearson_matrix, yearly_correlations
@@ -513,7 +515,9 @@ def write_manifest(
     written: list[Path],
     timings: list[dict[str, object]],
 ) -> Path:
-    """Record config, input checksums, timings, and output checksums."""
+    """Record config, input checksums, timings, output checksums and the
+    environment (the embedding, and so the clusters, can differ across
+    Python, numpy and scipy builds)."""
     inputs = {}
     for f in fields(config):
         value = getattr(config, f.name)
@@ -528,6 +532,12 @@ def write_manifest(
         path,
         {
             "config": config_snapshot(config),
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "platform": platform.platform(),
+            },
             "inputs": inputs,
             "stages": timings,
             "outputs": outputs,

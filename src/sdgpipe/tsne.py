@@ -13,11 +13,25 @@ Student-t kernel with one degree of freedom,
 
 and the map minimizes KL(P || Q) by gradient descent with momentum and
 early exaggeration. No tree approximations; every pair is computed.
+
+Each gradient sweeps fixed blocks of BLOCK_ROWS map rows in two passes. The
+first writes the blocks' kernel rows (1 + d^2)^-1; one serial sum over the
+whole kernel then gives the normalizer Z. The second turns each block into
+its gradient weights (p_ij - q_ij)(1 + d^2)^-1, their row sums and their
+contraction with the map. Every block row is computed as the full-matrix
+call would compute it, so the gradient is bitwise the same however the
+blocks are shared out. From PARALLEL_MIN_ROWS rows on, `embed` splits the
+blocks of each pass over one thread per usable CPU; smaller maps run
+serially, where threads cost more than they save.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +44,16 @@ P_FLOOR = 1e-12
 
 PERPLEXITY_TOL = 1e-5
 MAX_CALIBRATION_STEPS = 100
+
+# Rows per block of the gradient sweep.
+BLOCK_ROWS = 128
+# Maps with fewer rows run the sweep serially. On a 2-CPU Linux VM two
+# workers were slower than one up to about 400 rows (0.83 against 0.72 ms
+# per gradient at 276) and faster from about 420 (3.0 against 4.1 ms at 690).
+PARALLEL_MIN_ROWS = 448
+
+# Applies a function of a row-block slice to every block of the map.
+Sweep = Callable[[Callable[[slice], None]], None]
 
 
 @dataclass(frozen=True)
@@ -174,27 +198,111 @@ def joint_affinities(X: np.ndarray, perplexity: float) -> AffinityMatrix:
     return AffinityMatrix(P=P, sigmas=sigmas, perplexity=float(perplexity))
 
 
-def _student_t(Y: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Write Q for map points Y into q and return the kernel (see q_matrix)."""
-    kernel = cdist(Y, Y, metric="sqeuclidean")
-    np.add(kernel, 1.0, out=kernel)
-    np.reciprocal(kernel, out=kernel)
-    np.fill_diagonal(kernel, 0.0)
-    np.divide(kernel, kernel.sum(), out=q)
-    return kernel
+def _blocks(n: int) -> list[slice]:
+    """Fixed row blocks of an n-row map; they do not depend on the pool."""
+    return [slice(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
 
 
-def _gradient(target: np.ndarray, Y: np.ndarray, q: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _pool_size(n_blocks: int) -> int:
+    """Worker threads for a sweep over n_blocks blocks: one per usable CPU."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not provided on every platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_blocks)
+
+
+def _in_order(blocks: list[slice]) -> Sweep:
+    """Sweep that applies work to the given row blocks in order, in the
+    calling thread."""
+
+    def sweep(work: Callable[[slice], None]) -> None:
+        for rows in blocks:
+            work(rows)
+
+    return sweep
+
+
+@contextmanager
+def _pooled(n: int, workers: int) -> Iterator[Sweep]:
+    """Sweep that splits the row blocks of an n-row map over `workers` threads.
+
+    Each worker takes one contiguous run of blocks per sweep, because a task
+    per block costs more than the arithmetic of a small block. The calling
+    thread is one of the workers: handing its run to the pool and waiting
+    would only add a thread switch per sweep.
+    """
+    blocks = _blocks(n)
+    if workers <= 1:
+        yield _in_order(blocks)
+        return
+    first, *rest = [
+        _in_order(blocks[k * len(blocks) // workers:(k + 1) * len(blocks) // workers])
+        for k in range(workers)
+    ]
+    with ThreadPoolExecutor(workers - 1) as pool:
+
+        def sweep(work: Callable[[slice], None]) -> None:
+            pending = [pool.submit(run, work) for run in rest]
+            try:
+                first(work)
+            finally:
+                # The workers write into the caller's buffers, so return or
+                # raise only once all have finished; result() re-raises a
+                # worker's exception.
+                for future in pending:
+                    future.result()
+
+        yield sweep
+
+
+def _student_t(Y: np.ndarray, kernel: np.ndarray, sweep: Sweep) -> float:
+    """Write the Student-t kernel of map points Y into kernel; return its sum Z.
+
+    Row blocks of kernel are computed independently, and Z is one serial sum
+    over the whole buffer, so the result does not depend on the pool.
+    """
+    Yc = np.ascontiguousarray(Y)  # cdist is slower on Fortran order
+
+    def rows_of(rows: slice) -> None:
+        block = kernel[rows]
+        cdist(Yc[rows], Yc, metric="sqeuclidean", out=block)
+        np.add(block, 1.0, out=block)
+        np.reciprocal(block, out=block)
+        np.fill_diagonal(block[:, rows], 0.0)
+
+    sweep(rows_of)
+    return float(kernel.sum())
+
+
+def _gradient(
+    target: np.ndarray,
+    Y: np.ndarray,
+    kernel: np.ndarray,
+    w: np.ndarray,
+    sweep: Sweep,
+) -> tuple[np.ndarray, float]:
     """Gradient of KL(target || Q) with respect to the map points:
 
         dC/dy_i = 4 sum_j (p_ij - q_ij) (y_i - y_j) (1 + ||y_i - y_j||^2)^-1
 
-    q and w are n x n scratch buffers; Q is left in q.
+    kernel and w are n x n scratch buffers. Returns (gradient, Z) and leaves
+    the kernel in kernel, so Q = kernel / Z.
     """
-    kernel = _student_t(Y, q)
-    np.subtract(target, q, out=w)
-    np.multiply(w, kernel, out=w)
-    return 4.0 * (w.sum(axis=1)[:, None] * Y - np.einsum("ij,jk->ik", w, Y, optimize=False))
+    Z = _student_t(Y, kernel, sweep)
+    row_sums = np.empty(Y.shape[0])
+    contraction = np.empty(Y.shape)
+
+    def rows_of(rows: slice) -> None:
+        block = w[rows]
+        np.divide(kernel[rows], Z, out=block)
+        np.subtract(target[rows], block, out=block)
+        np.multiply(block, kernel[rows], out=block)
+        row_sums[rows] = block.sum(axis=1)
+        contraction[rows] = np.einsum("ij,jk->ik", block, Y, optimize=False)
+
+    sweep(rows_of)
+    return 4.0 * (row_sums[:, None] * Y - contraction), Z
 
 
 def q_matrix(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,8 +314,8 @@ def q_matrix(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 2:
         raise ValueError("need a 2-d array with at least 2 rows")
-    Q = np.empty((Y.shape[0], Y.shape[0]))
-    return Q, _student_t(Y, Q)
+    kernel = np.empty((Y.shape[0], Y.shape[0]))
+    return kernel / _student_t(Y, kernel, _in_order(_blocks(Y.shape[0]))), kernel
 
 
 def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
@@ -227,17 +335,16 @@ def kl_gradient(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if P.shape != (Y.shape[0], Y.shape[0]):
         raise ShapeMismatchError(f"P {P.shape} does not pair with Y {Y.shape}")
-    return _gradient(P, Y, np.empty_like(P), np.empty_like(P))
+    return _gradient(P, Y, np.empty_like(P), np.empty_like(P), _in_order(_blocks(Y.shape[0])))[0]
 
 
-def run(
-    X: np.ndarray,
-    perplexity: float,
+def embed(
+    affinity: AffinityMatrix,
     n_components: int = 2,
     seed: int = 0,
     schedule: GradientSchedule | None = None,
 ) -> Embedding:
-    """Embed rows of X by exact t-SNE.
+    """Optimize a map for calibrated joint affinities by exact t-SNE.
 
     The map starts from seeded Gaussian noise (scale from the schedule),
     early iterations exaggerate P, and momentum steps up after the switch
@@ -248,38 +355,49 @@ def run(
     schedule.validate()
     if n_components not in (2, 3):
         raise ValueError("n_components must be 2 or 3")
-    X = np.asarray(X, dtype=float)
-    affinity = joint_affinities(X, perplexity)
     P = affinity.P
     n = P.shape[0]
     exaggerated = P * schedule.exaggeration
 
     rng = np.random.default_rng(seed)
     # Fortran order keeps the einsum contraction on its fast stride path.
-    # Every step reuses the two n x n buffers for Q and the gradient weights
-    # (a fresh pair per step page-faults in every time), and the KL of a
-    # recorded step is read off the Q that the next step leaves in q.
+    # Every step reuses the two n x n buffers for the kernel and the gradient
+    # weights (a fresh pair per step page-faults in every time), and the KL
+    # of a recorded step is read off the kernel that the next step leaves.
     Y = np.asfortranarray(rng.normal(0.0, schedule.init_scale, size=(n, n_components)))
     velocity = np.zeros_like(Y)
-    q = np.empty_like(P)
+    kernel = np.empty_like(P)
     w = np.empty_like(P)
     history: list[tuple[int, float]] = []
+    workers = _pool_size(len(_blocks(n))) if n >= PARALLEL_MIN_ROWS else 1
 
-    for step in range(1, schedule.iterations + 1):
-        target = exaggerated if step <= schedule.exaggeration_until else P
-        grad = _gradient(target, Y, q, w)
-        if step > 1 and (step - 1) % schedule.record_every == 0:
-            history.append((step - 1, kl_divergence(P, q)))
-        momentum = (
-            schedule.momentum_early
-            if step < schedule.momentum_switch
-            else schedule.momentum_late
-        )
-        velocity *= momentum
-        grad *= schedule.learning_rate
-        velocity -= grad
-        Y += velocity
-        Y -= Y.mean(axis=0)
+    with _pooled(n, workers) as sweep:
+        for step in range(1, schedule.iterations + 1):
+            target = exaggerated if step <= schedule.exaggeration_until else P
+            grad, Z = _gradient(target, Y, kernel, w, sweep)
+            if step > 1 and (step - 1) % schedule.record_every == 0:
+                history.append((step - 1, kl_divergence(P, kernel / Z)))
+            momentum = (
+                schedule.momentum_early
+                if step < schedule.momentum_switch
+                else schedule.momentum_late
+            )
+            velocity *= momentum
+            grad *= schedule.learning_rate
+            velocity -= grad
+            Y += velocity
+            Y -= Y.mean(axis=0)
 
     history.append((schedule.iterations, kl_divergence(P, q_matrix(Y)[0])))
     return Embedding(Y=Y, seed=seed, kl_history=tuple(history))
+
+
+def run(
+    X: np.ndarray,
+    perplexity: float,
+    n_components: int = 2,
+    seed: int = 0,
+    schedule: GradientSchedule | None = None,
+) -> Embedding:
+    """Embed rows of X by exact t-SNE: calibrate the affinities, then embed."""
+    return embed(joint_affinities(X, perplexity), n_components, seed, schedule)

@@ -488,8 +488,9 @@ def test_criterion_7_real_export():
     coords = pca.project(model, standardized.z)
     labelings: list[np.ndarray | None] = []
     chosen: list[float | None] = []
+    affinity = tsne.joint_affinities(coords, perplexity=50.0)  # calibrate once
     for seed in range(5):
-        emb = tsne.run(coords, perplexity=50.0, seed=seed)
+        emb = tsne.embed(affinity, seed=seed)
         rows = dbscan.scan_eps(emb.Y, np.array(DEFAULT_EPS_GRID), min_pts=5)
         eps = plateau_eps(rows)
         chosen.append(eps)

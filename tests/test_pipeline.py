@@ -1,8 +1,11 @@
+import csv
 import json
+import platform
 import shutil
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdgpipe import artifacts
@@ -221,6 +224,11 @@ class TestFullRunArtifacts:
         for name in always:
             assert (out / name).exists(), name
 
+    def test_no_temporary_files_left(self, pipeline_run):
+        leftovers = [p.name for p in pipeline_run.out.iterdir()
+                     if p.name.startswith(".") or p.name.endswith(".tmp")]
+        assert leftovers == []
+
     def test_per_cluster_files_cover_every_cluster(self, pipeline_run):
         out = pipeline_run.out
         _, rows = artifacts.read_csv(out / artifacts.CLUSTER_COUNTRIES)
@@ -253,7 +261,10 @@ class TestFullRunArtifacts:
     def test_manifest_structure(self, pipeline_run):
         out = pipeline_run.out
         payload = json.loads((out / artifacts.MANIFEST).read_text())
-        assert set(payload) == {"config", "inputs", "stages", "outputs"}
+        assert set(payload) == {"config", "environment", "inputs", "stages", "outputs"}
+        assert set(payload["environment"]) == {"python", "numpy", "scipy", "platform"}
+        assert payload["environment"]["python"] == platform.python_version()
+        assert payload["environment"]["numpy"] == np.__version__
         assert [s["name"] for s in payload["stages"]] == list(FULL_RUN)
         assert payload["config"]["perplexity"] == DEMO_SETTINGS["perplexity"]
         assert payload["inputs"]["panel"]["sha256"] == artifacts.sha256_of(
@@ -349,6 +360,17 @@ class TestFailureHandling:
         config = replace(demo_config, out=tmp_path / "fresh")
         with pytest.raises(StageError, match="scan-eps"):
             run_stage("scan-eps", config)
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "table.csv"
+        artifacts.write_csv(path, ["a"], [["1"]])
+        before = path.read_bytes()
+        with pytest.raises(csv.Error):
+            artifacts.write_csv(path, ["a"], [["2"], 3])  # 3 is not a row
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestStaleOutputs:

@@ -1,16 +1,22 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from sdgpipe import tsne
 from sdgpipe.errors import CalibrationFailedError, ShapeMismatchError
 from sdgpipe.tsne import (
+    BLOCK_ROWS,
     P_FLOOR,
+    PARALLEL_MIN_ROWS,
     Embedding,
     GradientSchedule,
     calibrate_sigma,
+    embed,
     joint_affinities,
     kl_divergence,
     kl_gradient,
@@ -200,6 +206,66 @@ class TestGradient:
             kl_gradient(np.zeros((3, 3)), np.zeros((4, 2)))
 
 
+def dense_gradient(P, Y):
+    """The gradient as whole-matrix passes: the oracle of the blocked sweep."""
+    kernel = cdist(Y, Y, metric="sqeuclidean")
+    kernel += 1.0
+    np.reciprocal(kernel, out=kernel)
+    np.fill_diagonal(kernel, 0.0)
+    w = (P - kernel / kernel.sum()) * kernel
+    return 4.0 * (w.sum(axis=1)[:, None] * Y - np.einsum("ij,jk->ik", w, Y, optimize=False))
+
+
+def random_affinities(rng, n):
+    P = rng.random((n, n))
+    P += P.T
+    np.fill_diagonal(P, 0.0)
+    return P / P.sum()
+
+
+class TestBlockedSweep:
+    @pytest.mark.parametrize("n", [4, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bitwise_equal_to_dense_gradient(self, n, dim):
+        rng = np.random.default_rng(n * 10 + dim)
+        P = random_affinities(rng, n)
+        for Y in (rng.normal(size=(n, dim)), np.asfortranarray(rng.normal(size=(n, dim)))):
+            expected = dense_gradient(P, Y)
+            assert np.array_equal(kl_gradient(P, Y), expected)
+            for workers in (2, 3):
+                kernel, w = np.empty_like(P), np.empty_like(P)
+                with tsne._pooled(n, workers) as sweep:
+                    grad, Z = tsne._gradient(P, Y, kernel, w, sweep)
+                assert np.array_equal(grad, expected)
+                assert np.array_equal(kernel / Z, q_matrix(Y)[0])
+
+    def test_repeated_sweeps_under_frequent_thread_switches(self):
+        n = 2 * BLOCK_ROWS + 3
+        rng = np.random.default_rng(11)
+        P = random_affinities(rng, n)
+        Y = rng.normal(size=(n, 2))
+        expected = dense_gradient(P, Y)
+        kernel, w = np.empty_like(P), np.empty_like(P)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with tsne._pooled(n, 3) as sweep:
+                for _ in range(20):
+                    assert np.array_equal(tsne._gradient(P, Y, kernel, w, sweep)[0], expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_exception_reaches_caller(self):
+        def work(rows):
+            if rows.start > 0:
+                raise RuntimeError("block failed")
+
+        with tsne._pooled(3 * BLOCK_ROWS, 2) as sweep:
+            with pytest.raises(RuntimeError, match="block failed"):
+                sweep(work)
+
+
 def two_blobs(seed, n_per=20, dim=5, gap=12.0):
     rng = np.random.default_rng(seed)
     a = rng.normal(scale=0.3, size=(n_per, dim))
@@ -274,6 +340,34 @@ class TestRun:
         expected -= expected.mean(axis=0)
         Y1 = run(X, perplexity=10.0, seed=4, schedule=sched).Y
         assert np.linalg.norm(Y1 - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_embed_of_calibrated_affinities_is_run(self):
+        X = two_blobs(7)
+        sched = GradientSchedule(learning_rate=20.0, iterations=80, record_every=30)
+        a = run(X, perplexity=10.0, n_components=3, seed=5, schedule=sched)
+        b = embed(joint_affinities(X, 10.0), n_components=3, seed=5, schedule=sched)
+        assert a.Y.tobytes() == b.Y.tobytes()
+        assert a.kl_history == b.kl_history
+
+    def test_pool_size_does_not_change_the_map(self, monkeypatch):
+        X = two_blobs(8, n_per=350)
+        assert X.shape[0] >= PARALLEL_MIN_ROWS
+        sched = GradientSchedule(iterations=30, record_every=10)
+        results = []
+        for workers in (1, 2, 3):
+            requested = []
+
+            def pool_size(n_blocks, workers=workers):
+                requested.append(n_blocks)
+                return workers
+
+            monkeypatch.setattr(tsne, "_pool_size", pool_size)
+            emb = run(X, perplexity=30.0, seed=2, schedule=sched)
+            assert requested == [math.ceil(X.shape[0] / BLOCK_ROWS)]  # the pool is used
+            results.append((emb.Y.tobytes(), emb.kl_history))
+        assert [s for s, _ in results[0][1]] == [10, 20, 30]
+        assert results[1] == results[0]
+        assert results[2] == results[0]
 
     def test_three_components(self):
         X = two_blobs(3)
