@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shutil
@@ -18,9 +19,17 @@ from sdgpipe.figures import (
     corr_color,
     emit_figures,
     extrapolation_frame,
+    fig_cluster_profiles,
+    fig_correlation_heatmap,
+    fig_distributions,
+    fig_parallel,
+    fig_pca_biplot,
+    fig_pca_scatter,
     fig_trajectories,
+    fig_tsne_clusters,
     year_color,
 )
+from sdgpipe.panel import GOAL_COLUMNS, N_GOALS
 from sdgpipe.pipeline import run_stage
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -229,3 +238,181 @@ class TestNoiseOnlyRun:
     def test_trajectory_fits_empty(self, noise_run):
         payload = artifacts.read_json(noise_run.out / artifacts.TRAJECTORY_FITS)
         assert payload == {}
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: hand-built inputs, no t-SNE, every value a multiple of a power
+# of two so it survives the six-decimal artifact round trip exactly
+
+GOLDEN_YEARS = [2000, 2001, 2002, 2003, 2004, 2005]
+GOLDEN_COUNTRIES = ["AAA", "BBB", "CCC", "DDD", "EEE"]
+
+
+def cycle(k: int, modulus: int, step: float, shift: float) -> float:
+    return shift + (k % modulus) * step
+
+
+def golden_label(country: str, year: int) -> int:
+    # BBB switches from cluster 0 to 1 in 2003; EEE is noise throughout
+    fixed = {"AAA": 0, "CCC": 1, "DDD": 1, "EEE": -1}
+    return fixed.get(country, 0 if year < 2003 else 1)
+
+
+def golden_inputs(noise_only: bool = False) -> dict:
+    index = [(c, y) for c in GOLDEN_COUNTRIES for y in GOLDEN_YEARS]
+    meta = [[c, str(y)] for c, y in index]
+    labels = [-1 if noise_only else golden_label(c, y) for c, y in index]
+    trajectory_fits = {
+        0: {  # linear, crosses zero in 2060: labelled; 2004 excluded
+            "a": 1030.0, "b": -0.5, "c": 0.0, "rms_residual": 0.25,
+            "years_used": [2000, 2001, 2002, 2003, 2005], "excluded_years": [2004],
+            "last_data_year": 2005, "zero_crossing": 2060.0,
+            "attainment_year": 2060, "extrapolate_to": 2100,
+        },
+        1: {  # parabola with its vertex (2050, 5) inside the panel: no crossing
+            "a": 42030.0, "b": -41.0, "c": 0.01, "rms_residual": 0.5,
+            "years_used": GOLDEN_YEARS, "excluded_years": [],
+            "last_data_year": 2005, "zero_crossing": None,
+            "attainment_year": None, "extrapolate_to": 2100,
+        },
+    }
+    return {
+        "meta": meta,
+        "labels": labels,
+        "switchers": [] if noise_only else ["BBB"],
+        "means": [[cycle(7 * i + 13 * g, 29, 1.25, 40.0) for g in range(N_GOALS)]
+                  for i in range(len(GOLDEN_YEARS))],
+        "proj": [[cycle(5 * i + 3, 17, 0.25, -2.0), cycle(11 * i + 7, 19, 0.25, -2.5)]
+                 for i in range(len(index))],
+        "ideal": [6.5, -1.25],
+        "loadings": [(cycle(3 * g + 1, 7, 0.125, -0.375), cycle(5 * g + 2, 9, 0.125, -0.5))
+                     for g in range(N_GOALS)],
+        "embed": [[cycle(13 * i + 1, 23, 0.5, -5.0), cycle(7 * i + 4, 21, 0.5, -5.0)]
+                  for i in range(len(index))],
+        "profiles": [(c, y, lab, [cycle(3 * i + 5 * g, 11, 0.5, -2.5) for g in range(N_GOALS)])
+                     for i, ((c, y), lab) in enumerate(zip(index, labels))],
+        "correlations": {
+            "all countries": [[1.0 if i == j else cycle(i * j + i + j, 9, 0.25, -1.0)
+                               for j in range(N_GOALS)] for i in range(N_GOALS)],
+            "cluster 0": [[1.0 if i == j else cycle(2 * i * j + i + j, 5, 0.5, -1.0)
+                           for j in range(N_GOALS)] for i in range(N_GOALS)],
+        },
+        # (cluster, year, mean, std, n); cluster 1 in 2000 has std 0
+        "gaussian_fits": [] if noise_only else [
+            (0, 2000, 30.0, 2.5, 2), (0, 2005, 26.25, 3.0, 2),
+            (1, 2000, 22.5, 0.0, 3), (1, 2005, 20.0, 1.5, 3),
+        ],
+        "tables": {} if noise_only else {
+            0: [(y, 30.0 - 0.5 * (y - 2000) + 0.25 * (y % 2), 1.0) for y in GOLDEN_YEARS],
+            1: [(y, 30.0 - 0.75 * (y - 2000), 0.5) for y in GOLDEN_YEARS],
+        },
+        "trajectory_fits": {} if noise_only else trajectory_fits,
+    }
+
+
+def golden_renders(inputs: dict) -> dict[str, str]:
+    """The figures emit_figures would draw from these inputs, by file name."""
+    svgs = {
+        "parallel.svg": fig_parallel(GOLDEN_YEARS, inputs["means"]),
+        "pca_scatter.svg": fig_pca_scatter(inputs["meta"], inputs["proj"], inputs["ideal"]),
+        "pca_biplot.svg": fig_pca_biplot(inputs["meta"], inputs["proj"], inputs["loadings"]),
+        "tsne_clusters.svg": fig_tsne_clusters(
+            inputs["meta"], inputs["embed"], inputs["labels"], inputs["switchers"]),
+        "cluster_profiles.svg": fig_cluster_profiles(inputs["profiles"]),
+        "correlation_global.svg": fig_correlation_heatmap(
+            inputs["correlations"]["all countries"], "all countries"),
+        "correlation_cluster0.svg": fig_correlation_heatmap(
+            inputs["correlations"]["cluster 0"], "cluster 0"),
+        "distributions.svg": fig_distributions(
+            inputs["gaussian_fits"], sorted({f[1] for f in inputs["gaussian_fits"]})),
+    }
+    if inputs["tables"]:
+        svgs["trajectories.svg"] = fig_trajectories(
+            inputs["tables"], inputs["trajectory_fits"], 2100)
+    return svgs
+
+
+def write_golden_artifacts(out, inputs: dict) -> None:
+    """The artifact files the figures stage reads, holding the same values."""
+    out.mkdir(parents=True, exist_ok=True)
+
+    def table(name, header, rows):
+        artifacts.write_csv(out / name, header,
+                            [[v if isinstance(v, str) else artifacts.fmt(v) for v in row]
+                             for row in rows])
+
+    table(artifacts.YEARLY_MEANS, ["year", *GOAL_COLUMNS],
+          [[str(y), *row] for y, row in zip(GOLDEN_YEARS, inputs["means"])])
+    # a third component the figures must ignore
+    table(artifacts.PCA_PROJECTION, ["country", "year", "pc01", "pc02", "pc03"],
+          [[*m, *row, 0.5] for m, row in zip(inputs["meta"], inputs["proj"])])
+    table(artifacts.PCA_IDEAL, ["pc01", "pc02", "pc03"], [[*inputs["ideal"], 0.5]])
+    table(artifacts.PCA_LOADINGS, ["goal", "x", "y"],
+          [[g, *xy] for g, xy in zip(GOAL_COLUMNS, inputs["loadings"])])
+    table(artifacts.EMBEDDING, ["country", "year", "x", "y"],
+          [[*m, *row] for m, row in zip(inputs["meta"], inputs["embed"])])
+    table(artifacts.LABELS, ["country", "year", "cluster"],
+          [[*m, str(lab)] for m, lab in zip(inputs["meta"], inputs["labels"])])
+    table(artifacts.SWITCHES, ["country", "year", "from_cluster", "to_cluster"],
+          [[c, "2003", "0", "1"] for c in inputs["switchers"]])
+    table(artifacts.CLUSTER_STANDARDIZED, ["country", "year", "cluster", *GOAL_COLUMNS],
+          [[c, str(y), str(k), *z] for c, y, k, z in inputs["profiles"]])
+    correlations = inputs["correlations"]
+    table(artifacts.CORRELATION_GLOBAL, ["goal", *GOAL_COLUMNS],
+          [[g, *row] for g, row in zip(GOAL_COLUMNS, correlations["all countries"])])
+    if 0 in inputs["tables"]:
+        table(artifacts.correlation_cluster_name(0), ["goal", *GOAL_COLUMNS],
+              [[g, *row] for g, row in zip(GOAL_COLUMNS, correlations["cluster 0"])])
+    table(artifacts.GAUSSIAN_FITS, ["cluster", "year", "mean", "std", "n_members"],
+          [[str(k), str(y), m, s, str(n)] for k, y, m, s, n in inputs["gaussian_fits"]])
+    for cid, rows in inputs["tables"].items():
+        table(artifacts.trajectory_name(cid), ["year", "mean", "std", "n"],
+              [[str(y), m, s, "2"] for y, m, s in rows])
+    artifacts.write_json(out / artifacts.TRAJECTORY_FITS,
+                         {str(k): v for k, v in inputs["trajectory_fits"].items()})
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# Recorded from the renderer before figures.py was rebuilt around shared
+# SVG helpers; any change to these bytes is a change to the figures.
+GOLDEN_DIGESTS = {
+    "cluster_profiles.svg": "2875a853c3c99e6880cdbaa1c34a40d1215561717187fb44ee3c99dbb47b7c0f",
+    "correlation_cluster0.svg": "f7a52377aa1cf1ba3dfd79334f43a66deccbe5e1fcc7202dee5d1e4dbb001d3c",
+    "correlation_global.svg": "387d0e903c3112e2e4ce4b8576746c22dbeb032a064f33ab131fe2519b631f69",
+    "distributions.svg": "5ed147d8e7d4fbcbdee58ac22f87ee320c0f54f5aa57e9fea4ef927cb05b95ad",
+    "parallel.svg": "274fec99709cc558271d677efbb42581c97897000b52f55fe5cd4e6ea62079c9",
+    "pca_biplot.svg": "900d321d4e476f9f09b30e8b88f307cec29b98f3e5f7e4031edce8fa5fa1d236",
+    "pca_scatter.svg": "bb03bac5106e2a91d2035e485c07ae52a332dd9c7035ba8ca15bf6392d51b2ec",
+    "trajectories.svg": "7f71fb5050d7f1c472197bd7baf2ef4060b358ddcc8a4a7c46c99f1568e82167",
+    "tsne_clusters.svg": "378d0f7bded14302792723e13cfa6ca61da6da2bff14263fd428347118920fd6",
+}
+# The noise-only rerun: every label -1, no fits, the placeholder trajectory.
+NOISE_DIGESTS = {
+    **{name: GOLDEN_DIGESTS[name] for name in (
+        "correlation_global.svg", "parallel.svg", "pca_biplot.svg", "pca_scatter.svg")},
+    "cluster_profiles.svg": "b5a9443b86d94b5cd163480ab0dee77e84e36039008a89a1c1b51805b84c10fa",
+    "distributions.svg": "e28940ad261216894045f0c3f69852d36478b1c9ecf57981e158800ceba82061",
+    "trajectories.svg": "a4fe2eb56dd1496b616f3a06f4ae655dcd522594577684b4c1025cb1c3aa97ea",
+    "tsne_clusters.svg": "b195cfc0f697c26d92e36d264739445bf0a2b3db34c08b2c8ad7a2a597dc23e6",
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_figure_functions(self, name):
+        svg = golden_renders(golden_inputs())[name]
+        assert sha256_text(svg) == GOLDEN_DIGESTS[name]
+
+    @pytest.mark.parametrize("noise_only", [False, True], ids=["clusters", "noise-only"])
+    def test_emit_figures_from_artifacts(self, tmp_path, noise_only):
+        inputs = golden_inputs(noise_only)
+        write_golden_artifacts(tmp_path, inputs)
+        written = emit_figures(tmp_path)
+        got = {path.name: sha256_text(path.read_text()) for path in written}
+        assert got == (NOISE_DIGESTS if noise_only else GOLDEN_DIGESTS)
+        if not noise_only:
+            renders = golden_renders(inputs)
+            assert {n: sha256_text(s) for n, s in renders.items()} == got
