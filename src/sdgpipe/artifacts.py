@@ -20,6 +20,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TextIO
 
+import numpy as np
+
 from sdgpipe.errors import MissingArtifactError
 
 PANEL_FILTERED = "panel_filtered.csv"
@@ -99,6 +101,15 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     if not rows:
         raise MissingArtifactError(path.name)
     return rows[0], rows[1:]
+
+
+def read_matrix(path: Path, meta_columns: int) -> tuple[list[list[str]], np.ndarray]:
+    """Rows of leading string cells plus the numeric remainder as a
+    (rows, columns) array, also when the file holds only its header."""
+    header, rows = read_csv(path)
+    meta = [row[:meta_columns] for row in rows]
+    data = np.array([[float(cell) for cell in row[meta_columns:]] for row in rows])
+    return meta, data.reshape(len(rows), len(header) - meta_columns)
 
 
 def write_json(path: Path, payload: dict) -> None:

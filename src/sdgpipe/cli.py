@@ -38,7 +38,7 @@ STAGE_EXIT = {
 _STAGE_HELP = {
     "ingest": "load, validate, filter, and standardize the panel",
     "pca": "fit the component basis and project observations",
-    "tsne": "embed component coordinates into the 2-d map",
+    "tsne": "embed component coordinates into the 2-d or 3-d map",
     "cluster": "density-cluster the map and derive memberships",
     "scan-eps": "tabulate cluster count and noise share over an eps grid",
     "correlate": "goal correlation matrices, pooled and per cluster",

@@ -127,18 +127,40 @@ def _tick_label(value: float) -> str:
     return f"{value:g}"
 
 
-def _svg_open(width: int, height: int) -> list[str]:
-    return [
+def _svg(width: int, height: int, parts: list[str], title: str | None = None) -> str:
+    """Whole document: white background, optional centred title, then parts."""
+    head = [
         f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' height='{height}' "
         f"viewBox='0 0 {width} {height}'>",
         f"<rect x='0' y='0' width='{width}' height='{height}' fill='white'/>",
     ]
+    if title is not None:
+        head.append(_text(_num(width / 2), 18, title, 13, fill="#111111", anchor="middle"))
+    return "\n".join([*head, *parts, "</svg>"]) + "\n"
+
+
+def _text(x: str | int, y: str | int, label: object, size: int, fill: str = "#333333",
+          anchor: str | None = None, extra: str = "") -> str:
+    """A <text> element; x and y are written as given (_num(...) or a raw int)."""
+    attrs = f" text-anchor='{anchor}'" if anchor else ""
+    attrs += f" {extra}" if extra else ""
+    return (
+        f"<text x='{x}' y='{y}' {FONT} font-size='{size}' fill='{fill}'{attrs}>"
+        f"{_esc(label)}</text>"
+    )
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, color: str, width: float,
+          dash: str | None = None) -> str:
+    dash_attr = f" stroke-dasharray='{dash}'" if dash else ""
+    return (
+        f"<line x1='{_num(x1)}' y1='{_num(y1)}' x2='{_num(x2)}' y2='{_num(y2)}' "
+        f"stroke='{color}' stroke-width='{width}'{dash_attr}/>"
+    )
 
 
 def _axes(parts: list[str], frame: Frame, x_label: str, y_label: str,
-          x_ticks: list[float] | None = None, y_ticks: list[float] | None = None,
-          x_fmt=_tick_label, y_fmt=_tick_label) -> None:
-    right = frame.left + frame.width
+          x_ticks: list[float] | None = None, y_fmt=_tick_label) -> None:
     bottom = frame.top + frame.height
     parts.append(
         f"<rect x='{_num(frame.left)}' y='{_num(frame.top)}' width='{_num(frame.width)}' "
@@ -146,34 +168,40 @@ def _axes(parts: list[str], frame: Frame, x_label: str, y_label: str,
     )
     for tick in x_ticks if x_ticks is not None else _ticks(frame.x_lo, frame.x_hi):
         px = frame.x(tick)
-        parts.append(
-            f"<line x1='{_num(px)}' y1='{_num(bottom)}' x2='{_num(px)}' "
-            f"y2='{_num(bottom + 4)}' stroke='#333333' stroke-width='1'/>"
-        )
-        parts.append(
-            f"<text x='{_num(px)}' y='{_num(bottom + 15)}' {FONT} font-size='10' "
-            f"fill='#333333' text-anchor='middle'>{_esc(x_fmt(tick))}</text>"
-        )
-    for tick in y_ticks if y_ticks is not None else _ticks(frame.y_lo, frame.y_hi):
+        parts.append(_line(px, bottom, px, bottom + 4, "#333333", 1))
+        parts.append(_text(_num(px), _num(bottom + 15), _tick_label(tick), 10, anchor="middle"))
+    for tick in _ticks(frame.y_lo, frame.y_hi):
         py = frame.y(tick)
-        parts.append(
-            f"<line x1='{_num(frame.left - 4)}' y1='{_num(py)}' x2='{_num(frame.left)}' "
-            f"y2='{_num(py)}' stroke='#333333' stroke-width='1'/>"
-        )
-        parts.append(
-            f"<text x='{_num(frame.left - 7)}' y='{_num(py + 3)}' {FONT} font-size='10' "
-            f"fill='#333333' text-anchor='end'>{_esc(y_fmt(tick))}</text>"
-        )
-    parts.append(
-        f"<text x='{_num(frame.left + frame.width / 2)}' y='{_num(bottom + 30)}' {FONT} "
-        f"font-size='11' fill='#333333' text-anchor='middle'>{_esc(x_label)}</text>"
-    )
-    mid_y = frame.top + frame.height / 2
-    parts.append(
-        f"<text x='{_num(frame.left - 34)}' y='{_num(mid_y)}' {FONT} font-size='11' "
-        f"fill='#333333' text-anchor='middle' "
-        f"transform='rotate(-90 {_num(frame.left - 34)} {_num(mid_y)})'>{_esc(y_label)}</text>"
-    )
+        parts.append(_line(frame.left - 4, py, frame.left, py, "#333333", 1))
+        parts.append(_text(_num(frame.left - 7), _num(py + 3), y_fmt(tick), 10, anchor="end"))
+    parts.append(_text(_num(frame.left + frame.width / 2), _num(bottom + 30), x_label, 11,
+                       anchor="middle"))
+    mid_x, mid_y = _num(frame.left - 34), _num(frame.top + frame.height / 2)
+    parts.append(_text(mid_x, mid_y, y_label, 11, anchor="middle",
+                       extra=f"transform='rotate(-90 {mid_x} {mid_y})'"))
+
+
+def _scatter_frame(parts: list[str], points: list[list[float]], width: int, height: int,
+                   inset: int, x_label: str, y_label: str) -> Frame:
+    """Axes around padded (x, y) points in a plot area inset from the right."""
+    x_lo, x_hi = _padded(min(p[0] for p in points), max(p[0] for p in points))
+    y_lo, y_hi = _padded(min(p[1] for p in points), max(p[1] for p in points))
+    frame = Frame(x_lo, x_hi, y_lo, y_hi, 60, 40, width - inset, height - 100)
+    _axes(parts, frame, x_label, y_label)
+    return frame
+
+
+def _grid(count: int, panel_w: int, panel_h: int, margin: int
+          ) -> tuple[int, int, list[tuple[int, int]]]:
+    """Small multiples, up to three per row: (width, height, panel origins)."""
+    n_cols = min(3, max(count, 1))
+    n_rows = math.ceil(count / n_cols) if count else 1
+    origins = [
+        (margin + (i % n_cols) * (panel_w + margin), margin + (i // n_cols) * (panel_h + margin))
+        for i in range(count)
+    ]
+    return (n_cols * (panel_w + margin) + margin,
+            n_rows * (panel_h + margin) + margin + 20, origins)
 
 
 def _polyline(points: list[tuple[float, float]], color: str, width: float,
@@ -193,26 +221,17 @@ def _circle(x: float, y: float, r: float, color: str, opacity: float = 1.0) -> s
     )
 
 
-def _title(parts: list[str], width: int, text: str) -> None:
-    parts.append(
-        f"<text x='{_num(width / 2)}' y='18' {FONT} font-size='13' fill='#111111' "
-        f"text-anchor='middle'>{_esc(text)}</text>"
-    )
-
-
 # ---------------------------------------------------------------------------
 # individual figures
 
 
 def fig_parallel(years: list[int], means: list[list[float]]) -> str:
     width, height = 760, 460
-    parts = _svg_open(width, height)
-    _title(parts, width, "Yearly mean score per goal")
+    parts: list[str] = []
     flat = [v for row in means for v in row]
     y_lo, y_hi = _padded(min(flat), max(flat))
     frame = Frame(1, N_GOALS, y_lo, y_hi, 60, 40, width - 180, height - 90)
-    _axes(parts, frame, "goal", "mean score",
-          x_ticks=list(range(1, N_GOALS + 1)))
+    _axes(parts, frame, "goal", "mean score", x_ticks=list(range(1, N_GOALS + 1)))
     n = len(years)
     for i, (year, row) in enumerate(zip(years, means)):
         color = year_color(i / (n - 1) if n > 1 else 0.0)
@@ -228,16 +247,9 @@ def fig_parallel(years: list[int], means: list[list[float]]) -> str:
             f"height='{_num((height - 140) / max(n - 1, 1) + 0.5)}' "
             f"fill='{year_color(t)}'/>"
         )
-    parts.append(
-        f"<text x='{legend_x + 20}' y='56' {FONT} font-size='10' fill='#333333'>"
-        f"{years[0]}</text>"
-    )
-    parts.append(
-        f"<text x='{legend_x + 20}' y='{_num(50 + (height - 140))}' {FONT} "
-        f"font-size='10' fill='#333333'>{years[-1]}</text>"
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append(_text(legend_x + 20, 56, years[0], 10))
+    parts.append(_text(legend_x + 20, _num(50 + (height - 140)), years[-1], 10))
+    return _svg(width, height, parts, "Yearly mean score per goal")
 
 
 def _trajectory_lines(meta: list[list[str]], coords: list[list[float]]
@@ -253,14 +265,9 @@ def _trajectory_lines(meta: list[list[str]], coords: list[list[float]]
 def fig_pca_scatter(meta: list[list[str]], coords: list[list[float]],
                     ideal: list[float]) -> str:
     width, height = 720, 560
-    parts = _svg_open(width, height)
-    _title(parts, width, "Observations in the first two components")
-    xs = [row[0] for row in coords] + [ideal[0]]
-    ys = [row[1] for row in coords] + [ideal[1]]
-    x_lo, x_hi = _padded(min(xs), max(xs))
-    y_lo, y_hi = _padded(min(ys), max(ys))
-    frame = Frame(x_lo, x_hi, y_lo, y_hi, 60, 40, width - 100, height - 100)
-    _axes(parts, frame, "component 1", "component 2")
+    parts: list[str] = []
+    frame = _scatter_frame(parts, [*coords, ideal], width, height, 100,
+                           "component 1", "component 2")
     by_country = _trajectory_lines(meta, coords)
     years = sorted({int(m[1]) for m in meta})
     span = max(len(years) - 1, 1)
@@ -271,58 +278,36 @@ def fig_pca_scatter(meta: list[list[str]], coords: list[list[float]],
         for year, x, y in by_country[country]:
             t = years.index(year) / span
             parts.append(_circle(frame.x(x), frame.y(y), 2.0, year_color(t), 0.75))
-    parts.append(_circle(frame.x(ideal[0]), frame.y(ideal[1]), 5.0, "#000000"))
-    parts.append(
-        f"<text x='{_num(frame.x(ideal[0]) + 8)}' y='{_num(frame.y(ideal[1]) + 4)}' "
-        f"{FONT} font-size='10' fill='#000000'>ideal</text>"
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    ideal_x, ideal_y = frame.x(ideal[0]), frame.y(ideal[1])
+    parts.append(_circle(ideal_x, ideal_y, 5.0, "#000000"))
+    parts.append(_text(_num(ideal_x + 8), _num(ideal_y + 4), "ideal", 10, fill="#000000"))
+    return _svg(width, height, parts, "Observations in the first two components")
 
 
 def fig_pca_biplot(meta: list[list[str]], coords: list[list[float]],
                    loadings: list[tuple[float, float]]) -> str:
     width, height = 720, 560
-    parts = _svg_open(width, height)
-    _title(parts, width, "Component plane with goal loading vectors")
-    xs = [row[0] for row in coords]
-    ys = [row[1] for row in coords]
-    x_lo, x_hi = _padded(min(xs), max(xs))
-    y_lo, y_hi = _padded(min(ys), max(ys))
-    frame = Frame(x_lo, x_hi, y_lo, y_hi, 60, 40, width - 100, height - 100)
-    _axes(parts, frame, "component 1", "component 2")
+    parts: list[str] = []
+    frame = _scatter_frame(parts, coords, width, height, 100, "component 1", "component 2")
     for row in coords:
         parts.append(_circle(frame.x(row[0]), frame.y(row[1]), 1.6, "#aaaaaa", 0.45))
     # scale arrows so the longest reaches 40% of the shorter half-span
     longest = max(math.hypot(x, y) for x, y in loadings)
-    reach = 0.4 * min(x_hi - x_lo, y_hi - y_lo)
+    reach = 0.4 * min(frame.x_hi - frame.x_lo, frame.y_hi - frame.y_lo)
     scale = reach / longest if longest > 0 else 1.0
     for g, (lx, ly) in enumerate(loadings):
         x_px, y_px = frame.x(lx * scale), frame.y(ly * scale)
-        ox, oy = frame.x(0.0), frame.y(0.0)
-        parts.append(
-            f"<line x1='{_num(ox)}' y1='{_num(oy)}' x2='{_num(x_px)}' y2='{_num(y_px)}' "
-            f"stroke='#b2182b' stroke-width='1.2'/>"
-        )
-        parts.append(
-            f"<text x='{_num(x_px)}' y='{_num(y_px - 3)}' {FONT} font-size='9' "
-            f"fill='#b2182b' text-anchor='middle'>{g + 1}</text>"
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(_line(frame.x(0.0), frame.y(0.0), x_px, y_px, "#b2182b", 1.2))
+        parts.append(_text(_num(x_px), _num(y_px - 3), g + 1, 9, fill="#b2182b",
+                           anchor="middle"))
+    return _svg(width, height, parts, "Component plane with goal loading vectors")
 
 
 def fig_tsne_clusters(meta: list[list[str]], coords: list[list[float]],
                       labels: list[int], switch_countries: list[str]) -> str:
     width, height = 760, 600
-    parts = _svg_open(width, height)
-    _title(parts, width, "Embedded observations by cluster")
-    xs = [row[0] for row in coords]
-    ys = [row[1] for row in coords]
-    x_lo, x_hi = _padded(min(xs), max(xs))
-    y_lo, y_hi = _padded(min(ys), max(ys))
-    frame = Frame(x_lo, x_hi, y_lo, y_hi, 60, 40, width - 160, height - 100)
-    _axes(parts, frame, "map x", "map y")
+    parts: list[str] = []
+    frame = _scatter_frame(parts, coords, width, height, 160, "map x", "map y")
     switch_set = set(switch_countries)
     by_country = _trajectory_lines(meta, coords)
     for country in sorted(switch_set & set(by_country)):
@@ -339,48 +324,35 @@ def fig_tsne_clusters(meta: list[list[str]], coords: list[list[float]],
             )
         )
     # legend
-    present = sorted(set(labels))
     legend_x = width - 92
-    for i, cid in enumerate(present):
+    for i, cid in enumerate(sorted(set(labels))):
         y_px = 50 + i * 18
         parts.append(_circle(legend_x, y_px, 4, cluster_color(cid)))
         name = "noise" if cid < 0 else f"cluster {cid}"
-        parts.append(
-            f"<text x='{legend_x + 10}' y='{_num(y_px + 3.5)}' {FONT} font-size='10' "
-            f"fill='#333333'>{_esc(name)}</text>"
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(_text(legend_x + 10, _num(y_px + 3.5), name, 10))
+    return _svg(width, height, parts, "Embedded observations by cluster")
 
 
 def fig_cluster_profiles(rows: list[tuple[str, int, int, list[float]]]) -> str:
     """rows: (country, year, cluster, 17 z-scores)."""
     clusters = sorted({cluster for _, _, cluster, _ in rows})
-    n_cols = min(3, max(len(clusters), 1))
-    n_rows = math.ceil(len(clusters) / n_cols)
-    panel_w, panel_h, margin = 300, 230, 20
-    width = n_cols * (panel_w + margin) + margin
-    height = n_rows * (panel_h + margin) + margin + 20
-    parts = _svg_open(width, height)
+    panel_w, panel_h = 300, 230
+    width, height, origins = _grid(len(clusters), panel_w, panel_h, 20)
+    parts: list[str] = []
     flat = [v for _, _, _, z in rows for v in z]
     y_lo, y_hi = _padded(min(flat), max(flat))
     years = sorted({year for _, year, _, _ in rows})
     span = max(len(years) - 1, 1)
-    for i, cid in enumerate(clusters):
-        col, row_i = i % n_cols, i // n_cols
-        left = margin + col * (panel_w + margin) + 40
-        top = margin + row_i * (panel_h + margin) + 24
+    for cid, (x0, y0) in zip(clusters, origins):
+        left, top = x0 + 40, y0 + 24
         frame = Frame(1, N_GOALS, y_lo, y_hi, left, top, panel_w - 50, panel_h - 56)
         sub = [(c, y, z) for c, y, k, z in rows if k == cid]
         name = "noise" if cid < 0 else f"cluster {cid}"
         countries = len({c for c, _, _ in sub})
-        parts.append(
-            f"<text x='{_num(left + (panel_w - 50) / 2)}' y='{_num(top - 7)}' {FONT} "
-            f"font-size='11' fill='#111111' text-anchor='middle'>"
-            f"{_esc(f'{name} ({countries} countries)')}</text>"
-        )
-        _axes(parts, frame, "goal", "z-score",
-              x_ticks=[1, 5, 9, 13, 17])
+        parts.append(_text(_num(left + (panel_w - 50) / 2), _num(top - 7),
+                           f"{name} ({countries} countries)", 11, fill="#111111",
+                           anchor="middle"))
+        _axes(parts, frame, "goal", "z-score", x_ticks=[1, 5, 9, 13, 17])
         for _, _, z in sub:
             pts = [(frame.x(g + 1), frame.y(v)) for g, v in enumerate(z)]
             parts.append(_polyline(pts, "#999999", 0.5, opacity=0.22))
@@ -393,8 +365,7 @@ def fig_cluster_profiles(rows: list[tuple[str, int, int, list[float]]]) -> str:
             t = years.index(year) / span
             pts = [(frame.x(g + 1), frame.y(v)) for g, v in enumerate(mean)]
             parts.append(_polyline(pts, year_color(t), 1.3, opacity=0.95))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(width, height, parts)
 
 
 def fig_correlation_heatmap(values: list[list[float]], subtitle: str) -> str:
@@ -402,8 +373,7 @@ def fig_correlation_heatmap(values: list[list[float]], subtitle: str) -> str:
     left, top = 70, 60
     width = left + N_GOALS * cell + 90
     height = top + N_GOALS * cell + 40
-    parts = _svg_open(width, height)
-    _title(parts, width, f"Goal correlations ({subtitle})")
+    parts: list[str] = []
     for i in range(N_GOALS):
         for j in range(N_GOALS):
             v = values[i][j]
@@ -414,14 +384,10 @@ def fig_correlation_heatmap(values: list[list[float]], subtitle: str) -> str:
                 f"fill='{corr_color(v)}' stroke='#ffffff' stroke-width='0.5'/>"
             )
     for i in range(N_GOALS):
-        parts.append(
-            f"<text x='{left - 6}' y='{_num(top + i * cell + cell * 0.65)}' {FONT} "
-            f"font-size='9' fill='#333333' text-anchor='end'>{i + 1}</text>"
-        )
-        parts.append(
-            f"<text x='{_num(left + i * cell + cell / 2)}' y='{top - 6}' {FONT} "
-            f"font-size='9' fill='#333333' text-anchor='middle'>{i + 1}</text>"
-        )
+        parts.append(_text(left - 6, _num(top + i * cell + cell * 0.65), i + 1, 9,
+                           anchor="end"))
+        parts.append(_text(_num(left + i * cell + cell / 2), top - 6, i + 1, 9,
+                           anchor="middle"))
     # color bar
     bar_x = left + N_GOALS * cell + 20
     steps = 40
@@ -434,27 +400,18 @@ def fig_correlation_heatmap(values: list[list[float]], subtitle: str) -> str:
         )
     for v, label in ((1.0, "+1"), (0.0, "0"), (-1.0, "-1")):
         y_px = top + (1.0 - v) / 2.0 * bar_h
-        parts.append(
-            f"<text x='{bar_x + 20}' y='{_num(y_px + 3)}' {FONT} font-size='10' "
-            f"fill='#333333'>{label}</text>"
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(_text(bar_x + 20, _num(y_px + 3), label, 10))
+    return _svg(width, height, parts, f"Goal correlations ({subtitle})")
 
 
 def fig_distributions(fits: list[tuple[int, int, float, float, int]],
                       years: list[int]) -> str:
     """fits: (cluster, year, mean, std, n)."""
-    panel_w, panel_h, margin = 340, 260, 24
-    n_cols = min(3, max(len(years), 1))
-    n_rows = math.ceil(len(years) / n_cols) if years else 1
-    width = n_cols * (panel_w + margin) + margin
-    height = n_rows * (panel_h + margin) + margin + 20
-    parts = _svg_open(width, height)
-    for i, year in enumerate(years):
-        col, row_i = i % n_cols, i // n_cols
-        left = margin + col * (panel_w + margin) + 42
-        top = margin + row_i * (panel_h + margin) + 26
+    panel_w, panel_h = 340, 260
+    width, height, origins = _grid(len(years), panel_w, panel_h, 24)
+    parts: list[str] = []
+    for year, (x0, y0) in zip(years, origins):
+        left, top = x0 + 42, y0 + 26
         sub = [f for f in fits if f[1] == year]
         if not sub:
             continue
@@ -467,20 +424,14 @@ def fig_distributions(fits: list[tuple[int, int, float, float, int]],
         peak = peak if peak > 0 else 1.0
         frame = Frame(x_lo, x_hi, 0.0, peak * 1.08,
                       left, top, panel_w - 56, panel_h - 60)
-        parts.append(
-            f"<text x='{_num(left + (panel_w - 56) / 2)}' y='{_num(top - 8)}' {FONT} "
-            f"font-size='12' fill='#111111' text-anchor='middle'>{year}</text>"
-        )
-        _axes(parts, frame, "distance to ideal", "density",
-              y_fmt=lambda v: f"{v:.2f}")
+        parts.append(_text(_num(left + (panel_w - 56) / 2), _num(top - 8), year, 12,
+                           fill="#111111", anchor="middle"))
+        _axes(parts, frame, "distance to ideal", "density", y_fmt=lambda v: f"{v:.2f}")
         for cid, _, mean, std, _ in sorted(sub):
             color = cluster_color(cid)
             if std == 0.0:
                 px = frame.x(mean)
-                parts.append(
-                    f"<line x1='{_num(px)}' y1='{_num(frame.y(0))}' x2='{_num(px)}' "
-                    f"y2='{_num(frame.top)}' stroke='{color}' stroke-width='1.4'/>"
-                )
+                parts.append(_line(px, frame.y(0), px, frame.top, color, 1.4))
                 continue
             pts = []
             samples = 120
@@ -491,8 +442,7 @@ def fig_distributions(fits: list[tuple[int, int, float, float, int]],
                 )
                 pts.append((frame.x(x_val), frame.y(dens)))
             parts.append(_polyline(pts, color, 1.5, opacity=0.95))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(width, height, parts)
 
 
 EXTRAP_PANEL = dict(left=420.0, top=46.0, width=330.0, height=430.0)
@@ -505,6 +455,16 @@ def extrapolation_frame(first_year: int, extrapolate_to: int,
     return Frame(first_year, extrapolate_to, y_lo, y_hi, **EXTRAP_PANEL)
 
 
+def _sample_years(first: int, last: int) -> list[float]:
+    """first, first + step, ... up to last, by repeated addition of the step."""
+    years = []
+    year = float(first)
+    while year <= last + 1e-9:
+        years.append(year)
+        year += EXTRAP_SAMPLE_STEP
+    return years
+
+
 def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
                      fits: dict[int, dict], extrapolate_to: int) -> str:
     """tables: cluster -> [(year, mean, std)]; fits: cluster -> fit payload."""
@@ -513,8 +473,7 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
         return fit["a"] + fit["b"] * year + fit["c"] * year * year
 
     width, height = 780, 540
-    parts = _svg_open(width, height)
-    _title(parts, width, "Mean distance to ideal: observed and extrapolated")
+    parts: list[str] = []
     all_years = sorted({y for rows in tables.values() for y, _, _ in rows})
     first_year, last_year = all_years[0], all_years[-1]
     observed = [m for rows in tables.values() for _, m, _ in rows]
@@ -524,7 +483,7 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
     for cid in sorted(tables):
         color = cluster_color(cid)
         fit = fits[cid]
-        excluded = set(fit.get("excluded_years", []))
+        excluded = set(fit["excluded_years"])
         for year, mean, _ in tables[cid]:
             if year in excluded:
                 parts.append(
@@ -533,15 +492,11 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
                 )
             else:
                 parts.append(_circle(left_frame.x(year), left_frame.y(mean), 2.4, color))
-        pts = []
-        year = float(first_year)
-        while year <= last_year + 1e-9:
-            pts.append((left_frame.x(year), left_frame.y(curve(fit, year))))
-            year += EXTRAP_SAMPLE_STEP
+        pts = [(left_frame.x(year), left_frame.y(curve(fit, year)))
+               for year in _sample_years(first_year, last_year)]
         parts.append(_polyline(pts, color, 1.3, opacity=0.9))
 
     # right panel: extrapolation down to zero
-    curve_min = 0.0
     curve_max = o_hi
     for fit in fits.values():
         probe = [float(first_year), float(extrapolate_to)]
@@ -551,44 +506,29 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
                 probe.append(vertex)
         for y in probe:
             curve_max = max(curve_max, curve(fit, y))
-    e_lo, e_hi = _padded(min(curve_min, 0.0), curve_max)
+    e_lo, e_hi = _padded(0.0, curve_max)
     frame = extrapolation_frame(first_year, extrapolate_to, e_lo, e_hi)
     _axes(parts, frame, "year", "mean distance to ideal")
     zero_y = frame.y(0.0)
-    parts.append(
-        f"<line x1='{_num(frame.left)}' y1='{_num(zero_y)}' "
-        f"x2='{_num(frame.left + frame.width)}' y2='{_num(zero_y)}' "
-        f"stroke='#777777' stroke-width='0.8' stroke-dasharray='5,4'/>"
-    )
+    parts.append(_line(frame.left, zero_y, frame.left + frame.width, zero_y,
+                       "#777777", 0.8, dash="5,4"))
     if first_year <= 2030 <= extrapolate_to:
         px = frame.x(2030)
-        parts.append(
-            f"<line x1='{_num(px)}' y1='{_num(frame.top)}' x2='{_num(px)}' "
-            f"y2='{_num(frame.top + frame.height)}' stroke='#777777' "
-            f"stroke-width='0.8' stroke-dasharray='2,3'/>"
-        )
-        parts.append(
-            f"<text x='{_num(px + 3)}' y='{_num(frame.top + 12)}' {FONT} font-size='9' "
-            f"fill='#555555'>2030</text>"
-        )
+        parts.append(_line(px, frame.top, px, frame.top + frame.height,
+                           "#777777", 0.8, dash="2,3"))
+        parts.append(_text(_num(px + 3), _num(frame.top + 12), 2030, 9, fill="#555555"))
+    extrapolated_years = _sample_years(first_year, extrapolate_to)
     for cid in sorted(fits):
         fit = fits[cid]
         color = cluster_color(cid)
-        pts = []
-        year = float(first_year)
-        while year <= extrapolate_to + 1e-9:
-            pts.append((frame.x(year), frame.y(max(curve(fit, year), e_lo))))
-            year += EXTRAP_SAMPLE_STEP
+        pts = [(frame.x(year), frame.y(max(curve(fit, year), e_lo)))
+               for year in extrapolated_years]
         parts.append(_polyline(pts, color, 1.3, opacity=0.9))
-        attained = fit.get("attainment_year")
-        crossing = fit.get("zero_crossing")
-        if attained is not None and crossing is not None and crossing <= extrapolate_to:
-            parts.append(
-                f"<text x='{_num(frame.x(crossing))}' y='{_num(zero_y - 5)}' {FONT} "
-                f"font-size='9' fill='{color}' text-anchor='middle'>{attained}</text>"
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        crossing = fit["zero_crossing"]  # None exactly when attainment_year is
+        if crossing is not None and crossing <= extrapolate_to:
+            parts.append(_text(_num(frame.x(crossing)), _num(zero_y - 5),
+                               fit["attainment_year"], 9, fill=color, anchor="middle"))
+    return _svg(width, height, parts, "Mean distance to ideal: observed and extrapolated")
 
 
 # ---------------------------------------------------------------------------
@@ -605,70 +545,49 @@ def emit_figures(out: str | Path, written: list[Path] | None = None) -> list[Pat
         artifacts.write_text(path, svg)
         produced.append(path)
 
-    _, mean_rows = artifacts.read_csv(out / artifacts.YEARLY_MEANS)
-    years = [int(row[0]) for row in mean_rows]
-    means = [[float(v) for v in row[1:]] for row in mean_rows]
-    emit("parallel.svg", fig_parallel(years, means))
+    years_meta, means = artifacts.read_matrix(out / artifacts.YEARLY_MEANS, 1)
+    emit("parallel.svg", fig_parallel([int(row[0]) for row in years_meta], means.tolist()))
 
-    _, proj_rows = artifacts.read_csv(out / artifacts.PCA_PROJECTION)
-    proj_meta = [row[:2] for row in proj_rows]
-    proj = [[float(v) for v in row[2:4]] for row in proj_rows]
-    _, ideal_rows = artifacts.read_csv(out / artifacts.PCA_IDEAL)
-    ideal = [float(v) for v in ideal_rows[0][:2]]
-    emit("pca_scatter.svg", fig_pca_scatter(proj_meta, proj, ideal))
+    proj_meta, proj = artifacts.read_matrix(out / artifacts.PCA_PROJECTION, 2)
+    proj = proj[:, :2].tolist()
+    _, ideal = artifacts.read_matrix(out / artifacts.PCA_IDEAL, 0)
+    emit("pca_scatter.svg", fig_pca_scatter(proj_meta, proj, ideal[0, :2].tolist()))
+    _, vectors = artifacts.read_matrix(out / artifacts.PCA_LOADINGS, 1)
+    emit("pca_biplot.svg", fig_pca_biplot(proj_meta, proj, vectors.tolist()))
 
-    _, loading_rows = artifacts.read_csv(out / artifacts.PCA_LOADINGS)
-    vectors = [(float(row[1]), float(row[2])) for row in loading_rows]
-    emit("pca_biplot.svg", fig_pca_biplot(proj_meta, proj, vectors))
-
-    _, embed_rows = artifacts.read_csv(out / artifacts.EMBEDDING)
-    embed_meta = [row[:2] for row in embed_rows]
-    embed = [[float(v) for v in row[2:4]] for row in embed_rows]
-    _, label_rows = artifacts.read_csv(out / artifacts.LABELS)
-    labels = [int(row[2]) for row in label_rows]
+    embed_meta, embed = artifacts.read_matrix(out / artifacts.EMBEDDING, 2)
+    _, labels = artifacts.read_matrix(out / artifacts.LABELS, 2)
     _, switch_rows = artifacts.read_csv(out / artifacts.SWITCHES)
     switchers = sorted({row[0] for row in switch_rows})
-    emit("tsne_clusters.svg", fig_tsne_clusters(embed_meta, embed, labels, switchers))
+    emit("tsne_clusters.svg", fig_tsne_clusters(
+        embed_meta, embed[:, :2].tolist(), labels[:, 0].astype(int).tolist(), switchers))
 
-    _, profile_rows = artifacts.read_csv(out / artifacts.CLUSTER_STANDARDIZED)
-    profiles = [
-        (row[0], int(row[1]), int(row[2]), [float(v) for v in row[3:]])
-        for row in profile_rows
-    ]
+    profile_meta, z = artifacts.read_matrix(out / artifacts.CLUSTER_STANDARDIZED, 3)
+    profiles = [(c, int(y), int(k), row) for (c, y, k), row in zip(profile_meta, z.tolist())]
     emit("cluster_profiles.svg", fig_cluster_profiles(profiles))
 
-    _, corr_rows = artifacts.read_csv(out / artifacts.CORRELATION_GLOBAL)
-    values = [[float(v) for v in row[1:]] for row in corr_rows]
-    emit("correlation_global.svg", fig_correlation_heatmap(values, "all countries"))
+    heatmaps = {artifacts.CORRELATION_GLOBAL: "all countries"}
     for path in sorted(out.glob("correlation_cluster*.csv")):
-        cid = path.stem.removeprefix("correlation_cluster")
-        _, rows = artifacts.read_csv(path)
-        values = [[float(v) for v in row[1:]] for row in rows]
-        emit(f"correlation_cluster{cid}.svg",
-             fig_correlation_heatmap(values, f"cluster {cid}"))
+        heatmaps[path.name] = f"cluster {path.stem.removeprefix('correlation_cluster')}"
+    for name, subtitle in heatmaps.items():
+        _, values = artifacts.read_matrix(out / name, 1)
+        emit(name.removesuffix(".csv") + ".svg",
+             fig_correlation_heatmap(values.tolist(), subtitle))
 
-    _, fit_rows = artifacts.read_csv(out / artifacts.GAUSSIAN_FITS)
-    fits = [
-        (int(r[0]), int(r[1]), float(r[2]), float(r[3]), int(r[4])) for r in fit_rows
-    ]
-    fit_years = sorted({f[1] for f in fits})
-    emit("distributions.svg", fig_distributions(fits, fit_years))
+    fit_meta, fit_values = artifacts.read_matrix(out / artifacts.GAUSSIAN_FITS, 2)
+    fits = [(int(c), int(y), m, s, int(n))
+            for (c, y), (m, s, n) in zip(fit_meta, fit_values.tolist())]
+    emit("distributions.svg", fig_distributions(fits, sorted({f[1] for f in fits})))
 
     payload = artifacts.read_json(out / artifacts.TRAJECTORY_FITS)
     trajectory_fits = {int(k): v for k, v in payload.items()}
-    tables: dict[int, list[tuple[int, float, float]]] = {}
+    if not trajectory_fits:  # nothing but noise: still render a (labeled) empty figure
+        emit("trajectories.svg", _svg(500, 120, [], "Mean distance to ideal: no clusters found"))
+        return produced
+    tables = {}
     for cid in sorted(trajectory_fits):
-        _, rows = artifacts.read_csv(out / artifacts.trajectory_name(cid))
-        tables[cid] = [(int(r[0]), float(r[1]), float(r[2])) for r in rows]
-    if trajectory_fits:
-        extrapolate_to = max(v.get("extrapolate_to", 2100) for v in trajectory_fits.values())
-        emit("trajectories.svg",
-             fig_trajectories(tables, trajectory_fits, extrapolate_to))
-    else:
-        # nothing but noise: still render a (labeled) empty figure
-        parts = _svg_open(500, 120)
-        _title(parts, 500, "Mean distance to ideal: no clusters found")
-        parts.append("</svg>")
-        emit("trajectories.svg", "\n".join(parts) + "\n")
-
+        _, rows = artifacts.read_matrix(out / artifacts.trajectory_name(cid), 0)
+        tables[cid] = [(int(year), mean, std) for year, mean, std, _ in rows.tolist()]
+    extrapolate_to = max(fit["extrapolate_to"] for fit in trajectory_fits.values())
+    emit("trajectories.svg", fig_trajectories(tables, trajectory_fits, extrapolate_to))
     return produced

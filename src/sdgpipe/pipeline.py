@@ -60,18 +60,18 @@ class PipelineConfig:
     perplexity: float = 50.0
     pca_components: int = 10
     embed_dim: int = 2
-    iterations: int = 1000
-    learning_rate: float = 200.0
-    momentum_early: float = 0.5
-    momentum_late: float = 0.8
-    momentum_switch: int = 250
-    exaggeration: float = 12.0
-    exaggeration_until: int = 250
-    record_every: int = 50
-    init_scale: float = 1e-4
+    iterations: int = tsne.GradientSchedule.iterations
+    learning_rate: float = tsne.GradientSchedule.learning_rate
+    momentum_early: float = tsne.GradientSchedule.momentum_early
+    momentum_late: float = tsne.GradientSchedule.momentum_late
+    momentum_switch: int = tsne.GradientSchedule.momentum_switch
+    exaggeration: float = tsne.GradientSchedule.exaggeration
+    exaggeration_until: int = tsne.GradientSchedule.exaggeration_until
+    record_every: int = tsne.GradientSchedule.record_every
+    init_scale: float = tsne.GradientSchedule.init_scale
     seed: int = 0
     eps: float | None = None
-    min_pts: int = 5
+    min_pts: int = dbscan.DEFAULT_MIN_PTS
     eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID
     exclude_years: tuple[int, ...] = (2020, 2021, 2022)
     distribution_years: tuple[int, ...] = (2000, 2010, 2020)
@@ -189,18 +189,8 @@ def _read_panel_artifact(out: Path) -> ScorePanel:
     return load_panel(path)
 
 
-def _read_matrix_artifact(
-    path: Path, meta_columns: int
-) -> tuple[list[list[str]], np.ndarray]:
-    """Rows of leading string cells plus the numeric remainder as an array."""
-    _, rows = artifacts.read_csv(path)
-    meta = [row[:meta_columns] for row in rows]
-    data = np.array([[float(cell) for cell in row[meta_columns:]] for row in rows])
-    return meta, data
-
-
 def _read_labels(out: Path, index: tuple[tuple[str, int], ...]) -> np.ndarray:
-    meta, data = _read_matrix_artifact(out / artifacts.LABELS, 2)
+    meta, data = artifacts.read_matrix(out / artifacts.LABELS, 2)
     got = [(country, int(year)) for country, year in meta]
     if got != list(index):
         raise PipelineError("labels.csv rows do not line up with panel_filtered.csv")
@@ -255,8 +245,8 @@ def stage_ingest(config: PipelineConfig, written: list[Path]) -> None:
 def stage_pca(config: PipelineConfig, written: list[Path]) -> None:
     """Fit the component basis on standardized scores and project everything."""
     out = config.out
-    meta, Z = _read_matrix_artifact(out / artifacts.STANDARDIZED, 2)
-    _, moment_data = _read_matrix_artifact(out / artifacts.MOMENTS, 1)
+    meta, Z = artifacts.read_matrix(out / artifacts.STANDARDIZED, 2)
+    _, moment_data = artifacts.read_matrix(out / artifacts.MOMENTS, 1)
     mean, std = moment_data[:, 0], moment_data[:, 1]
 
     model = pca.fit(Z, config.pca_components)
@@ -283,7 +273,7 @@ def stage_pca(config: PipelineConfig, written: list[Path]) -> None:
 
 def stage_tsne(config: PipelineConfig, written: list[Path]) -> None:
     """Embed the component coordinates into the low-dimensional map."""
-    meta, X = _read_matrix_artifact(config.out / artifacts.PCA_PROJECTION, 2)
+    meta, X = artifacts.read_matrix(config.out / artifacts.PCA_PROJECTION, 2)
     embedding = tsne.run(
         X,
         config.perplexity,
@@ -304,7 +294,7 @@ def stage_cluster(config: PipelineConfig, written: list[Path]) -> None:
     out = config.out
     if config.eps is None:
         raise PipelineError("eps is not set; run scan-eps and pick a value")
-    meta, Y = _read_matrix_artifact(out / artifacts.EMBEDDING, 2)
+    meta, Y = artifacts.read_matrix(out / artifacts.EMBEDDING, 2)
     index = tuple((country, int(year)) for country, year in meta)
     labels = dbscan.cluster(Y, config.eps, config.min_pts).labels
 
@@ -347,7 +337,7 @@ def stage_cluster(config: PipelineConfig, written: list[Path]) -> None:
 
 def stage_scan_eps(config: PipelineConfig, written: list[Path]) -> None:
     """Tabulate cluster count and noise share across the eps grid."""
-    _, Y = _read_matrix_artifact(config.out / artifacts.EMBEDDING, 2)
+    _, Y = artifacts.read_matrix(config.out / artifacts.EMBEDDING, 2)
     rows = dbscan.scan_eps(Y, np.array(config.eps_grid), config.min_pts)
     _emit(config, written, artifacts.EPS_SCAN, ["eps", "n_clusters", "noise_fraction"],
           [[artifacts.fmt(eps), str(n), artifacts.fmt(frac)] for eps, n, frac in rows])

@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdgpipe import artifacts
+from sdgpipe import artifacts, dbscan, tsne
 from sdgpipe.cli import STAGE_EXIT, _config_from_args, build_parser, main
 from sdgpipe.dynamics import TrajectoryFit, future_root
-from sdgpipe.errors import ConfigError, StageError
+from sdgpipe.errors import ConfigError, MissingArtifactError, StageError
 from sdgpipe.panel import GOAL_COLUMNS
 from sdgpipe.pipeline import (
     DEFAULT_EPS_GRID,
@@ -195,6 +195,10 @@ class TestValidate:
         assert schedule.exaggeration == 9.0
         assert schedule.momentum_switch == 250
 
+    def test_defaults_come_from_the_stages(self):
+        assert PipelineConfig().schedule() == tsne.GradientSchedule()
+        assert PipelineConfig().min_pts == dbscan.DEFAULT_MIN_PTS
+
 
 class TestFullRunArtifacts:
     def test_expected_files_exist(self, pipeline_run):
@@ -360,6 +364,30 @@ class TestFailureHandling:
         config = replace(demo_config, out=tmp_path / "fresh")
         with pytest.raises(StageError, match="scan-eps"):
             run_stage("scan-eps", config)
+
+
+class TestReadMatrix:
+    def test_leading_cells_kept_rest_parsed(self, tmp_path):
+        path = tmp_path / "table.csv"
+        artifacts.write_csv(path, ["country", "year", "x", "y"],
+                            [["AAA", "2000", "1.500000", "-2.000000"],
+                             ["BBB", "2001", "0.250000", "3.000000"]])
+        meta, data = artifacts.read_matrix(path, 2)
+        assert meta == [["AAA", "2000"], ["BBB", "2001"]]
+        assert data.tolist() == [[1.5, -2.0], [0.25, 3.0]]
+
+    def test_header_only_gives_zero_rows(self, tmp_path):
+        path = tmp_path / "table.csv"
+        artifacts.write_csv(path, ["cluster", "year", "mean", "std", "n"], [])
+        meta, data = artifacts.read_matrix(path, 2)
+        assert meta == [] and data.shape == (0, 3)
+
+    def test_absent_or_empty_file_is_missing(self, tmp_path):
+        with pytest.raises(MissingArtifactError):
+            artifacts.read_matrix(tmp_path / "absent.csv", 1)
+        (tmp_path / "empty.csv").write_text("")
+        with pytest.raises(MissingArtifactError):
+            artifacts.read_matrix(tmp_path / "empty.csv", 1)
 
 
 class TestAtomicWrites:
