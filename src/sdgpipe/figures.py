@@ -407,6 +407,8 @@ def fig_correlation_heatmap(values: list[list[float]], subtitle: str) -> str:
 def fig_distributions(fits: list[tuple[int, int, float, float, int]],
                       years: list[int]) -> str:
     """fits: (cluster, year, mean, std, n)."""
+    if not fits:  # nothing but noise: a labeled empty figure, as for trajectories
+        return _svg(500, 120, [], "Distance-to-ideal distributions: no clusters found")
     panel_w, panel_h = 340, 260
     width, height, origins = _grid(len(years), panel_w, panel_h, 24)
     parts: list[str] = []

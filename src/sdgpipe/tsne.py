@@ -17,12 +17,21 @@ early exaggeration. No tree approximations; every pair is computed.
 Each gradient sweeps fixed blocks of BLOCK_ROWS map rows in two passes. The
 first writes the blocks' kernel rows (1 + d^2)^-1; one serial sum over the
 whole kernel then gives the normalizer Z. The second turns each block into
-its gradient weights (p_ij - q_ij)(1 + d^2)^-1, their row sums and their
-contraction with the map. Every block row is computed as the full-matrix
-call would compute it, so the gradient is bitwise the same however the
-blocks are shared out. From PARALLEL_MIN_ROWS rows on, `embed` splits the
-blocks of each pass over one thread per usable CPU; smaller maps run
-serially, where threads cost more than they save.
+its gradient weights (a p_ij - q_ij)(1 + d^2)^-1, with the exaggeration a
+as a scalar, their row sums and their contraction with the map. The KL of a
+recorded step is summed from the same kernel, one partial per half block,
+added in row order. Every block row is computed as the full-matrix call
+would compute it, so the gradient is bitwise the same however the blocks are
+shared out. From PARALLEL_MIN_ROWS rows on, `embed` splits the blocks of
+each pass over one thread per usable CPU; smaller maps run serially, where
+threads cost more than they save.
+
+Memory: `embed` holds two n x n arrays, P and the kernel (Z must be one
+serial sum over the whole kernel to stay bitwise fixed), plus one
+BLOCK_ROWS x n scratch per worker, allocated once per call, in which the
+weights and KL terms are formed half a block at a time. Calibration holds
+one n x n array: distances are computed a row at a time, and the
+conditionals become P in place.
 """
 
 from __future__ import annotations
@@ -45,15 +54,20 @@ P_FLOOR = 1e-12
 PERPLEXITY_TOL = 1e-5
 MAX_CALIBRATION_STEPS = 100
 
-# Rows per block of the gradient sweep.
+# Rows per block of the sweeps.
 BLOCK_ROWS = 128
+# A block's gradient weights and KL terms are formed half a block at a time,
+# so the two n-wide operands of a half fit in one BLOCK_ROWS x n scratch.
+HALF_ROWS = BLOCK_ROWS // 2
 # Maps with fewer rows run the sweep serially. On a 2-CPU Linux VM two
 # workers were slower than one up to about 400 rows (0.83 against 0.72 ms
 # per gradient at 276) and faster from about 420 (3.0 against 4.1 ms at 690).
 PARALLEL_MIN_ROWS = 448
 
-# Applies a function of a row-block slice to every block of the map.
-Sweep = Callable[[Callable[[slice], None]], None]
+# Work on one row block of the map, given its worker's scratch.
+Work = Callable[[slice, np.ndarray], None]
+# Applies work to every row block of the map.
+Sweep = Callable[[Work], None]
 
 
 @dataclass(frozen=True)
@@ -168,32 +182,47 @@ def calibrate_sigma(
 
 
 def joint_affinities(X: np.ndarray, perplexity: float) -> AffinityMatrix:
-    """Calibrated, symmetrized, floored joint affinity matrix for rows of X."""
+    """Calibrated, symmetrized, floored joint affinity matrix for rows of X.
+
+    The conditional matrix is the only n x n array: each point's squared
+    distances are computed one row at a time (bitwise that row of the full
+    cdist), and the conditionals are symmetrized and floored in place.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 4:
         raise ValueError("need a 2-d array with at least 4 rows")
     n = X.shape[0]
-    sq = cdist(X, X, metric="sqeuclidean")
+    sq = np.empty((1, n))
     conditional = np.zeros((n, n))
     sigmas = np.empty(n)
     others = np.arange(n)
     for i in range(n):
+        cdist(X[i:i + 1], X, metric="sqeuclidean", out=sq)
         mask = others != i
         try:
-            sigma, row = calibrate_sigma(sq[i, mask], perplexity)
+            sigma, row = calibrate_sigma(sq[0, mask], perplexity)
         except CalibrationFailedError as exc:
             raise CalibrationFailedError(f"point {i}: {exc}") from None
         sigmas[i] = sigma
         conditional[i, mask] = row
-    P = (conditional + conditional.T) / (2.0 * n)
+    # p_ij = (p_{j|i} + p_{i|j}) / 2n, written over both (i, j) and (j, i).
+    # Addition commutes bitwise, so P is exactly symmetric.
+    P = conditional
+    blocks = _blocks(n)
+    for k, rows in enumerate(blocks):
+        for cols in blocks[k:]:
+            pair = P[rows, cols] + P[cols, rows].T
+            pair /= 2.0 * n
+            P[rows, cols] = pair
+            P[cols, rows] = pair.T
     # Floor, renormalize, floor again: the first floor adds at most
     # n^2 * P_FLOOR of mass, renormalizing removes it, and the second pass
     # re-lifts entries that dipped below the floor by only that mass squared,
     # so the sum stays within 1e-9 of one while every entry stays >= P_FLOOR.
-    P = np.maximum(P, P_FLOOR)
+    np.maximum(P, P_FLOOR, out=P)
     np.fill_diagonal(P, 0.0)
     P /= P.sum()
-    P = np.maximum(P, P_FLOOR)
+    np.maximum(P, P_FLOOR, out=P)
     np.fill_diagonal(P, 0.0)
     return AffinityMatrix(P=P, sigmas=sigmas, perplexity=float(perplexity))
 
@@ -212,13 +241,25 @@ def _pool_size(n_blocks: int) -> int:
     return min(cpus, n_blocks)
 
 
-def _in_order(blocks: list[slice]) -> Sweep:
-    """Sweep that applies work to the given row blocks in order, in the
-    calling thread."""
+def _halves(
+    rows: slice, scratch: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Each half block of a row block, with two contiguous half x n buffers
+    side by side in the scratch."""
+    for start in range(rows.start, rows.stop, HALF_ROWS):
+        half = slice(start, min(start + HALF_ROWS, rows.stop))
+        count = half.stop - start
+        yield half, scratch[0, :count], scratch[1, :count]
 
-    def sweep(work: Callable[[slice], None]) -> None:
+
+def _in_order(blocks: list[slice], n: int) -> Sweep:
+    """Sweep that applies work to the given row blocks of an n-row map in
+    order, in the calling thread, with one BLOCK_ROWS x n scratch of its own."""
+    scratch = np.empty((2, HALF_ROWS, n))
+
+    def sweep(work: Work) -> None:
         for rows in blocks:
-            work(rows)
+            work(rows, scratch)
 
     return sweep
 
@@ -228,21 +269,22 @@ def _pooled(n: int, workers: int) -> Iterator[Sweep]:
     """Sweep that splits the row blocks of an n-row map over `workers` threads.
 
     Each worker takes one contiguous run of blocks per sweep, because a task
-    per block costs more than the arithmetic of a small block. The calling
-    thread is one of the workers: handing its run to the pool and waiting
-    would only add a thread switch per sweep.
+    per block costs more than the arithmetic of a small block, and each run
+    owns its scratch for as long as the sweep is open. The calling thread is
+    one of the workers: handing its run to the pool and waiting would only
+    add a thread switch per sweep.
     """
     blocks = _blocks(n)
     if workers <= 1:
-        yield _in_order(blocks)
+        yield _in_order(blocks, n)
         return
     first, *rest = [
-        _in_order(blocks[k * len(blocks) // workers:(k + 1) * len(blocks) // workers])
+        _in_order(blocks[k * len(blocks) // workers:(k + 1) * len(blocks) // workers], n)
         for k in range(workers)
     ]
     with ThreadPoolExecutor(workers - 1) as pool:
 
-        def sweep(work: Callable[[slice], None]) -> None:
+        def sweep(work: Work) -> None:
             pending = [pool.submit(run, work) for run in rest]
             try:
                 first(work)
@@ -264,45 +306,71 @@ def _student_t(Y: np.ndarray, kernel: np.ndarray, sweep: Sweep) -> float:
     """
     Yc = np.ascontiguousarray(Y)  # cdist is slower on Fortran order
 
-    def rows_of(rows: slice) -> None:
+    def rows_of(rows: slice, _scratch: np.ndarray) -> None:
         block = kernel[rows]
         cdist(Yc[rows], Yc, metric="sqeuclidean", out=block)
         np.add(block, 1.0, out=block)
         np.reciprocal(block, out=block)
-        np.fill_diagonal(block[:, rows], 0.0)
 
     sweep(rows_of)
+    np.fill_diagonal(kernel, 0.0)  # one call, not one per block
     return float(kernel.sum())
 
 
 def _gradient(
-    target: np.ndarray,
+    P: np.ndarray,
+    scale: float,
     Y: np.ndarray,
     kernel: np.ndarray,
-    w: np.ndarray,
     sweep: Sweep,
 ) -> tuple[np.ndarray, float]:
-    """Gradient of KL(target || Q) with respect to the map points:
+    """Gradient of KL(scale * P || Q) with respect to the map points:
 
-        dC/dy_i = 4 sum_j (p_ij - q_ij) (y_i - y_j) (1 + ||y_i - y_j||^2)^-1
+        dC/dy_i = 4 sum_j (scale p_ij - q_ij) (y_i - y_j) (1 + ||y_i - y_j||^2)^-1
 
-    kernel and w are n x n scratch buffers. Returns (gradient, Z) and leaves
-    the kernel in kernel, so Q = kernel / Z.
+    kernel is an n x n buffer; the weights are formed half a block at a time
+    in the sweep's scratch. Returns (gradient, Z) and leaves the kernel in
+    kernel, so Q = kernel / Z.
     """
     Z = _student_t(Y, kernel, sweep)
     row_sums = np.empty(Y.shape[0])
     contraction = np.empty(Y.shape)
 
-    def rows_of(rows: slice) -> None:
-        block = w[rows]
-        np.divide(kernel[rows], Z, out=block)
-        np.subtract(target[rows], block, out=block)
-        np.multiply(block, kernel[rows], out=block)
-        row_sums[rows] = block.sum(axis=1)
-        contraction[rows] = np.einsum("ij,jk->ik", block, Y, optimize=False)
+    def rows_of(rows: slice, scratch: np.ndarray) -> None:
+        for half, target, weights in _halves(rows, scratch):
+            # x * 1.0 == x, so the unexaggerated steps read P itself.
+            target = P[half] if scale == 1.0 else np.multiply(P[half], scale, out=target)
+            np.divide(kernel[half], Z, out=weights)
+            np.subtract(target, weights, out=weights)
+            np.multiply(weights, kernel[half], out=weights)
+            weights.sum(axis=1, out=row_sums[half])
+            np.einsum("ij,jk->ik", weights, Y, out=contraction[half], optimize=False)
 
     sweep(rows_of)
     return 4.0 * (row_sums[:, None] * Y - contraction), Z
+
+
+def _kl(P: np.ndarray, kernel: np.ndarray, Z: float, sweep: Sweep) -> float:
+    """kl_divergence(P, kernel / Z) without its n x n temporaries.
+
+    The terms of each half block are summed on their own, with the same
+    floors, and the partial sums are added in row order, so the pool cannot
+    change the result.
+    """
+    partials = np.empty(math.ceil(P.shape[0] / HALF_ROWS))
+
+    def rows_of(rows: slice, scratch: np.ndarray) -> None:
+        for half, floored, ratio in _halves(rows, scratch):
+            np.maximum(P[half], P_FLOOR, out=floored)
+            np.divide(kernel[half], Z, out=ratio)
+            np.maximum(ratio, P_FLOOR, out=ratio)
+            np.divide(floored, ratio, out=ratio)
+            np.log(ratio, out=ratio)
+            np.multiply(P[half], ratio, out=ratio)
+            partials[half.start // HALF_ROWS] = ratio.sum()
+
+    sweep(rows_of)
+    return sum(partials.tolist())
 
 
 def q_matrix(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,8 +382,9 @@ def q_matrix(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[0] < 2:
         raise ValueError("need a 2-d array with at least 2 rows")
-    kernel = np.empty((Y.shape[0], Y.shape[0]))
-    return kernel / _student_t(Y, kernel, _in_order(_blocks(Y.shape[0]))), kernel
+    n = Y.shape[0]
+    kernel = np.empty((n, n))
+    return kernel / _student_t(Y, kernel, _in_order(_blocks(n), n)), kernel
 
 
 def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
@@ -335,7 +404,8 @@ def kl_gradient(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if P.shape != (Y.shape[0], Y.shape[0]):
         raise ShapeMismatchError(f"P {P.shape} does not pair with Y {Y.shape}")
-    return _gradient(P, Y, np.empty_like(P), np.empty_like(P), _in_order(_blocks(Y.shape[0])))[0]
+    n = Y.shape[0]
+    return _gradient(P, 1.0, Y, np.empty_like(P), _in_order(_blocks(n), n))[0]
 
 
 def embed(
@@ -357,26 +427,24 @@ def embed(
         raise ValueError("n_components must be 2 or 3")
     P = affinity.P
     n = P.shape[0]
-    exaggerated = P * schedule.exaggeration
 
     rng = np.random.default_rng(seed)
     # Fortran order keeps the einsum contraction on its fast stride path.
-    # Every step reuses the two n x n buffers for the kernel and the gradient
-    # weights (a fresh pair per step page-faults in every time), and the KL
-    # of a recorded step is read off the kernel that the next step leaves.
+    # Every step reuses one n x n kernel buffer (a fresh one per step
+    # page-faults in every time), and the KL of a recorded step is read off
+    # the kernel that the next step leaves.
     Y = np.asfortranarray(rng.normal(0.0, schedule.init_scale, size=(n, n_components)))
     velocity = np.zeros_like(Y)
     kernel = np.empty_like(P)
-    w = np.empty_like(P)
     history: list[tuple[int, float]] = []
     workers = _pool_size(len(_blocks(n))) if n >= PARALLEL_MIN_ROWS else 1
 
     with _pooled(n, workers) as sweep:
         for step in range(1, schedule.iterations + 1):
-            target = exaggerated if step <= schedule.exaggeration_until else P
-            grad, Z = _gradient(target, Y, kernel, w, sweep)
+            scale = schedule.exaggeration if step <= schedule.exaggeration_until else 1.0
+            grad, Z = _gradient(P, scale, Y, kernel, sweep)
             if step > 1 and (step - 1) % schedule.record_every == 0:
-                history.append((step - 1, kl_divergence(P, kernel / Z)))
+                history.append((step - 1, _kl(P, kernel, Z, sweep)))
             momentum = (
                 schedule.momentum_early
                 if step < schedule.momentum_switch
@@ -387,8 +455,9 @@ def embed(
             velocity -= grad
             Y += velocity
             Y -= Y.mean(axis=0)
+        Z = _student_t(Y, kernel, sweep)
+        history.append((schedule.iterations, _kl(P, kernel, Z, sweep)))
 
-    history.append((schedule.iterations, kl_divergence(P, q_matrix(Y)[0])))
     return Embedding(Y=Y, seed=seed, kl_history=tuple(history))
 
 

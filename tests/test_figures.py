@@ -389,12 +389,13 @@ GOLDEN_DIGESTS = {
     "trajectories.svg": "7f71fb5050d7f1c472197bd7baf2ef4060b358ddcc8a4a7c46c99f1568e82167",
     "tsne_clusters.svg": "378d0f7bded14302792723e13cfa6ca61da6da2bff14263fd428347118920fd6",
 }
-# The noise-only rerun: every label -1, no fits, the placeholder trajectory.
+# The noise-only rerun: every label -1, no fits, the placeholder distributions
+# and trajectory figures.
 NOISE_DIGESTS = {
     **{name: GOLDEN_DIGESTS[name] for name in (
         "correlation_global.svg", "parallel.svg", "pca_biplot.svg", "pca_scatter.svg")},
     "cluster_profiles.svg": "b5a9443b86d94b5cd163480ab0dee77e84e36039008a89a1c1b51805b84c10fa",
-    "distributions.svg": "e28940ad261216894045f0c3f69852d36478b1c9ecf57981e158800ceba82061",
+    "distributions.svg": "84ecd12add1f0461418636402f3e033c17096f5328097331667d2405e39de18f",
     "trajectories.svg": "a4fe2eb56dd1496b616f3a06f4ae655dcd522594577684b4c1025cb1c3aa97ea",
     "tsne_clusters.svg": "b195cfc0f697c26d92e36d264739445bf0a2b3db34c08b2c8ad7a2a597dc23e6",
 }

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,14 +232,16 @@ class TestBlockedSweep:
         rng = np.random.default_rng(n * 10 + dim)
         P = random_affinities(rng, n)
         for Y in (rng.normal(size=(n, dim)), np.asfortranarray(rng.normal(size=(n, dim)))):
-            expected = dense_gradient(P, Y)
-            assert np.array_equal(kl_gradient(P, Y), expected)
-            for workers in (2, 3):
-                kernel, w = np.empty_like(P), np.empty_like(P)
-                with tsne._pooled(n, workers) as sweep:
-                    grad, Z = tsne._gradient(P, Y, kernel, w, sweep)
-                assert np.array_equal(grad, expected)
-                assert np.array_equal(kernel / Z, q_matrix(Y)[0])
+            # 1.0 * P == P; 12 is the default early exaggeration
+            for scale in (1.0, 12.0):
+                expected = dense_gradient(scale * P, Y)
+                assert np.array_equal(kl_gradient(scale * P, Y), expected)
+                for workers in (1, 2, 3):
+                    kernel = np.empty_like(P)
+                    with tsne._pooled(n, workers) as sweep:
+                        grad, Z = tsne._gradient(P, scale, Y, kernel, sweep)
+                    assert np.array_equal(grad, expected)
+                    assert np.array_equal(kernel / Z, q_matrix(Y)[0])
 
     def test_repeated_sweeps_under_frequent_thread_switches(self):
         n = 2 * BLOCK_ROWS + 3
@@ -246,18 +249,18 @@ class TestBlockedSweep:
         P = random_affinities(rng, n)
         Y = rng.normal(size=(n, 2))
         expected = dense_gradient(P, Y)
-        kernel, w = np.empty_like(P), np.empty_like(P)
+        kernel = np.empty_like(P)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with tsne._pooled(n, 3) as sweep:
                 for _ in range(20):
-                    assert np.array_equal(tsne._gradient(P, Y, kernel, w, sweep)[0], expected)
+                    assert np.array_equal(tsne._gradient(P, 1.0, Y, kernel, sweep)[0], expected)
         finally:
             sys.setswitchinterval(interval)
 
     def test_worker_exception_reaches_caller(self):
-        def work(rows):
+        def work(rows, scratch):
             if rows.start > 0:
                 raise RuntimeError("block failed")
 
@@ -331,6 +334,19 @@ class TestRun:
                           schedule=GradientSchedule(learning_rate=20.0, iterations=step))
             assert kl == kl_divergence(P, q_matrix(at_step.Y)[0])
 
+    def test_blocked_kl_history_matches_dense_kl(self):
+        # More rows than one block, and than PARALLEL_MIN_ROWS, so the KL is
+        # summed from several partials on a pooled sweep.
+        X = two_blobs(9, n_per=250)
+        aff = joint_affinities(X, perplexity=30.0)
+        sched = GradientSchedule(iterations=25, record_every=10)
+        emb = embed(aff, seed=6, schedule=sched)
+        assert [s for s, _ in emb.kl_history] == [10, 20, 25]
+        for step, kl in emb.kl_history:
+            at_step = embed(aff, seed=6, schedule=GradientSchedule(iterations=step))
+            dense = kl_divergence(aff.P, q_matrix(at_step.Y)[0])
+            assert abs(kl - dense) <= 1e-12 * abs(dense)
+
     def test_first_step_is_kl_gradient(self):
         X = two_blobs(6)
         sched = GradientSchedule(learning_rate=20.0, iterations=1)
@@ -388,3 +404,29 @@ class TestRun:
             GradientSchedule(exaggeration=0.5).validate()
         with pytest.raises(ValueError):
             GradientSchedule(init_scale=0.0).validate()
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees allocated while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """P and the kernel are the only n x n arrays; the rest is row scratch."""
+
+    X = two_blobs(10, n_per=300)
+
+    def test_embed_holds_one_n_by_n_array_beyond_p(self):
+        n = self.X.shape[0]
+        aff = joint_affinities(self.X, perplexity=30.0)
+        sched = GradientSchedule(iterations=30, record_every=10)
+        assert traced_peak(lambda: embed(aff, seed=0, schedule=sched)) < 2.5 * n * n * 8
+
+    def test_calibration_holds_one_n_by_n_array(self):
+        n = self.X.shape[0]
+        assert traced_peak(lambda: joint_affinities(self.X, perplexity=30.0)) < 1.5 * n * n * 8
