@@ -9,9 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from sdgpipe.pipeline import PipelineConfig, run_pipeline, run_stage
-
-STUDY_STAGES = ("ingest", "pca", "tsne")
+from sdgpipe.pipeline import FULL_RUN, PipelineConfig, run_pipeline, run_stage
 
 
 def main() -> int:
@@ -33,7 +31,7 @@ def main() -> int:
         per_year_correlations=False,
     )
     if args.eps is None:
-        for stage in STUDY_STAGES:
+        for stage in FULL_RUN[: FULL_RUN.index("cluster")]:
             _, seconds = run_stage(stage, config)
             print(f"{stage}: {seconds:.1f}s")
         run_stage("scan-eps", config)

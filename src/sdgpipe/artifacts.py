@@ -59,6 +59,11 @@ def trajectory_name(cluster_id: int) -> str:
     return f"trajectory_cluster{cluster_id}.csv"
 
 
+def svg_name(csv_name: str) -> str:
+    """The figure drawn from one CSV artifact."""
+    return csv_name.removesuffix(".csv") + ".svg"
+
+
 def fmt(value: float, decimals: int = 6) -> str:
     return f"{value:.{decimals}f}"
 

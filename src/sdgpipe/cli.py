@@ -15,6 +15,7 @@ from pathlib import Path
 from sdgpipe.errors import PipelineError, StageError
 from sdgpipe.pipeline import (
     FIELD_PARSERS,
+    STAGES,
     PipelineConfig,
     apply_overrides,
     load_config,
@@ -24,28 +25,6 @@ from sdgpipe.pipeline import (
 )
 
 USAGE_EXIT = 1
-STAGE_EXIT = {
-    "ingest": 2,
-    "pca": 3,
-    "tsne": 4,
-    "cluster": 5,
-    "correlate": 6,
-    "dynamics": 7,
-    "figures": 8,
-    "scan-eps": 9,
-}
-
-_STAGE_HELP = {
-    "ingest": "load, validate, filter, and standardize the panel",
-    "pca": "fit the component basis and project observations",
-    "tsne": "embed component coordinates into the 2-d or 3-d map",
-    "cluster": "density-cluster the map and derive memberships",
-    "scan-eps": "tabulate cluster count and noise share over an eps grid",
-    "correlate": "goal correlation matrices, pooled and per cluster",
-    "dynamics": "distance-to-ideal distributions, trends, extrapolation",
-    "figures": "render SVG figures from existing artifacts",
-    "all": "run every stage in order and write the manifest",
-}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -67,9 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         "and distance-to-ideal dynamics over country indicator data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in _STAGE_HELP.items():
-        stage_parser = sub.add_parser(name, help=blurb)
-        _add_common(stage_parser)
+    for name, stage in STAGES.items():
+        _add_common(sub.add_parser(name, help=stage.help))
+    _add_common(sub.add_parser("all", help="run every stage in order and write the manifest"))
     return parser
 
 
@@ -98,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return STAGE_EXIT.get(exc.stage, USAGE_EXIT)
+        return STAGES[exc.stage].exit_code
     except (PipelineError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

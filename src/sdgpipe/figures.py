@@ -62,6 +62,11 @@ def year_color(position: float) -> str:
     return _mix(YEAR_EARLY, YEAR_LATE, position)
 
 
+def _year_positions(years: list[int]) -> dict[int, float]:
+    """Position in [0, 1] of each of the sorted years; a lone year sits at 0."""
+    return {year: i / max(len(years) - 1, 1) for i, year in enumerate(years)}
+
+
 def cluster_color(cluster_id: int) -> str:
     if cluster_id < 0:
         return NOISE_COLOR
@@ -233,14 +238,14 @@ def fig_parallel(years: list[int], means: list[list[float]]) -> str:
     frame = Frame(1, N_GOALS, y_lo, y_hi, 60, 40, width - 180, height - 90)
     _axes(parts, frame, "goal", "mean score", x_ticks=list(range(1, N_GOALS + 1)))
     n = len(years)
-    for i, (year, row) in enumerate(zip(years, means)):
-        color = year_color(i / (n - 1) if n > 1 else 0.0)
+    positions = _year_positions(years)
+    for year, row in zip(years, means):
         points = [(frame.x(g + 1), frame.y(v)) for g, v in enumerate(row)]
-        parts.append(_polyline(points, color, 1.4, opacity=0.9))
+        parts.append(_polyline(points, year_color(positions[year]), 1.4, opacity=0.9))
     # year gradient legend
     legend_x = width - 95
-    for i, year in enumerate(years):
-        t = i / (n - 1) if n > 1 else 0.0
+    for year in years:
+        t = positions[year]
         y_px = 50 + t * (height - 140)
         parts.append(
             f"<rect x='{legend_x}' y='{_num(y_px)}' width='14' "
@@ -269,15 +274,13 @@ def fig_pca_scatter(meta: list[list[str]], coords: list[list[float]],
     frame = _scatter_frame(parts, [*coords, ideal], width, height, 100,
                            "component 1", "component 2")
     by_country = _trajectory_lines(meta, coords)
-    years = sorted({int(m[1]) for m in meta})
-    span = max(len(years) - 1, 1)
+    positions = _year_positions(sorted({int(m[1]) for m in meta}))
     for country in sorted(by_country):
         pts = [(frame.x(x), frame.y(y)) for _, x, y in by_country[country]]
         parts.append(_polyline(pts, "#bbbbbb", 0.6, opacity=0.5))
     for country in sorted(by_country):
         for year, x, y in by_country[country]:
-            t = years.index(year) / span
-            parts.append(_circle(frame.x(x), frame.y(y), 2.0, year_color(t), 0.75))
+            parts.append(_circle(frame.x(x), frame.y(y), 2.0, year_color(positions[year]), 0.75))
     ideal_x, ideal_y = frame.x(ideal[0]), frame.y(ideal[1])
     parts.append(_circle(ideal_x, ideal_y, 5.0, "#000000"))
     parts.append(_text(_num(ideal_x + 8), _num(ideal_y + 4), "ideal", 10, fill="#000000"))
@@ -341,8 +344,7 @@ def fig_cluster_profiles(rows: list[tuple[str, int, int, list[float]]]) -> str:
     parts: list[str] = []
     flat = [v for _, _, _, z in rows for v in z]
     y_lo, y_hi = _padded(min(flat), max(flat))
-    years = sorted({year for _, year, _, _ in rows})
-    span = max(len(years) - 1, 1)
+    positions = _year_positions(sorted({year for _, year, _, _ in rows}))
     for cid, (x0, y0) in zip(clusters, origins):
         left, top = x0 + 40, y0 + 24
         frame = Frame(1, N_GOALS, y_lo, y_hi, left, top, panel_w - 50, panel_h - 56)
@@ -362,9 +364,8 @@ def fig_cluster_profiles(rows: list[tuple[str, int, int, list[float]]]) -> str:
         for year in sorted(by_year):
             block = by_year[year]
             mean = [sum(col_v) / len(col_v) for col_v in zip(*block)]
-            t = years.index(year) / span
             pts = [(frame.x(g + 1), frame.y(v)) for g, v in enumerate(mean)]
-            parts.append(_polyline(pts, year_color(t), 1.3, opacity=0.95))
+            parts.append(_polyline(pts, year_color(positions[year]), 1.3, opacity=0.95))
     return _svg(width, height, parts)
 
 
@@ -569,12 +570,13 @@ def emit_figures(out: str | Path, written: list[Path] | None = None) -> list[Pat
     emit("cluster_profiles.svg", fig_cluster_profiles(profiles))
 
     heatmaps = {artifacts.CORRELATION_GLOBAL: "all countries"}
-    for path in sorted(out.glob("correlation_cluster*.csv")):
-        heatmaps[path.name] = f"cluster {path.stem.removeprefix('correlation_cluster')}"
+    pattern = artifacts.correlation_cluster_name("*")
+    prefix, suffix = pattern.split("*")
+    for path in sorted(out.glob(pattern)):
+        heatmaps[path.name] = f"cluster {path.name.removeprefix(prefix).removesuffix(suffix)}"
     for name, subtitle in heatmaps.items():
         _, values = artifacts.read_matrix(out / name, 1)
-        emit(name.removesuffix(".csv") + ".svg",
-             fig_correlation_heatmap(values.tolist(), subtitle))
+        emit(artifacts.svg_name(name), fig_correlation_heatmap(values.tolist(), subtitle))
 
     fit_meta, fit_values = artifacts.read_matrix(out / artifacts.GAUSSIAN_FITS, 2)
     fits = [(int(c), int(y), m, s, int(n))

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from sdgpipe import artifacts
 from sdgpipe.errors import (
     DuplicateObservationError,
     EmptyResultError,
@@ -106,6 +108,32 @@ def _parse_score(cell: str, row: int, column: str) -> float:
     return min(max(value, 0.0), 100.0)
 
 
+def _records(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) of each data row of a CSV that must start with
+    header. Blank rows are skipped; a row with the wrong cell count or an
+    empty first (country) cell raises."""
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            got = tuple(cell.strip().lower() for cell in next(reader))
+        except StopIteration:
+            raise MalformedHeaderError(f"{path}: empty file") from None
+        if got != header:
+            raise MalformedHeaderError(
+                f"{path}: expected header {','.join(header)}, got {','.join(got)}"
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise MalformedHeaderError(
+                    f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}"
+                )
+            if not row[0].strip():
+                raise MalformedHeaderError(f"{path}: row {line_no} has an empty country")
+            yield line_no, row
+
+
 def load_panel(path: str | Path) -> ScorePanel:
     """Read and validate a long-format panel CSV.
 
@@ -115,39 +143,20 @@ def load_panel(path: str | Path) -> ScorePanel:
     rejected. Rows come back sorted by (country, year).
     """
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
+    rows: dict[tuple[str, int], list[float]] = {}
+    for line_no, row in _records(path, PANEL_HEADER):
+        country = row[0].strip()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedHeaderError(f"{path}: empty file") from None
-        got = tuple(cell.strip().lower() for cell in header)
-        if got != PANEL_HEADER:
-            raise MalformedHeaderError(
-                f"{path}: expected header {','.join(PANEL_HEADER)}, got {','.join(got)}"
-            )
-        rows: dict[tuple[str, int], list[float]] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(PANEL_HEADER):
-                raise MalformedHeaderError(
-                    f"{path}: row {line_no} has {len(row)} cells, expected {len(PANEL_HEADER)}"
-                )
-            country = row[0].strip()
-            if not country:
-                raise MalformedHeaderError(f"{path}: row {line_no} has an empty country")
-            try:
-                year = int(row[1].strip())
-            except ValueError:
-                raise NonNumericScoreError(line_no, "year", row[1]) from None
-            key = (country, year)
-            if key in rows:
-                raise DuplicateObservationError(country, year)
-            rows[key] = [
-                _parse_score(cell, line_no, column)
-                for cell, column in zip(row[2:], GOAL_COLUMNS)
-            ]
+            year = int(row[1].strip())
+        except ValueError:
+            raise NonNumericScoreError(line_no, "year", row[1]) from None
+        key = (country, year)
+        if key in rows:
+            raise DuplicateObservationError(country, year)
+        rows[key] = [
+            _parse_score(cell, line_no, column)
+            for cell, column in zip(row[2:], GOAL_COLUMNS)
+        ]
     if not rows:
         raise EmptyResultError(f"{path}: no data rows")
     keys = sorted(rows)
@@ -160,16 +169,18 @@ def load_panel(path: str | Path) -> ScorePanel:
     )
 
 
-def write_panel_csv(panel: ScorePanel, path: str | Path, decimals: int = 6) -> None:
-    """Write a panel back out in the input schema (missing cells left blank)."""
-    path = Path(path)
-    fmt = f"{{:.{decimals}f}}"
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(PANEL_HEADER)
-        for (country, year), row in zip(panel.index, panel.scores):
-            cells = ["" if math.isnan(v) else fmt.format(v) for v in row]
-            writer.writerow([country, year, *cells])
+def panel_rows(index: tuple[tuple[str, int], ...], values: np.ndarray) -> list[list[str]]:
+    """Rows in the input schema: country, year, then six-decimal cells, with
+    missing (NaN) cells left blank."""
+    return [
+        [country, str(year), *("" if math.isnan(v) else artifacts.fmt(v) for v in row)]
+        for (country, year), row in zip(index, values)
+    ]
+
+
+def write_panel_csv(panel: ScorePanel, path: str | Path) -> None:
+    """Write a panel back out in the input schema."""
+    artifacts.write_csv(Path(path), PANEL_HEADER, panel_rows(panel.index, panel.scores))
 
 
 def filter_complete(panel: ScorePanel) -> ScorePanel:
@@ -277,45 +288,24 @@ def yearly_goal_means(panel: ScorePanel) -> tuple[np.ndarray, np.ndarray]:
 def load_gdp(path: str | Path) -> dict[str, float]:
     """Read a country,gdp_per_capita CSV; missing cells are skipped entirely."""
     path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
+    table: dict[str, float] = {}
+    for line_no, row in _records(path, GDP_HEADER):
+        country, cell = row[0].strip(), row[1].strip()
+        if cell.lower() in _MISSING_MARKERS:
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedHeaderError(f"{path}: empty file") from None
-        got = tuple(cell.strip().lower() for cell in header)
-        if got != GDP_HEADER:
-            raise MalformedHeaderError(
-                f"{path}: expected header {','.join(GDP_HEADER)}, got {','.join(got)}"
-            )
-        table: dict[str, float] = {}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 2:
-                raise MalformedHeaderError(
-                    f"{path}: row {line_no} has {len(row)} cells, expected 2"
-                )
-            country = row[0].strip()
-            cell = row[1].strip()
-            if cell.lower() in _MISSING_MARKERS:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise NonNumericScoreError(line_no, "gdp_per_capita", row[1]) from None
-            if not math.isfinite(value) or value <= 0:
-                raise ScoreRangeError(line_no, "gdp_per_capita", value)
-            if country in table:
-                raise DuplicateObservationError(country)
-            table[country] = value
+            value = float(cell)
+        except ValueError:
+            raise NonNumericScoreError(line_no, "gdp_per_capita", row[1]) from None
+        if not math.isfinite(value) or value <= 0:
+            raise ScoreRangeError(line_no, "gdp_per_capita", value)
+        if country in table:
+            raise DuplicateObservationError(country)
+        table[country] = value
     return table
 
 
 def write_gdp_csv(gdp: dict[str, float], path: str | Path) -> None:
     """Write a country -> GDP table in the load_gdp schema, countries sorted."""
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(GDP_HEADER)
-        for country in sorted(gdp):
-            writer.writerow([country, f"{gdp[country]:.2f}"])
+    rows = [[country, artifacts.fmt(gdp[country], 2)] for country in sorted(gdp)]
+    artifacts.write_csv(Path(path), GDP_HEADER, rows)

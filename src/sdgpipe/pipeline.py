@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import platform
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -29,10 +30,12 @@ from sdgpipe.errors import (
 from sdgpipe.panel import (
     GOAL_COLUMNS,
     N_GOALS,
+    PANEL_HEADER,
     ScorePanel,
     filter_complete,
     load_gdp,
     load_panel,
+    panel_rows,
     standardize,
     standardize_within_cluster,
     yearly_goal_means,
@@ -214,10 +217,8 @@ def _rows(meta, values, fmt=artifacts.fmt) -> list[list[str]]:
     return [[*cells, *(fmt(v) for v in row)] for cells, row in zip(meta, values)]
 
 
-def _index_meta(index, labels=None) -> list[tuple[str, ...]]:
-    """(country, year[, cluster]) cells for panel rows."""
-    if labels is None:
-        return [(country, str(year)) for country, year in index]
+def _index_meta(index, labels) -> list[tuple[str, str, str]]:
+    """(country, year, cluster) cells for panel rows."""
     return [(c, str(y), str(int(lab))) for (c, y), lab in zip(index, labels)]
 
 
@@ -230,14 +231,13 @@ def stage_ingest(config: PipelineConfig, written: list[Path]) -> None:
     panel = filter_complete(load_panel(config.panel))
     zpanel = standardize(panel)
     years, means = yearly_goal_means(panel)
-    goal_header = ["country", "year", *GOAL_COLUMNS]
 
-    _emit(config, written, artifacts.PANEL_FILTERED, goal_header,
-          _rows(_index_meta(panel.index), panel.scores))
+    _emit(config, written, artifacts.PANEL_FILTERED, PANEL_HEADER,
+          panel_rows(panel.index, panel.scores))
     _emit(config, written, artifacts.MOMENTS, ["goal", "mean", "std"],
           _rows([(g,) for g in GOAL_COLUMNS], zip(zpanel.mean, zpanel.std)))
-    _emit(config, written, artifacts.STANDARDIZED, goal_header,
-          _rows(_index_meta(zpanel.index), zpanel.z))
+    _emit(config, written, artifacts.STANDARDIZED, PANEL_HEADER,
+          panel_rows(zpanel.index, zpanel.z))
     _emit(config, written, artifacts.YEARLY_MEANS, ["year", *GOAL_COLUMNS],
           _rows([(str(int(year)),) for year in years], means))
 
@@ -364,6 +364,10 @@ def stage_correlate(config: PipelineConfig, written: list[Path]) -> None:
 def stage_dynamics(config: PipelineConfig, written: list[Path]) -> None:
     """Distance-to-ideal series, per-year Gaussian fits, trend extrapolation."""
     panel = _read_panel_artifact(config.out)
+    last_year = max(panel.years)
+    if config.extrapolate_to <= last_year:
+        raise PipelineError(f"extrapolate_to {config.extrapolate_to} is not after "
+                            f"the last panel year {last_year}")
     labels = _read_labels(config.out, panel.index)
     distances = dynamics.distance_series(panel)
 
@@ -395,7 +399,6 @@ def stage_dynamics(config: PipelineConfig, written: list[Path]) -> None:
 
     membership = dbscan.final_year_membership(labels, list(panel.index))
     final_ids = sorted(c for c in set(membership.values()) if c >= 0)
-    last_year = max(panel.years)
     fits_payload: dict[str, dict] = {}
     for cluster_id in final_ids:
         table = dynamics.displacement_table(panel, labels, cluster_id)
@@ -426,48 +429,61 @@ def stage_dynamics(config: PipelineConfig, written: list[Path]) -> None:
 
 
 def _stage_figures(config: PipelineConfig, written: list[Path]) -> None:
-    from sdgpipe.figures import emit_figures
+    from sdgpipe import figures
 
-    emit_figures(config.out, written=written)
+    figures.emit_figures(config.out, written=written)
 
 
-_STAGES = {
-    "ingest": stage_ingest,
-    "pca": stage_pca,
-    "tsne": stage_tsne,
-    "cluster": stage_cluster,
-    "scan-eps": stage_scan_eps,
-    "correlate": stage_correlate,
-    "dynamics": stage_dynamics,
-    "figures": _stage_figures,
+@dataclass(frozen=True)
+class Stage:
+    """One subcommand: its function, the exit code of its failure, its help
+    text, and glob patterns of the outputs whose set depends on the
+    clustering or the config. The stage deletes their matches before it runs,
+    so a rerun that writes fewer (no --gdp, fewer clusters) leaves none behind."""
+
+    run: Callable[[PipelineConfig, list[Path]], None]
+    exit_code: int
+    help: str
+    variable_outputs: tuple[str, ...] = ()
+
+
+# In `sdgpipe --help` order.
+STAGES = {
+    "ingest": Stage(stage_ingest, 2, "load, validate, filter, and standardize the panel"),
+    "pca": Stage(stage_pca, 3, "fit the component basis and project observations"),
+    "tsne": Stage(stage_tsne, 4, "embed component coordinates into the 2-d or 3-d map"),
+    "cluster": Stage(stage_cluster, 5, "density-cluster the map and derive memberships",
+                     (artifacts.CLUSTER_GDP,)),
+    "scan-eps": Stage(stage_scan_eps, 9,
+                      "tabulate cluster count and noise share over an eps grid"),
+    "correlate": Stage(stage_correlate, 6, "goal correlation matrices, pooled and per cluster",
+                       (artifacts.correlation_cluster_name("*"),
+                        artifacts.correlation_year_name("*"))),
+    "dynamics": Stage(stage_dynamics, 7,
+                      "distance-to-ideal distributions, trends, extrapolation",
+                      (artifacts.trajectory_name("*"),)),
+    "figures": Stage(_stage_figures, 8, "render SVG figures from existing artifacts",
+                     (artifacts.svg_name(artifacts.correlation_cluster_name("*")),)),
 }
 
-# Outputs whose set depends on the clustering or the config. A stage deletes
-# its matches before it runs, so a rerun that writes fewer of them (fewer
-# clusters, no --gdp, no --per-year) leaves none from an earlier run behind.
-_VARIABLE_OUTPUTS = {
-    "cluster": (artifacts.CLUSTER_GDP,),
-    "correlate": ("correlation_cluster*.csv", "correlation_year*.csv"),
-    "dynamics": ("trajectory_cluster*.csv",),
-    "figures": ("correlation_cluster*.svg",),
-}
-
-FULL_RUN = ("ingest", "pca", "tsne", "cluster", "correlate", "dynamics", "figures")
+# scan-eps only tabulates candidate radii for picking eps; a full run takes
+# eps as given.
+FULL_RUN = tuple(name for name in STAGES if name != "scan-eps")
 
 
 def run_stage(name: str, config: PipelineConfig) -> tuple[list[Path], float]:
     """Run one stage; on failure remove its partial outputs and re-raise."""
-    if name not in _STAGES:
+    if name not in STAGES:
         raise ConfigError(f"unknown stage {name!r}")
     config.validate()
     config.out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     start = time.perf_counter()
     try:
-        for pattern in _VARIABLE_OUTPUTS.get(name, ()):
+        for pattern in STAGES[name].variable_outputs:
             for path in config.out.glob(pattern):
                 path.unlink()
-        _STAGES[name](config, written)
+        STAGES[name].run(config, written)
     except Exception as exc:
         for path in written:
             path.unlink(missing_ok=True)

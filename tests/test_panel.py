@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -341,6 +342,13 @@ class TestGdp:
         p = tmp_path / "gdp.csv"
         p.write_text("nation,gdp\nAAA,5\n")
         with pytest.raises(MalformedHeaderError):
+            load_gdp(p)
+
+    def test_empty_country_rejected(self, tmp_path):
+        p = tmp_path / "gdp.csv"
+        p.write_text("country,gdp_per_capita\nAAA,5\n,1234.5\n")
+        message = f"{p}: row 3 has an empty country"  # load_panel's wording
+        with pytest.raises(MalformedHeaderError, match=f"^{re.escape(message)}$"):
             load_gdp(p)
 
     def test_write_round_trip(self, tmp_path):

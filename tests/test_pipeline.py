@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import platform
@@ -9,13 +10,14 @@ import numpy as np
 import pytest
 
 from sdgpipe import artifacts, dbscan, tsne
-from sdgpipe.cli import STAGE_EXIT, _config_from_args, build_parser, main
+from sdgpipe.cli import _config_from_args, build_parser, main
 from sdgpipe.dynamics import TrajectoryFit, future_root
 from sdgpipe.errors import ConfigError, MissingArtifactError, StageError
 from sdgpipe.panel import GOAL_COLUMNS
 from sdgpipe.pipeline import (
     DEFAULT_EPS_GRID,
     FULL_RUN,
+    STAGES,
     PipelineConfig,
     apply_overrides,
     config_snapshot,
@@ -365,6 +367,14 @@ class TestFailureHandling:
         with pytest.raises(StageError, match="scan-eps"):
             run_stage("scan-eps", config)
 
+    @pytest.mark.parametrize("year", [1990, 2000, 2010, 2022])
+    def test_extrapolate_to_must_follow_the_data(self, pipeline_run, tmp_path, year):
+        # the bundled panel covers 2000-2022
+        config = replace(copy_run(pipeline_run, tmp_path / "copy"), extrapolate_to=year)
+        with pytest.raises(StageError,
+                           match=f"extrapolate_to {year} is not after the last panel year 2022"):
+            run_stage("dynamics", config)
+
 
 class TestReadMatrix:
     def test_leading_cells_kept_rest_parsed(self, tmp_path):
@@ -520,7 +530,7 @@ class TestCli:
         code = self.run_cli(
             "pca", "--panel", demo_dir / "panel.csv", "--out", tmp_path / "empty"
         )
-        assert code == STAGE_EXIT["pca"] == 3
+        assert code == STAGES["pca"].exit_code == 3
         capsys.readouterr()
 
     def test_cluster_exit_code(self, pipeline_run, tmp_path, capsys):
@@ -529,8 +539,17 @@ class TestCli:
         code = self.run_cli(
             "cluster", "--panel", pipeline_run.panel, "--out", copied
         )  # eps never set
-        assert code == STAGE_EXIT["cluster"] == 5
+        assert code == STAGES["cluster"].exit_code == 5
         capsys.readouterr()
+
+    def test_extrapolate_to_inside_the_data_is_a_dynamics_failure(self, pipeline_run, tmp_path,
+                                                                  capsys):
+        copied = tmp_path / "copy"
+        shutil.copytree(pipeline_run.out, copied)
+        code = self.run_cli("dynamics", "--panel", pipeline_run.panel, "--out", copied,
+                            "--extrapolate-to", 2000)
+        assert code == STAGES["dynamics"].exit_code == 7
+        assert "extrapolate_to 2000" in capsys.readouterr().err
 
     def test_all_runs_clean(self, demo_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -567,3 +586,40 @@ class TestCli:
         want = json.loads((pipeline_run.out / artifacts.MANIFEST).read_text())
         got = json.loads((out / artifacts.MANIFEST).read_text())
         assert want["outputs"] == got["outputs"]
+
+
+class TestStageTable:
+    """The public CLI contract, written out: the README's exit codes, the
+    subcommands in `sdgpipe --help` order with their help texts, and the
+    stages of a full run."""
+
+    def test_exit_codes(self):
+        assert {name: stage.exit_code for name, stage in STAGES.items()} == {
+            "ingest": 2,
+            "pca": 3,
+            "tsne": 4,
+            "cluster": 5,
+            "correlate": 6,
+            "dynamics": 7,
+            "figures": 8,
+            "scan-eps": 9,
+        }
+
+    def test_subcommands_and_help(self):
+        (subparsers,) = [action for action in build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        assert [(a.dest, a.help) for a in subparsers._choices_actions] == [
+            ("ingest", "load, validate, filter, and standardize the panel"),
+            ("pca", "fit the component basis and project observations"),
+            ("tsne", "embed component coordinates into the 2-d or 3-d map"),
+            ("cluster", "density-cluster the map and derive memberships"),
+            ("scan-eps", "tabulate cluster count and noise share over an eps grid"),
+            ("correlate", "goal correlation matrices, pooled and per cluster"),
+            ("dynamics", "distance-to-ideal distributions, trends, extrapolation"),
+            ("figures", "render SVG figures from existing artifacts"),
+            ("all", "run every stage in order and write the manifest"),
+        ]
+
+    def test_full_run(self):
+        assert FULL_RUN == ("ingest", "pca", "tsne", "cluster", "correlate", "dynamics",
+                            "figures")
