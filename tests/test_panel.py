@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -153,6 +154,27 @@ class TestLoadPanel:
         back = load_panel(p)
         assert back.index == fixture_panel.index
         assert np.allclose(back.scores, fixture_panel.scores, atol=5e-7)
+
+
+class TestWriterGoldenBytes:
+    # sha256 of write_panel_csv's output for the panel below. A change means
+    # the bytes of every panel CSV the package writes changed.
+    PANEL_SHA256 = "054019f4e31feff6adba0214383124ec72f6410a984d31e01224812d21ca1d15"
+
+    def test_write_panel_csv(self, tmp_path):
+        # Blank (NaN), 0 and 100 cells; values on the six-decimal rounding
+        # edge, rounded down (5e-7, 12.3456785) and up (1.0000005,
+        # 99.9999995); a country name that the writer must quote.
+        edge = {"0": 0, "1": 100, "2": 5e-7, "3": 12.3456785, "4": 1.0000005,
+                "5": 99.9999995}
+        panel = make_panel([
+            ("Korea, Rep.", 2001, goal_row(50.5, **edge)),
+            ("Korea, Rep.", 2000, goal_row(math.nan, **{"6": 33.25})),
+            ("AAA", 2000, goal_row(1 / 3)),
+        ])
+        p = tmp_path / "panel.csv"
+        write_panel_csv(panel, p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == self.PANEL_SHA256
 
 
 class TestFilterComplete:

@@ -433,26 +433,50 @@ class TestStaleOutputs:
 
 
 class TestLoneNoisePoint:
-    def test_downstream_stages_succeed(self, demo_config, tmp_path):
+    LONE = 10  # not a final-year row, so every country keeps a cluster
+
+    # sha256 of the cluster stage's integer-only files on the map below. They
+    # hold no floats, so the digests do not depend on the numpy build.
+    MEMBERSHIP_SHA256 = {
+        artifacts.LABELS:
+            "b41b39400d4a835a24f4ab2015bf0de8daaf6bbea7e71c8959fe26f7cc2c529a",
+        artifacts.SWITCHES:
+            "f7478ae774691ebb44a6b8c776b914663283006a97dc3d4249a27e1252a4bcf5",
+        artifacts.CLUSTER_COUNTRIES:
+            "27c5c3804464b31904ac9d41eebb2dde208e831085cd1c146d3de8ae92e5134c",
+    }
+
+    def blob_run(self, demo_config, out: Path) -> PipelineConfig:
         # A hand-made map instead of t-SNE output: one tight blob per group of
         # four countries, plus one isolated row that is the only noise point.
-        config = replace(demo_config, out=tmp_path / "blobs")
+        config = replace(demo_config, out=out)
         run_stage("ingest", config)
         run_stage("pca", config)
         _, rows = artifacts.read_csv(config.out / artifacts.PANEL_FILTERED)
         countries = sorted({row[0] for row in rows})
-        lone = 10  # not a final-year row, so every country keeps a cluster
         embedding = []
         for i, (country, year, *_) in enumerate(rows):
             x = 50.0 * (countries.index(country) % 3) + 0.01 * (i % 7)
             y = 0.01 * (i % 5)
-            if i == lone:
+            if i == self.LONE:
                 x = y = 500.0
             embedding.append([country, year, artifacts.fmt(x), artifacts.fmt(y)])
         artifacts.write_csv(
             config.out / artifacts.EMBEDDING, ["country", "year", "x", "y"], embedding
         )
-        for stage in ("cluster", "correlate", "dynamics", "figures"):
+        run_stage("cluster", config)
+        return config
+
+    def test_membership_files_golden_bytes(self, demo_config, tmp_path):
+        config = self.blob_run(demo_config, tmp_path / "blobs")
+        got = {name: artifacts.sha256_of(config.out / name)
+               for name in self.MEMBERSHIP_SHA256}
+        assert got == self.MEMBERSHIP_SHA256
+
+    def test_downstream_stages_succeed(self, demo_config, tmp_path):
+        config = self.blob_run(demo_config, tmp_path / "blobs")
+        lone = self.LONE
+        for stage in ("correlate", "dynamics", "figures"):
             run_stage(stage, config)
 
         _, labels = artifacts.read_csv(config.out / artifacts.LABELS)
