@@ -9,6 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from sdgpipe import artifacts
 from sdgpipe.pipeline import FULL_RUN, PipelineConfig, run_pipeline, run_stage
 
 
@@ -35,7 +36,7 @@ def main() -> int:
             _, seconds = run_stage(stage, config)
             print(f"{stage}: {seconds:.1f}s")
         run_stage("scan-eps", config)
-        print((args.out / "eps_scan.csv").read_text())
+        print((args.out / artifacts.EPS_SCAN).read_text())
         print("pick an eps from the table above and re-run with --eps")
         return 0
     manifest = run_pipeline(config)

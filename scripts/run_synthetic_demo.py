@@ -8,11 +8,10 @@ is on the 4-cluster plateau (one noise country and one singleton cluster).
 """
 
 import argparse
-import csv
-import json
 import tempfile
 from pathlib import Path
 
+from sdgpipe import artifacts
 from sdgpipe.panel import write_gdp_csv, write_panel_csv
 from sdgpipe.pipeline import PipelineConfig, run_pipeline
 from sdgpipe.synthetic import synthetic_gdp, synthetic_panel
@@ -39,11 +38,10 @@ def main() -> None:
         **DEMO,
     )
     manifest_path = run_pipeline(config)
-    manifest = json.loads(manifest_path.read_text())
+    manifest = artifacts.read_json(manifest_path)
     print(f"artifacts in {config.out} ({len(manifest['outputs'])} files)")
 
-    with (config.out / "cluster_countries.csv").open() as handle:
-        rows = list(csv.reader(handle))[1:]
+    _, rows = artifacts.read_csv(config.out / artifacts.CLUSTER_COUNTRIES)
     by_cluster: dict[str, list[str]] = {}
     for country, cid in rows:
         by_cluster.setdefault(cid, []).append(country)
@@ -51,7 +49,7 @@ def main() -> None:
         name = "noise" if int(cid) < 0 else f"cluster {cid}"
         print(f"  {name}: {', '.join(by_cluster[cid])}")
 
-    fits = json.loads((config.out / "trajectory_fits.json").read_text())
+    fits = artifacts.read_json(config.out / artifacts.TRAJECTORY_FITS)
     for cid in sorted(fits, key=int):
         year = fits[cid]["attainment_year"]
         when = str(year) if year is not None else "never (no future zero)"

@@ -1,8 +1,9 @@
 """Artifact file names and small CSV/JSON helpers shared by the stages.
 
 Numeric CSV cells are written at fixed six decimals (correlations at four,
-always signed) and JSON numbers at full repr precision, so repeated runs of
-the same configuration produce byte-identical files.
+always signed; a missing value as a blank cell) and JSON numbers at full
+repr precision, so repeated runs of the same configuration produce
+byte-identical files.
 
 Every artifact is written to a temporary file in its own directory and then
 renamed over the target, so a reader never sees a half-written file and a
@@ -14,15 +15,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TextIO
 
 import numpy as np
 
-from sdgpipe.errors import MissingArtifactError
+from sdgpipe.errors import MalformedHeaderError, MissingArtifactError
 
 PANEL_FILTERED = "panel_filtered.csv"
 MOMENTS = "moments.csv"
@@ -72,6 +74,15 @@ def fmt_signed(value: float, decimals: int = 4) -> str:
     return f"{value:+.{decimals}f}"
 
 
+def format_rows(meta: Iterable, values: Iterable, fmt: Callable[[float], str] = fmt
+                ) -> list[list]:
+    """One CSV row per (leading cells, numbers) pair: the leading cells as
+    given (csv.writer writes an int as str does), each number through fmt,
+    and a NaN as a blank cell."""
+    return [[*cells, *("" if math.isnan(v) else fmt(v) for v in row)]
+            for cells, row in zip(meta, values)]
+
+
 @contextmanager
 def _replacing(path: Path, newline: str | None = None) -> Iterator[TextIO]:
     """Text handle on a temporary sibling of path that replaces path on success."""
@@ -108,13 +119,19 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
-def read_matrix(path: Path, meta_columns: int) -> tuple[list[list[str]], np.ndarray]:
+def read_matrix(path: Path, meta_columns: int, header: Sequence[str] | None = None
+                ) -> tuple[list[list[str]], np.ndarray]:
     """Rows of leading string cells plus the numeric remainder as a
-    (rows, columns) array, also when the file holds only its header."""
-    header, rows = read_csv(path)
+    (rows, columns) array, also when the file holds only its header. With
+    header given, a file whose header differs raises MalformedHeaderError."""
+    got, rows = read_csv(path)
+    if header is not None and got != list(header):
+        raise MalformedHeaderError(
+            f"{path.name}: expected header {','.join(header)}, got {','.join(got)}"
+        )
     meta = [row[:meta_columns] for row in rows]
     data = np.array([[float(cell) for cell in row[meta_columns:]] for row in rows])
-    return meta, data.reshape(len(rows), len(header) - meta_columns)
+    return meta, data.reshape(len(rows), len(got) - meta_columns)
 
 
 def write_json(path: Path, payload: dict) -> None:

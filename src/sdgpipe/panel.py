@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +50,20 @@ class ScorePanel:
     """Validated panel in canonical (country, year) row order.
 
     scores is (n_observations, 17) float64 with NaN marking missing cells;
-    index pairs each row with its (country, year).
+    index pairs each row with its (country, year), and the sorted countries
+    and years are read off it.
     """
 
-    countries: tuple[str, ...]
-    years: tuple[int, ...]
     index: tuple[tuple[str, int], ...]
     scores: np.ndarray
+
+    @cached_property
+    def countries(self) -> tuple[str, ...]:
+        return tuple(sorted({country for country, _ in self.index}))
+
+    @cached_property
+    def years(self) -> tuple[int, ...]:
+        return tuple(sorted({year for _, year in self.index}))
 
     @property
     def n_observations(self) -> int:
@@ -80,8 +89,6 @@ class ScorePanel:
 class StandardizedPanel:
     """Z-scored panel plus the pooled moments used to produce it."""
 
-    countries: tuple[str, ...]
-    years: tuple[int, ...]
     index: tuple[tuple[str, int], ...]
     z: np.ndarray
     mean: np.ndarray
@@ -111,8 +118,9 @@ def _parse_score(cell: str, row: int, column: str) -> float:
 def _records(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) of each data row of a CSV that must start with
     header. Blank rows are skipped; a row with the wrong cell count or an
-    empty first (country) cell raises."""
-    with path.open(newline="") as handle:
+    empty first (country) cell raises. A leading UTF-8 byte-order mark, as
+    spreadsheet "CSV UTF-8" exports write, is dropped."""
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             got = tuple(cell.strip().lower() for cell in next(reader))
@@ -159,28 +167,14 @@ def load_panel(path: str | Path) -> ScorePanel:
         ]
     if not rows:
         raise EmptyResultError(f"{path}: no data rows")
-    keys = sorted(rows)
-    scores = np.array([rows[key] for key in keys], dtype=float)
-    return ScorePanel(
-        countries=tuple(sorted({country for country, _ in keys})),
-        years=tuple(sorted({year for _, year in keys})),
-        index=tuple(keys),
-        scores=_freeze(scores),
-    )
-
-
-def panel_rows(index: tuple[tuple[str, int], ...], values: np.ndarray) -> list[list[str]]:
-    """Rows in the input schema: country, year, then six-decimal cells, with
-    missing (NaN) cells left blank."""
-    return [
-        [country, str(year), *("" if math.isnan(v) else artifacts.fmt(v) for v in row)]
-        for (country, year), row in zip(index, values)
-    ]
+    keys = tuple(sorted(rows))
+    return ScorePanel(keys, _freeze(np.array([rows[key] for key in keys], dtype=float)))
 
 
 def write_panel_csv(panel: ScorePanel, path: str | Path) -> None:
     """Write a panel back out in the input schema."""
-    artifacts.write_csv(Path(path), PANEL_HEADER, panel_rows(panel.index, panel.scores))
+    rows = artifacts.format_rows(panel.index, panel.scores)
+    artifacts.write_csv(Path(path), PANEL_HEADER, rows)
 
 
 def filter_complete(panel: ScorePanel) -> ScorePanel:
@@ -189,32 +183,16 @@ def filter_complete(panel: ScorePanel) -> ScorePanel:
     The year grid is the union of years present in the input. Raises
     EmptyResultError when no country survives.
     """
-    all_years = set(panel.years)
-    seen: dict[str, set[int]] = {}
-    complete_rows: dict[str, bool] = {}
-    for (country, year), row in zip(panel.index, panel.scores):
-        seen.setdefault(country, set()).add(year)
-        if np.isnan(row).any():
-            complete_rows[country] = False
-        else:
-            complete_rows.setdefault(country, True)
-    keep = sorted(
-        country
-        for country in panel.countries
-        if seen.get(country) == all_years and complete_rows.get(country, False)
-    )
-    if not keep:
+    complete = ~np.isnan(panel.scores).any(axis=1)
+    counts = Counter(country for (country, _), ok in zip(panel.index, complete) if ok)
+    # index holds each (country, year) once, so a country is kept exactly
+    # when it has a complete row in every year
+    mask = np.array([counts[country] == len(panel.years) for country, _ in panel.index],
+                    dtype=bool)
+    if not mask.any():
         raise EmptyResultError("no country has complete coverage")
-    keep_set = set(keep)
-    mask = [country in keep_set for country, _ in panel.index]
     index = tuple(key for key, hit in zip(panel.index, mask) if hit)
-    scores = panel.scores[np.array(mask, dtype=bool)].copy()
-    return ScorePanel(
-        countries=tuple(keep),
-        years=panel.years,
-        index=index,
-        scores=_freeze(scores),
-    )
+    return ScorePanel(index, _freeze(panel.scores[mask]))
 
 
 def _pooled_moments(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +214,6 @@ def standardize(panel: ScorePanel) -> StandardizedPanel:
             raise ZeroVarianceError(GOAL_COLUMNS[g])
     z = (panel.scores - mean) / std
     return StandardizedPanel(
-        countries=panel.countries,
-        years=panel.years,
         index=panel.index,
         z=_freeze(z),
         mean=_freeze(mean),

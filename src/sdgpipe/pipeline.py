@@ -22,7 +22,6 @@ from sdgpipe import artifacts, dbscan, dynamics, pca, tsne
 from sdgpipe.correlation import cluster_correlations, pearson_matrix, yearly_correlations
 from sdgpipe.errors import (
     ConfigError,
-    MissingArtifactError,
     PipelineError,
     StageError,
     TooFewMembersError,
@@ -35,7 +34,6 @@ from sdgpipe.panel import (
     filter_complete,
     load_gdp,
     load_panel,
-    panel_rows,
     standardize,
     standardize_within_cluster,
     yearly_goal_means,
@@ -50,16 +48,12 @@ class PipelineConfig:
 
     Each field is one config-file key and one CLI flag: `--` plus the name
     with `_` as `-`, unless metadata gives `flag`. Metadata `help` is the
-    flag's help text; `input` marks files the manifest checksums.
+    flag's help text.
     """
 
-    panel: Path | None = field(
-        default=None, metadata={"help": "input panel CSV", "input": True}
-    )
+    panel: Path | None = field(default=None, metadata={"help": "input panel CSV"})
     out: Path | None = field(default=None, metadata={"help": "artifact output directory"})
-    gdp: Path | None = field(
-        default=None, metadata={"help": "optional country GDP table", "input": True}
-    )
+    gdp: Path | None = field(default=None, metadata={"help": "optional country GDP table"})
     perplexity: float = 50.0
     pca_components: int = 10
     embed_dim: int = 2
@@ -185,19 +179,14 @@ def apply_overrides(config: PipelineConfig, **overrides: object) -> PipelineConf
 # artifact readers and writers
 
 
-def _read_panel_artifact(out: Path) -> ScorePanel:
-    path = out / artifacts.PANEL_FILTERED
-    if not path.exists():
-        raise MissingArtifactError(artifacts.PANEL_FILTERED)
-    return load_panel(path)
-
-
-def _read_labels(out: Path, index: tuple[tuple[str, int], ...]) -> np.ndarray:
-    meta, data = artifacts.read_matrix(out / artifacts.LABELS, 2)
-    got = [(country, int(year)) for country, year in meta]
-    if got != list(index):
-        raise PipelineError("labels.csv rows do not line up with panel_filtered.csv")
-    return data[:, 0].astype(int)
+def _read_aligned(out: Path, name: str) -> tuple[ScorePanel, np.ndarray]:
+    """panel_filtered.csv as a panel, plus the numeric columns of the artifact
+    name, whose (country, year) rows must be the panel's, in the same order."""
+    meta, scores = artifacts.read_matrix(out / artifacts.PANEL_FILTERED, 2, PANEL_HEADER)
+    rows, data = artifacts.read_matrix(out / name, 2)
+    if rows != meta:
+        raise PipelineError(f"{name} rows do not line up with {artifacts.PANEL_FILTERED}")
+    return ScorePanel(tuple((country, int(year)) for country, year in meta), scores), data
 
 
 def _emit(config: PipelineConfig, written: list[Path], name: str, header, rows) -> None:
@@ -212,16 +201,6 @@ def _emit_json(config: PipelineConfig, written: list[Path], name: str, payload) 
     written.append(path)
 
 
-def _rows(meta, values, fmt=artifacts.fmt) -> list[list[str]]:
-    """One row per (leading string cells, numbers) pair, numbers formatted."""
-    return [[*cells, *(fmt(v) for v in row)] for cells, row in zip(meta, values)]
-
-
-def _index_meta(index, labels) -> list[tuple[str, str, str]]:
-    """(country, year, cluster) cells for panel rows."""
-    return [(c, str(y), str(int(lab))) for (c, y), lab in zip(index, labels)]
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -233,13 +212,13 @@ def stage_ingest(config: PipelineConfig, written: list[Path]) -> None:
     years, means = yearly_goal_means(panel)
 
     _emit(config, written, artifacts.PANEL_FILTERED, PANEL_HEADER,
-          panel_rows(panel.index, panel.scores))
+          artifacts.format_rows(panel.index, panel.scores))
     _emit(config, written, artifacts.MOMENTS, ["goal", "mean", "std"],
-          _rows([(g,) for g in GOAL_COLUMNS], zip(zpanel.mean, zpanel.std)))
+          artifacts.format_rows(zip(GOAL_COLUMNS), zip(zpanel.mean, zpanel.std)))
     _emit(config, written, artifacts.STANDARDIZED, PANEL_HEADER,
-          panel_rows(zpanel.index, zpanel.z))
+          artifacts.format_rows(zpanel.index, zpanel.z))
     _emit(config, written, artifacts.YEARLY_MEANS, ["year", *GOAL_COLUMNS],
-          _rows([(str(int(year)),) for year in years], means))
+          artifacts.format_rows(zip(years.tolist()), means))
 
 
 def stage_pca(config: PipelineConfig, written: list[Path]) -> None:
@@ -260,15 +239,16 @@ def stage_pca(config: PipelineConfig, written: list[Path]) -> None:
         "center": model.center.tolist(),
     })
     _emit(config, written, artifacts.PCA_PROJECTION, ["country", "year", *pc_names],
-          _rows(meta, coords))
+          artifacts.format_rows(meta, coords))
 
     # The ideal point (every goal at 100) expressed in the fitted basis.
     ideal_z = (100.0 - mean) / std
     ideal_coords = pca.project(model, ideal_z)[0]
-    _emit(config, written, artifacts.PCA_IDEAL, pc_names, _rows([()], [ideal_coords]))
+    _emit(config, written, artifacts.PCA_IDEAL, pc_names,
+          artifacts.format_rows([()], [ideal_coords]))
 
     _emit(config, written, artifacts.PCA_LOADINGS, ["goal", "x", "y"],
-          _rows([(g,) for g in GOAL_COLUMNS], pca.loadings(model)))
+          artifacts.format_rows(zip(GOAL_COLUMNS), pca.loadings(model)))
 
 
 def stage_tsne(config: PipelineConfig, written: list[Path]) -> None:
@@ -284,7 +264,7 @@ def stage_tsne(config: PipelineConfig, written: list[Path]) -> None:
     axis_names = ["x", "y", "z"][: config.embed_dim]
 
     _emit(config, written, artifacts.EMBEDDING, ["country", "year", *axis_names],
-          _rows(meta, embedding.Y))
+          artifacts.format_rows(meta, embedding.Y))
     _emit(config, written, artifacts.KL_HISTORY, ["iteration", "kl"],
           [[str(step), artifacts.fmt(kl)] for step, kl in embedding.kl_history])
 
@@ -294,28 +274,25 @@ def stage_cluster(config: PipelineConfig, written: list[Path]) -> None:
     out = config.out
     if config.eps is None:
         raise PipelineError("eps is not set; run scan-eps and pick a value")
-    meta, Y = artifacts.read_matrix(out / artifacts.EMBEDDING, 2)
-    index = tuple((country, int(year)) for country, year in meta)
+    panel, Y = _read_aligned(out, artifacts.EMBEDDING)
     labels = dbscan.cluster(Y, config.eps, config.min_pts).labels
+    index = list(panel.index)
+    labelled = [(*key, label) for key, label in zip(index, labels.tolist())]
 
-    _emit(config, written, artifacts.LABELS, ["country", "year", "cluster"],
-          _index_meta(index, labels))
+    _emit(config, written, artifacts.LABELS, ["country", "year", "cluster"], labelled)
 
-    switches = dbscan.detect_switches(labels, list(index))
+    switches = dbscan.detect_switches(labels, index)
     _emit(config, written, artifacts.SWITCHES,
           ["country", "year", "from_cluster", "to_cluster"],
-          [[s.country, str(s.year), str(s.from_cluster), str(s.to_cluster)]
-           for s in switches])
+          [[s.country, s.year, s.from_cluster, s.to_cluster] for s in switches])
 
-    membership = dbscan.final_year_membership(labels, list(index))
+    membership = dbscan.final_year_membership(labels, index)
     _emit(config, written, artifacts.CLUSTER_COUNTRIES, ["country", "cluster"],
-          [[country, str(membership[country])] for country in sorted(membership)])
+          sorted(membership.items()))
 
-    panel = _read_panel_artifact(out)
     z, _ = standardize_within_cluster(panel, labels)
     _emit(config, written, artifacts.CLUSTER_STANDARDIZED,
-          ["country", "year", "cluster", *GOAL_COLUMNS],
-          _rows(_index_meta(panel.index, labels), z))
+          ["country", "year", "cluster", *GOAL_COLUMNS], artifacts.format_rows(labelled, z))
 
     if config.gdp is not None:
         gdp = load_gdp(config.gdp)
@@ -345,8 +322,8 @@ def stage_scan_eps(config: PipelineConfig, written: list[Path]) -> None:
 
 def stage_correlate(config: PipelineConfig, written: list[Path]) -> None:
     """Pearson matrices: pooled, per cluster, optionally per year."""
-    panel = _read_panel_artifact(config.out)
-    labels = _read_labels(config.out, panel.index)
+    panel, cluster_column = _read_aligned(config.out, artifacts.LABELS)
+    labels = cluster_column[:, 0].astype(int)
 
     matrices = {artifacts.CORRELATION_GLOBAL: pearson_matrix(panel)}
     for cluster_id, matrix in cluster_correlations(panel, labels).items():
@@ -355,24 +332,24 @@ def stage_correlate(config: PipelineConfig, written: list[Path]) -> None:
         for year, matrix in yearly_correlations(panel).items():
             matrices[artifacts.correlation_year_name(year)] = matrix
 
-    goal_meta = [(g,) for g in GOAL_COLUMNS]
     for name, matrix in matrices.items():
         _emit(config, written, name, ["goal", *GOAL_COLUMNS],
-              _rows(goal_meta, matrix.values, artifacts.fmt_signed))
+              artifacts.format_rows(zip(GOAL_COLUMNS), matrix.values, artifacts.fmt_signed))
 
 
 def stage_dynamics(config: PipelineConfig, written: list[Path]) -> None:
     """Distance-to-ideal series, per-year Gaussian fits, trend extrapolation."""
-    panel = _read_panel_artifact(config.out)
+    panel, cluster_column = _read_aligned(config.out, artifacts.LABELS)
+    labels = cluster_column[:, 0].astype(int)
     last_year = max(panel.years)
     if config.extrapolate_to <= last_year:
         raise PipelineError(f"extrapolate_to {config.extrapolate_to} is not after "
                             f"the last panel year {last_year}")
-    labels = _read_labels(config.out, panel.index)
+    labelled = [(*key, label) for key, label in zip(panel.index, labels.tolist())]
     distances = dynamics.distance_series(panel)
 
     _emit(config, written, artifacts.DISTANCES, ["country", "year", "cluster", "distance"],
-          _rows(_index_meta(panel.index, labels), distances[:, None]))
+          artifacts.format_rows(labelled, distances[:, None]))
 
     cluster_ids = sorted(c for c in set(labels.tolist()) if c >= 0)
     dist_years = [y for y in config.distribution_years if y in panel.years]
@@ -437,23 +414,27 @@ def _stage_figures(config: PipelineConfig, written: list[Path]) -> None:
 @dataclass(frozen=True)
 class Stage:
     """One subcommand: its function, the exit code of its failure, its help
-    text, and glob patterns of the outputs whose set depends on the
-    clustering or the config. The stage deletes their matches before it runs,
-    so a rerun that writes fewer (no --gdp, fewer clusters) leaves none behind."""
+    text, glob patterns of the outputs whose set depends on the clustering or
+    the config, and the config fields naming the input files it reads. The
+    stage deletes the globs' matches before it runs, so a rerun that writes
+    fewer (no --gdp, fewer clusters) leaves none behind; the manifest
+    checksums the inputs of the stages it records."""
 
     run: Callable[[PipelineConfig, list[Path]], None]
     exit_code: int
     help: str
     variable_outputs: tuple[str, ...] = ()
+    inputs: tuple[str, ...] = ()
 
 
 # In `sdgpipe --help` order.
 STAGES = {
-    "ingest": Stage(stage_ingest, 2, "load, validate, filter, and standardize the panel"),
+    "ingest": Stage(stage_ingest, 2, "load, validate, filter, and standardize the panel",
+                    inputs=("panel",)),
     "pca": Stage(stage_pca, 3, "fit the component basis and project observations"),
     "tsne": Stage(stage_tsne, 4, "embed component coordinates into the 2-d or 3-d map"),
     "cluster": Stage(stage_cluster, 5, "density-cluster the map and derive memberships",
-                     (artifacts.CLUSTER_GDP,)),
+                     (artifacts.CLUSTER_GDP,), inputs=("gdp",)),
     "scan-eps": Stage(stage_scan_eps, 9,
                       "tabulate cluster count and noise share over an eps grid"),
     "correlate": Stage(stage_correlate, 6, "goal correlation matrices, pooled and per cluster",
@@ -521,14 +502,14 @@ def write_manifest(
     written: list[Path],
     timings: list[dict[str, object]],
 ) -> Path:
-    """Record config, input checksums, timings, output checksums and the
-    environment (the embedding, and so the clusters, can differ across
-    Python, numpy and scipy builds)."""
+    """Record config, timings, output checksums, the checksums of the input
+    files the timed stages read, and the environment (the embedding, and so
+    the clusters, can differ across Python, numpy and scipy builds)."""
     inputs = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if f.metadata.get("input") and value is not None:
-            inputs[f.name] = {"path": str(value), "sha256": artifacts.sha256_of(value)}
+    for name in sorted({name for t in timings for name in STAGES[t["name"]].inputs}):
+        value = getattr(config, name)
+        if value is not None:
+            inputs[name] = {"path": str(value), "sha256": artifacts.sha256_of(value)}
     outputs = {
         path.name: artifacts.sha256_of(path)
         for path in sorted(set(written), key=lambda p: p.name)

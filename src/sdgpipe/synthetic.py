@@ -53,13 +53,7 @@ def synthetic_panel(
             row = group_base[g] + offsets[ci] + drift + noise
             rows.append(np.clip(row, 1.0, 99.0))
             index.append((country, year))
-    scores = np.array(rows)
-    return ScorePanel(
-        countries=tuple(countries),
-        years=years,
-        index=tuple(index),
-        scores=_freeze(scores),
-    )
+    return ScorePanel(tuple(index), _freeze(np.array(rows)))
 
 
 def synthetic_gdp(panel: ScorePanel, seed: int = 11) -> dict[str, float]:

@@ -367,8 +367,6 @@ def panel_of(scores: np.ndarray) -> ScorePanel:
     n = scores.shape[0]
     countries = tuple(f"C{i:03d}" for i in range(n))
     return ScorePanel(
-        countries=countries,
-        years=(2020,),
         index=tuple((c, 2020) for c in countries),
         scores=scores,
     )

@@ -33,8 +33,6 @@ def panel_from_scores(scores, countries_per_year=None):
                 country, year = country + 1, 0
     index = tuple(sorted(index))
     return ScorePanel(
-        countries=tuple(sorted({c for c, _ in index})),
-        years=tuple(sorted({y for _, y in index})),
         index=index,
         scores=scores,
     )

@@ -31,8 +31,6 @@ def panel_of(rows):
     keys = sorted((c, y) for c, y, _ in rows)
     lookup = {(c, y): s for c, y, s in rows}
     return ScorePanel(
-        countries=tuple(sorted({c for c, _, _ in rows})),
-        years=tuple(sorted({y for _, y, _ in rows})),
         index=tuple(keys),
         scores=np.array([lookup[k] for k in keys], dtype=float),
     )

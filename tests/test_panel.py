@@ -41,8 +41,6 @@ def make_panel(rows):
     lookup = {(c, y): s for c, y, s in rows}
     scores = np.array([lookup[k] for k in keys], dtype=float)
     return ScorePanel(
-        countries=tuple(sorted({c for c, _, _ in rows})),
-        years=tuple(sorted({y for _, y, _ in rows})),
         index=tuple(keys),
         scores=scores,
     )
@@ -147,6 +145,12 @@ class TestLoadPanel:
         p.write_text("")
         with pytest.raises(MalformedHeaderError):
             load_panel(p)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        p = tmp_path / "panel.csv"
+        p.write_text("\ufeff" + HEADER + "\n" + full_line("AAA", 2000, range(17)) + "\n",
+                     encoding="utf-8")
+        assert load_panel(p).index == (("AAA", 2000),)
 
     def test_write_then_load_round_trip(self, tmp_path, fixture_panel):
         p = tmp_path / "rt.csv"
@@ -372,6 +376,11 @@ class TestGdp:
         message = f"{p}: row 3 has an empty country"  # load_panel's wording
         with pytest.raises(MalformedHeaderError, match=f"^{re.escape(message)}$"):
             load_gdp(p)
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        p = tmp_path / "gdp.csv"
+        p.write_text("\ufeffcountry,gdp_per_capita\nAAA,5\n", encoding="utf-8")
+        assert load_gdp(p) == {"AAA": 5.0}
 
     def test_write_round_trip(self, tmp_path):
         p = tmp_path / "gdp.csv"

@@ -367,6 +367,15 @@ class TestFailureHandling:
         with pytest.raises(StageError, match="scan-eps"):
             run_stage("scan-eps", config)
 
+    @pytest.mark.parametrize("stage", ["cluster", "correlate", "dynamics"])
+    def test_panel_artifact_header_checked(self, pipeline_run, tmp_path, stage):
+        config = copy_run(pipeline_run, tmp_path / "copy")
+        path = config.out / artifacts.PANEL_FILTERED
+        header, rows = artifacts.read_csv(path)
+        artifacts.write_csv(path, ["nation", *header[1:]], rows)
+        with pytest.raises(StageError, match=f"{stage}.*expected header country,year,goal01"):
+            run_stage(stage, config)
+
     @pytest.mark.parametrize("year", [1990, 2000, 2010, 2022])
     def test_extrapolate_to_must_follow_the_data(self, pipeline_run, tmp_path, year):
         # the bundled panel covers 2000-2022
@@ -575,6 +584,38 @@ class TestCli:
         assert code == STAGES["dynamics"].exit_code == 7
         assert "extrapolate_to 2000" in capsys.readouterr().err
 
+    def test_stage_manifest_checksums_only_the_inputs_it_reads(self, pipeline_run, tmp_path,
+                                                              capsys):
+        copied = tmp_path / "copy"
+        shutil.copytree(pipeline_run.out, copied)
+        # pca never reads the panel, so a missing one is not an error
+        code = self.run_cli("pca", "--panel", tmp_path / "missing.csv", "--out", copied)
+        assert code == 0
+        payload = json.loads((copied / artifacts.MANIFEST).read_text())
+        assert [s["name"] for s in payload["stages"]] == ["pca"]
+        assert payload["inputs"] == {}
+        code = self.run_cli("cluster", "--panel", tmp_path / "missing.csv",
+                            "--gdp", pipeline_run.gdp, "--out", copied, "--eps", 5.0)
+        assert code == 0
+        payload = json.loads((copied / artifacts.MANIFEST).read_text())
+        assert list(payload["inputs"]) == ["gdp"]
+        assert payload["inputs"]["gdp"]["sha256"] == artifacts.sha256_of(pipeline_run.gdp)
+        capsys.readouterr()
+
+    def test_misaligned_embedding_fails_cluster(self, pipeline_run, tmp_path, capsys):
+        copied = tmp_path / "copy"
+        shutil.copytree(pipeline_run.out, copied)
+        renamed = tmp_path / "renamed.csv"
+        lines = Path(pipeline_run.panel).read_text().splitlines(keepends=True)
+        renamed.write_text("".join("ZZZ" + line[3:] if line.startswith("AAA,") else line
+                                   for line in lines))
+        assert self.run_cli("ingest", "--panel", renamed, "--out", copied) == 0
+        labels = (copied / artifacts.LABELS).read_bytes()
+        code = self.run_cli("cluster", "--out", copied, "--panel", renamed, "--eps", 5.0)
+        assert code == STAGES["cluster"].exit_code == 5
+        assert "embedding.csv rows do not line up" in capsys.readouterr().err
+        assert (copied / artifacts.LABELS).read_bytes() == labels
+
     def test_all_runs_clean(self, demo_dir, tmp_path, capsys):
         out = tmp_path / "out"
         code = self.run_cli(
@@ -627,6 +668,12 @@ class TestStageTable:
             "dynamics": 7,
             "figures": 8,
             "scan-eps": 9,
+        }
+
+    def test_inputs(self):
+        assert {name: stage.inputs for name, stage in STAGES.items() if stage.inputs} == {
+            "ingest": ("panel",),
+            "cluster": ("gdp",),
         }
 
     def test_subcommands_and_help(self):
