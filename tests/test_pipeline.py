@@ -1,8 +1,10 @@
 import argparse
 import csv
+import hashlib
 import json
 import platform
 import shutil
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -694,3 +696,29 @@ class TestStageTable:
     def test_full_run(self):
         assert FULL_RUN == ("ingest", "pca", "tsne", "cluster", "correlate", "dynamics",
                             "figures")
+
+    # sha256 of `sdgpipe [<command>] --help` at COLUMNS=80. argparse's layout
+    # changes between Python minor versions, so the digests hold for 3.11 only.
+    HELP_SHA256 = {
+        "": "f0bf07d494de623826dd1f4fb0b13dffb05ac25048c923b7d9fec3ae2624150c",
+        "ingest": "39b17397b915fbac9e6f677e2ce7a6d53856cc1797e0e7e46ee0dd9bbe146a73",
+        "pca": "ed5f0c03528865dcf77ac1577eeddd51ccb75f3ef8c815d318486b08f741a9af",
+        "tsne": "0a8746a88943bc99865d73fc8342ea78b351f1493bec43352e2a3774994e5d4a",
+        "cluster": "94130db42d1207741fb66c1fb6dacb8ebe3211a0010efb4d423edefe004969ac",
+        "scan-eps": "f4af6a6d656c4b19defe26cff6de5e8ae68bf5c7a4ccba0280b40e0ce7f71f0e",
+        "correlate": "0ac2ac67d599d9ba33604cd1f5bf33d0af355f1443b720e9625150afc3d165bb",
+        "dynamics": "465709c6727c0069de0a8086dc34ca6dbecac931d1fb1b17168a10fa0933bc24",
+        "figures": "24f690e2dc3e7697e9172a8eaf8cc80b04bd108b691d92d42d37c5e474585a6b",
+        "all": "f37673895a2c8638f062ff5b0e5ea286d92b31e4fddb03ed76f1b0ae9568082b",
+    }
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="help digests were recorded under Python 3.11")
+    @pytest.mark.parametrize("command", list(HELP_SHA256))
+    def test_help_golden_bytes(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"] if command else ["--help"])
+        assert stop.value.code == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == self.HELP_SHA256[command]
