@@ -27,7 +27,10 @@ from sdgpipe.pipeline import (
 USAGE_EXIT = 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _common_options() -> argparse.ArgumentParser:
+    """The options every subcommand takes: --config and one flag per config
+    field. Built once and shared as a parent, not once per subcommand."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", type=Path, help="key=value config file")
     for f in fields(PipelineConfig):
         flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
@@ -37,6 +40,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
             metavar = "V1,V2,..." if f.type.startswith("tuple") else None
             kind = {"type": FIELD_PARSERS[f.name], "metavar": metavar}
         parser.add_argument(flag, dest=f.name, help=f.metadata.get("help"), **kind)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,9 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
         "and distance-to-ideal dynamics over country indicator data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = [_common_options()]
     for name, stage in STAGES.items():
-        _add_common(sub.add_parser(name, help=stage.help))
-    _add_common(sub.add_parser("all", help="run every stage in order and write the manifest"))
+        sub.add_parser(name, help=stage.help, parents=common)
+    sub.add_parser("all", help="run every stage in order and write the manifest", parents=common)
     return parser
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from sdgpipe.errors import EmptyClusterError, ShapeMismatchError
 
@@ -51,6 +50,10 @@ class ClusterSwitch:
 
 def _checked_distances(points: np.ndarray, min_pts: int) -> np.ndarray:
     """Pairwise distances of a nonempty 2-d array of finite points; min_pts >= 1."""
+    # Imported here so that stages computing no distance skip scipy.spatial's
+    # import, which took a CLI process about 0.4 s on a 2-CPU Linux VM.
+    from scipy.spatial.distance import cdist
+
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ValueError("points must be a nonempty 2-d array")

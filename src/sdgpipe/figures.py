@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from sdgpipe import artifacts
+from sdgpipe.errors import PipelineError
 from sdgpipe.panel import GOAL_COLUMNS, N_GOALS
 
 CLUSTER_PALETTE = (
@@ -548,18 +549,24 @@ def emit_figures(out: str | Path, written: list[Path] | None = None) -> list[Pat
         artifacts.write_text(path, svg)
         produced.append(path)
 
+    # tsne_clusters.svg pairs embedding.csv with labels.csv by position, and
+    # the PCA and t-SNE scatters must show the same observations.
+    proj_meta, proj = artifacts.read_matrix(out / artifacts.PCA_PROJECTION, 2)
+    embed_meta, embed = artifacts.read_matrix(out / artifacts.EMBEDDING, 2)
+    label_meta, labels = artifacts.read_matrix(out / artifacts.LABELS, 2)
+    if not proj_meta == embed_meta == label_meta:
+        raise PipelineError(f"{artifacts.PCA_PROJECTION}, {artifacts.EMBEDDING} and "
+                            f"{artifacts.LABELS} rows do not line up")
+
     years_meta, means = artifacts.read_matrix(out / artifacts.YEARLY_MEANS, 1)
     emit("parallel.svg", fig_parallel([int(row[0]) for row in years_meta], means.tolist()))
 
-    proj_meta, proj = artifacts.read_matrix(out / artifacts.PCA_PROJECTION, 2)
     proj = proj[:, :2].tolist()
     _, ideal = artifacts.read_matrix(out / artifacts.PCA_IDEAL, 0)
     emit("pca_scatter.svg", fig_pca_scatter(proj_meta, proj, ideal[0, :2].tolist()))
     _, vectors = artifacts.read_matrix(out / artifacts.PCA_LOADINGS, 1)
     emit("pca_biplot.svg", fig_pca_biplot(proj_meta, proj, vectors.tolist()))
 
-    embed_meta, embed = artifacts.read_matrix(out / artifacts.EMBEDDING, 2)
-    _, labels = artifacts.read_matrix(out / artifacts.LABELS, 2)
     _, switch_rows = artifacts.read_csv(out / artifacts.SWITCHES)
     switchers = sorted({row[0] for row in switch_rows})
     emit("tsne_clusters.svg", fig_tsne_clusters(

@@ -415,9 +415,10 @@ def _stage_figures(config: PipelineConfig, written: list[Path]) -> None:
 class Stage:
     """One subcommand: its function, the exit code of its failure, its help
     text, glob patterns of the outputs whose set depends on the clustering or
-    the config, and the config fields naming the input files it reads. The
-    stage deletes the globs' matches before it runs, so a rerun that writes
-    fewer (no --gdp, fewer clusters) leaves none behind; the manifest
+    the config, and the config fields naming the input files it reads. Once
+    the stage succeeds, it deletes the globs' matches that it did not write,
+    so a rerun that writes fewer (no --gdp, fewer clusters) leaves none
+    behind, and a failed rerun keeps the previous run's; the manifest
     checksums the inputs of the stages it records."""
 
     run: Callable[[PipelineConfig, list[Path]], None]
@@ -461,14 +462,14 @@ def run_stage(name: str, config: PipelineConfig) -> tuple[list[Path], float]:
     written: list[Path] = []
     start = time.perf_counter()
     try:
-        for pattern in STAGES[name].variable_outputs:
-            for path in config.out.glob(pattern):
-                path.unlink()
         STAGES[name].run(config, written)
     except Exception as exc:
         for path in written:
             path.unlink(missing_ok=True)
         raise StageError(name, exc) from exc
+    for pattern in STAGES[name].variable_outputs:
+        for path in set(config.out.glob(pattern)).difference(written):
+            path.unlink()
     return written, time.perf_counter() - start
 
 

@@ -44,7 +44,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from sdgpipe.errors import CalibrationFailedError, ShapeMismatchError
 
@@ -188,6 +187,8 @@ def joint_affinities(X: np.ndarray, perplexity: float) -> AffinityMatrix:
     distances are computed one row at a time (bitwise that row of the full
     cdist), and the conditionals are symmetrized and floored in place.
     """
+    from scipy.spatial.distance import cdist  # see dbscan._checked_distances
+
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] < 4:
         raise ValueError("need a 2-d array with at least 4 rows")
@@ -304,6 +305,8 @@ def _student_t(Y: np.ndarray, kernel: np.ndarray, sweep: Sweep) -> float:
     Row blocks of kernel are computed independently, and Z is one serial sum
     over the whole buffer, so the result does not depend on the pool.
     """
+    from scipy.spatial.distance import cdist  # see dbscan._checked_distances
+
     Yc = np.ascontiguousarray(Y)  # cdist is slower on Fortran order
 
     def rows_of(rows: slice, _scratch: np.ndarray) -> None:

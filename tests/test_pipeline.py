@@ -2,8 +2,10 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import platform
 import shutil
+import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sdgpipe
 from sdgpipe import artifacts, dbscan, tsne
 from sdgpipe.cli import _config_from_args, build_parser, main
 from sdgpipe.dynamics import TrajectoryFit, future_root
@@ -604,7 +607,9 @@ class TestCli:
         assert payload["inputs"]["gdp"]["sha256"] == artifacts.sha256_of(pipeline_run.gdp)
         capsys.readouterr()
 
-    def test_misaligned_embedding_fails_cluster(self, pipeline_run, tmp_path, capsys):
+    def reingest_renamed(self, pipeline_run, tmp_path) -> tuple[Path, Path]:
+        """A copy of the run re-ingested from its panel with AAA renamed ZZZ,
+        so every later artifact lists other rows than panel_filtered.csv."""
         copied = tmp_path / "copy"
         shutil.copytree(pipeline_run.out, copied)
         renamed = tmp_path / "renamed.csv"
@@ -612,11 +617,36 @@ class TestCli:
         renamed.write_text("".join("ZZZ" + line[3:] if line.startswith("AAA,") else line
                                    for line in lines))
         assert self.run_cli("ingest", "--panel", renamed, "--out", copied) == 0
+        return copied, renamed
+
+    def test_misaligned_embedding_fails_cluster(self, pipeline_run, tmp_path, capsys):
+        copied, renamed = self.reingest_renamed(pipeline_run, tmp_path)
         labels = (copied / artifacts.LABELS).read_bytes()
         code = self.run_cli("cluster", "--out", copied, "--panel", renamed, "--eps", 5.0)
         assert code == STAGES["cluster"].exit_code == 5
         assert "embedding.csv rows do not line up" in capsys.readouterr().err
         assert (copied / artifacts.LABELS).read_bytes() == labels
+
+    def test_failed_stage_keeps_previous_per_cluster_files(self, pipeline_run, tmp_path,
+                                                           capsys):
+        copied, renamed = self.reingest_renamed(pipeline_run, tmp_path)
+        pattern = artifacts.correlation_cluster_name("*")
+        before = {p.name: p.read_bytes() for p in copied.glob(pattern)}
+        assert before
+        code = self.run_cli("correlate", "--out", copied, "--panel", renamed)
+        assert code == STAGES["correlate"].exit_code == 6
+        assert "labels.csv rows do not line up" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in copied.glob(pattern)} == before
+
+    def test_misaligned_inputs_fail_figures(self, pipeline_run, tmp_path, capsys):
+        copied, renamed = self.reingest_renamed(pipeline_run, tmp_path)
+        assert self.run_cli("pca", "--out", copied, "--panel", renamed) == 0
+        before = {p.name: p.read_bytes() for p in copied.glob("*.svg")}
+        capsys.readouterr()
+        code = self.run_cli("figures", "--out", copied, "--panel", renamed)
+        assert code == STAGES["figures"].exit_code == 8
+        assert "rows do not line up" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in copied.glob("*.svg")} == before
 
     def test_all_runs_clean(self, demo_dir, tmp_path, capsys):
         out = tmp_path / "out"
@@ -653,6 +683,39 @@ class TestCli:
         want = json.loads((pipeline_run.out / artifacts.MANIFEST).read_text())
         got = json.loads((out / artifacts.MANIFEST).read_text())
         assert want["outputs"] == got["outputs"]
+
+
+class TestStartupImports:
+    """scipy.spatial took a process about 0.4 s to import (2-CPU Linux VM), so
+    only the stages that compute distances (tsne, scan-eps, cluster) may load it."""
+
+    def run_python(self, code: str) -> str:
+        env = dict(os.environ)
+        # the child runs the same sdgpipe this process imported
+        source_root = str(Path(sdgpipe.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (source_root, env.get("PYTHONPATH"))))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    def test_import_leaves_scipy_spatial_unloaded(self):
+        code = "import sdgpipe, sdgpipe.cli, sys; print('scipy.spatial' in sys.modules)"
+        assert self.run_python(code) == "False\n"
+
+    def test_stages_without_distances_leave_scipy_spatial_unloaded(self, pipeline_run,
+                                                                  tmp_path):
+        copied = tmp_path / "copy"
+        shutil.copytree(pipeline_run.out, copied)
+        runs = [("ingest", tmp_path / "fresh"), ("pca", tmp_path / "fresh"),
+                ("correlate", copied), ("dynamics", copied), ("figures", copied)]
+        calls = [[stage, "--panel", str(pipeline_run.panel), "--out", str(out)]
+                 for stage, out in runs]
+        code = ("import sys\n"
+                "from sdgpipe.cli import main\n"
+                f"codes = [main(argv) for argv in {calls!r}]\n"
+                "print(codes, 'scipy.spatial' in sys.modules)\n")
+        assert self.run_python(code).splitlines()[-1] == "[0, 0, 0, 0, 0] False"
 
 
 class TestStageTable:
