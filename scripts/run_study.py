@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from sdgpipe import artifacts
-from sdgpipe.pipeline import FULL_RUN, PipelineConfig, run_pipeline, run_stage
+from sdgpipe.pipeline import FULL_RUN, PipelineConfig, run_pipeline
 
 
 def main() -> int:
@@ -29,13 +29,11 @@ def main() -> int:
         gdp=args.gdp,
         eps=args.eps,
         seed=args.seed,
-        per_year_correlations=False,
     )
     if args.eps is None:
-        for stage in FULL_RUN[: FULL_RUN.index("cluster")]:
-            _, seconds = run_stage(stage, config)
-            print(f"{stage}: {seconds:.1f}s")
-        run_stage("scan-eps", config)
+        manifest = run_pipeline(config, (*FULL_RUN[: FULL_RUN.index("cluster")], "scan-eps"))
+        for stage in artifacts.read_json(manifest)["stages"]:
+            print(f"{stage['name']}: {stage['seconds']:.1f}s")
         print((args.out / artifacts.EPS_SCAN).read_text())
         print("pick an eps from the table above and re-run with --eps")
         return 0

@@ -539,13 +539,14 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
 # artifact plumbing
 
 
-def emit_figures(out: str | Path, written: list[Path] | None = None) -> list[Path]:
-    """Render every figure from the artifacts in out; returns written paths."""
+def emit_figures(out: str | Path, dest: str | Path | None = None) -> list[Path]:
+    """Draw every figure from the artifacts in out into dest (default out); returns the paths."""
     out = Path(out)
-    produced: list[Path] = written if written is not None else []
+    dest = Path(dest or out)
+    produced: list[Path] = []
 
     def emit(name: str, svg: str) -> None:
-        path = out / name
+        path = dest / name
         artifacts.write_text(path, svg)
         produced.append(path)
 

@@ -1,15 +1,17 @@
-"""Stage orchestration: config handling, artifact emission, run manifest.
+"""Stage orchestration: config handling, stage commits, run manifest.
 
 Every stage reads its inputs from files that earlier stages wrote into the
-output directory and writes its own artifacts there, so running stages one
-at a time and running them all in one go produce identical bytes. A stage
-failure removes whatever partial files that stage had written and surfaces
-as a StageError naming the stage.
+output directory, so running stages one at a time and all in one go gives
+identical bytes. A stage writes into its own staging directory, which is
+committed into the output directory only on success: a failed stage leaves
+that directory as it was and surfaces as a StageError naming the stage.
 """
 
 from __future__ import annotations
 
+import os
 import platform
+import shutil
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
@@ -189,39 +191,27 @@ def _read_aligned(out: Path, name: str) -> tuple[ScorePanel, np.ndarray]:
     return ScorePanel(tuple((country, int(year)) for country, year in meta), scores), data
 
 
-def _emit(config: PipelineConfig, written: list[Path], name: str, header, rows) -> None:
-    path = config.out / name
-    artifacts.write_csv(path, header, rows)
-    written.append(path)
-
-
-def _emit_json(config: PipelineConfig, written: list[Path], name: str, payload) -> None:
-    path = config.out / name
-    artifacts.write_json(path, payload)
-    written.append(path)
-
-
 # ---------------------------------------------------------------------------
 # stages
 
 
-def stage_ingest(config: PipelineConfig, written: list[Path]) -> None:
+def stage_ingest(config: PipelineConfig, dest: Path) -> None:
     """Load, validate, filter, and standardize the input panel."""
     panel = filter_complete(load_panel(config.panel))
     zpanel = standardize(panel)
     years, means = yearly_goal_means(panel)
 
-    _emit(config, written, artifacts.PANEL_FILTERED, PANEL_HEADER,
-          artifacts.format_rows(panel.index, panel.scores))
-    _emit(config, written, artifacts.MOMENTS, ["goal", "mean", "std"],
-          artifacts.format_rows(zip(GOAL_COLUMNS), zip(zpanel.mean, zpanel.std)))
-    _emit(config, written, artifacts.STANDARDIZED, PANEL_HEADER,
-          artifacts.format_rows(zpanel.index, zpanel.z))
-    _emit(config, written, artifacts.YEARLY_MEANS, ["year", *GOAL_COLUMNS],
-          artifacts.format_rows(zip(years.tolist()), means))
+    artifacts.write_csv(dest / artifacts.PANEL_FILTERED, PANEL_HEADER,
+                        artifacts.format_rows(panel.index, panel.scores))
+    artifacts.write_csv(dest / artifacts.MOMENTS, ["goal", "mean", "std"],
+                        artifacts.format_rows(zip(GOAL_COLUMNS), zip(zpanel.mean, zpanel.std)))
+    artifacts.write_csv(dest / artifacts.STANDARDIZED, PANEL_HEADER,
+                        artifacts.format_rows(zpanel.index, zpanel.z))
+    artifacts.write_csv(dest / artifacts.YEARLY_MEANS, ["year", *GOAL_COLUMNS],
+                        artifacts.format_rows(zip(years.tolist()), means))
 
 
-def stage_pca(config: PipelineConfig, written: list[Path]) -> None:
+def stage_pca(config: PipelineConfig, dest: Path) -> None:
     """Fit the component basis on standardized scores and project everything."""
     out = config.out
     meta, Z = artifacts.read_matrix(out / artifacts.STANDARDIZED, 2)
@@ -232,26 +222,26 @@ def stage_pca(config: PipelineConfig, written: list[Path]) -> None:
     coords = pca.project(model, Z)
     pc_names = [f"pc{j + 1:02d}" for j in range(model.n_components)]
 
-    _emit_json(config, written, artifacts.PCA_MODEL, {
+    artifacts.write_json(dest / artifacts.PCA_MODEL, {
         "components": model.components.tolist(),
         "explained_variance": model.explained_variance.tolist(),
         "explained_variance_ratio": model.explained_variance_ratio.tolist(),
         "center": model.center.tolist(),
     })
-    _emit(config, written, artifacts.PCA_PROJECTION, ["country", "year", *pc_names],
-          artifacts.format_rows(meta, coords))
+    artifacts.write_csv(dest / artifacts.PCA_PROJECTION, ["country", "year", *pc_names],
+                        artifacts.format_rows(meta, coords))
 
     # The ideal point (every goal at 100) expressed in the fitted basis.
     ideal_z = (100.0 - mean) / std
     ideal_coords = pca.project(model, ideal_z)[0]
-    _emit(config, written, artifacts.PCA_IDEAL, pc_names,
-          artifacts.format_rows([()], [ideal_coords]))
+    artifacts.write_csv(dest / artifacts.PCA_IDEAL, pc_names,
+                        artifacts.format_rows([()], [ideal_coords]))
 
-    _emit(config, written, artifacts.PCA_LOADINGS, ["goal", "x", "y"],
-          artifacts.format_rows(zip(GOAL_COLUMNS), pca.loadings(model)))
+    artifacts.write_csv(dest / artifacts.PCA_LOADINGS, ["goal", "x", "y"],
+                        artifacts.format_rows(zip(GOAL_COLUMNS), pca.loadings(model)))
 
 
-def stage_tsne(config: PipelineConfig, written: list[Path]) -> None:
+def stage_tsne(config: PipelineConfig, dest: Path) -> None:
     """Embed the component coordinates into the low-dimensional map."""
     meta, X = artifacts.read_matrix(config.out / artifacts.PCA_PROJECTION, 2)
     embedding = tsne.run(
@@ -263,13 +253,13 @@ def stage_tsne(config: PipelineConfig, written: list[Path]) -> None:
     )
     axis_names = ["x", "y", "z"][: config.embed_dim]
 
-    _emit(config, written, artifacts.EMBEDDING, ["country", "year", *axis_names],
-          artifacts.format_rows(meta, embedding.Y))
-    _emit(config, written, artifacts.KL_HISTORY, ["iteration", "kl"],
-          [[str(step), artifacts.fmt(kl)] for step, kl in embedding.kl_history])
+    artifacts.write_csv(dest / artifacts.EMBEDDING, ["country", "year", *axis_names],
+                        artifacts.format_rows(meta, embedding.Y))
+    artifacts.write_csv(dest / artifacts.KL_HISTORY, ["iteration", "kl"],
+                        [[str(step), artifacts.fmt(kl)] for step, kl in embedding.kl_history])
 
 
-def stage_cluster(config: PipelineConfig, written: list[Path]) -> None:
+def stage_cluster(config: PipelineConfig, dest: Path) -> None:
     """Run density clustering on the map and derive membership artifacts."""
     out = config.out
     if config.eps is None:
@@ -279,20 +269,21 @@ def stage_cluster(config: PipelineConfig, written: list[Path]) -> None:
     index = list(panel.index)
     labelled = [(*key, label) for key, label in zip(index, labels.tolist())]
 
-    _emit(config, written, artifacts.LABELS, ["country", "year", "cluster"], labelled)
+    artifacts.write_csv(dest / artifacts.LABELS, ["country", "year", "cluster"], labelled)
 
     switches = dbscan.detect_switches(labels, index)
-    _emit(config, written, artifacts.SWITCHES,
-          ["country", "year", "from_cluster", "to_cluster"],
-          [[s.country, s.year, s.from_cluster, s.to_cluster] for s in switches])
+    artifacts.write_csv(dest / artifacts.SWITCHES,
+                        ["country", "year", "from_cluster", "to_cluster"],
+                        [[s.country, s.year, s.from_cluster, s.to_cluster] for s in switches])
 
     membership = dbscan.final_year_membership(labels, index)
-    _emit(config, written, artifacts.CLUSTER_COUNTRIES, ["country", "cluster"],
-          sorted(membership.items()))
+    artifacts.write_csv(dest / artifacts.CLUSTER_COUNTRIES, ["country", "cluster"],
+                        sorted(membership.items()))
 
     z, _ = standardize_within_cluster(panel, labels)
-    _emit(config, written, artifacts.CLUSTER_STANDARDIZED,
-          ["country", "year", "cluster", *GOAL_COLUMNS], artifacts.format_rows(labelled, z))
+    artifacts.write_csv(dest / artifacts.CLUSTER_STANDARDIZED,
+                        ["country", "year", "cluster", *GOAL_COLUMNS],
+                        artifacts.format_rows(labelled, z))
 
     if config.gdp is not None:
         gdp = load_gdp(config.gdp)
@@ -308,19 +299,19 @@ def stage_cluster(config: PipelineConfig, written: list[Path]) -> None:
             rows.append(
                 [str(cluster_id), str(len(members)), str(values.size), mean, spread]
             )
-        _emit(config, written, artifacts.CLUSTER_GDP,
-              ["cluster", "n_countries", "n_with_gdp", "gdp_mean", "gdp_std"], rows)
+        header = ["cluster", "n_countries", "n_with_gdp", "gdp_mean", "gdp_std"]
+        artifacts.write_csv(dest / artifacts.CLUSTER_GDP, header, rows)
 
 
-def stage_scan_eps(config: PipelineConfig, written: list[Path]) -> None:
+def stage_scan_eps(config: PipelineConfig, dest: Path) -> None:
     """Tabulate cluster count and noise share across the eps grid."""
     _, Y = artifacts.read_matrix(config.out / artifacts.EMBEDDING, 2)
     rows = dbscan.scan_eps(Y, np.array(config.eps_grid), config.min_pts)
-    _emit(config, written, artifacts.EPS_SCAN, ["eps", "n_clusters", "noise_fraction"],
-          [[artifacts.fmt(eps), str(n), artifacts.fmt(frac)] for eps, n, frac in rows])
+    artifacts.write_csv(dest / artifacts.EPS_SCAN, ["eps", "n_clusters", "noise_fraction"],
+                        [[artifacts.fmt(e), str(n), artifacts.fmt(f)] for e, n, f in rows])
 
 
-def stage_correlate(config: PipelineConfig, written: list[Path]) -> None:
+def stage_correlate(config: PipelineConfig, dest: Path) -> None:
     """Pearson matrices: pooled, per cluster, optionally per year."""
     panel, cluster_column = _read_aligned(config.out, artifacts.LABELS)
     labels = cluster_column[:, 0].astype(int)
@@ -333,11 +324,11 @@ def stage_correlate(config: PipelineConfig, written: list[Path]) -> None:
             matrices[artifacts.correlation_year_name(year)] = matrix
 
     for name, matrix in matrices.items():
-        _emit(config, written, name, ["goal", *GOAL_COLUMNS],
-              artifacts.format_rows(zip(GOAL_COLUMNS), matrix.values, artifacts.fmt_signed))
+        rows = artifacts.format_rows(zip(GOAL_COLUMNS), matrix.values, artifacts.fmt_signed)
+        artifacts.write_csv(dest / name, ["goal", *GOAL_COLUMNS], rows)
 
 
-def stage_dynamics(config: PipelineConfig, written: list[Path]) -> None:
+def stage_dynamics(config: PipelineConfig, dest: Path) -> None:
     """Distance-to-ideal series, per-year Gaussian fits, trend extrapolation."""
     panel, cluster_column = _read_aligned(config.out, artifacts.LABELS)
     labels = cluster_column[:, 0].astype(int)
@@ -348,8 +339,8 @@ def stage_dynamics(config: PipelineConfig, written: list[Path]) -> None:
     labelled = [(*key, label) for key, label in zip(panel.index, labels.tolist())]
     distances = dynamics.distance_series(panel)
 
-    _emit(config, written, artifacts.DISTANCES, ["country", "year", "cluster", "distance"],
-          artifacts.format_rows(labelled, distances[:, None]))
+    artifacts.write_csv(dest / artifacts.DISTANCES, ["country", "year", "cluster", "distance"],
+                        artifacts.format_rows(labelled, distances[:, None]))
 
     cluster_ids = sorted(c for c in set(labels.tolist()) if c >= 0)
     dist_years = [y for y in config.distribution_years if y in panel.years]
@@ -371,18 +362,18 @@ def stage_dynamics(config: PipelineConfig, written: list[Path]) -> None:
                     str(fit.n_members),
                 ]
             )
-    _emit(config, written, artifacts.GAUSSIAN_FITS,
-          ["cluster", "year", "mean", "std", "n_members"], fit_rows)
+    artifacts.write_csv(dest / artifacts.GAUSSIAN_FITS,
+                        ["cluster", "year", "mean", "std", "n_members"], fit_rows)
 
     membership = dbscan.final_year_membership(labels, list(panel.index))
     final_ids = sorted(c for c in set(membership.values()) if c >= 0)
     fits_payload: dict[str, dict] = {}
     for cluster_id in final_ids:
         table = dynamics.displacement_table(panel, labels, cluster_id)
-        _emit(config, written, artifacts.trajectory_name(cluster_id),
-              ["year", "mean", "std", "n"],
-              [[str(year), artifacts.fmt(mean), artifacts.fmt(std), str(n)]
-               for year, mean, std, n in table])
+        artifacts.write_csv(dest / artifacts.trajectory_name(cluster_id),
+                            ["year", "mean", "std", "n"],
+                            [[str(year), artifacts.fmt(mean), artifacts.fmt(std), str(n)]
+                             for year, mean, std, n in table])
 
         curve = {year: mean for year, mean, _, _ in table}
         fit = dynamics.fit_trajectory(curve, config.exclude_years)
@@ -398,30 +389,30 @@ def stage_dynamics(config: PipelineConfig, written: list[Path]) -> None:
             "attainment_year": dynamics.attainment_year(fit, last_year),
             "extrapolate_to": config.extrapolate_to,
         }
-    _emit_json(config, written, artifacts.TRAJECTORY_FITS, fits_payload)
+    artifacts.write_json(dest / artifacts.TRAJECTORY_FITS, fits_payload)
 
 
 # ---------------------------------------------------------------------------
 # orchestration
 
 
-def _stage_figures(config: PipelineConfig, written: list[Path]) -> None:
+def _stage_figures(config: PipelineConfig, dest: Path) -> None:
     from sdgpipe import figures
 
-    figures.emit_figures(config.out, written=written)
+    figures.emit_figures(config.out, dest)
 
 
 @dataclass(frozen=True)
 class Stage:
-    """One subcommand: its function, the exit code of its failure, its help
-    text, glob patterns of the outputs whose set depends on the clustering or
-    the config, and the config fields naming the input files it reads. Once
-    the stage succeeds, it deletes the globs' matches that it did not write,
-    so a rerun that writes fewer (no --gdp, fewer clusters) leaves none
-    behind, and a failed rerun keeps the previous run's; the manifest
-    checksums the inputs of the stages it records."""
+    """One subcommand: run(config, dest), which reads config.out and writes
+    only into dest; the exit code of its failure; its help text; glob
+    patterns of the outputs whose set depends on the clustering or the
+    config, whose matches the stage's commit deletes unless it wrote them
+    again, so a rerun that writes fewer (no --gdp, fewer clusters) leaves
+    none behind; and the config fields naming the input files it reads,
+    which the manifest checksums."""
 
-    run: Callable[[PipelineConfig, list[Path]], None]
+    run: Callable[[PipelineConfig, Path], None]
     exit_code: int
     help: str
     variable_outputs: tuple[str, ...] = ()
@@ -454,23 +445,30 @@ FULL_RUN = tuple(name for name in STAGES if name != "scan-eps")
 
 
 def run_stage(name: str, config: PipelineConfig) -> tuple[list[Path], float]:
-    """Run one stage; on failure remove its partial outputs and re-raise."""
+    """Run one stage into a staging directory inside config.out. On success
+    delete the variable outputs it did not write again and move its files
+    in; on failure drop them, leave config.out as it was and raise StageError."""
     if name not in STAGES:
         raise ConfigError(f"unknown stage {name!r}")
     config.validate()
-    config.out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    stage, out = STAGES[name], config.out
+    dest = out / f".{name}.staging"
+    shutil.rmtree(dest, ignore_errors=True)  # left by an interrupted run
+    dest.mkdir(parents=True)
     start = time.perf_counter()
     try:
-        STAGES[name].run(config, written)
+        stage.run(config, dest)
     except Exception as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
+        shutil.rmtree(dest)
         raise StageError(name, exc) from exc
-    for pattern in STAGES[name].variable_outputs:
-        for path in set(config.out.glob(pattern)).difference(written):
+    committed = [out / path.name for path in sorted(dest.iterdir())]
+    for pattern in stage.variable_outputs:
+        for path in set(out.glob(pattern)).difference(committed):
             path.unlink()
-    return written, time.perf_counter() - start
+    for path in committed:
+        os.replace(dest / path.name, path)
+    dest.rmdir()
+    return committed, time.perf_counter() - start
 
 
 def run_pipeline(config: PipelineConfig, stages: tuple[str, ...] = FULL_RUN) -> Path:

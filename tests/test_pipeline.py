@@ -346,17 +346,17 @@ class TestFailureHandling:
         with pytest.raises(StageError, match="pca"):
             run_stage("pca", config)  # nothing ingested yet
 
-    def test_failed_stage_removes_partial_outputs(self, pipeline_run, tmp_path):
+    def test_failed_stage_keeps_previous_outputs(self, pipeline_run, tmp_path):
         config = copy_run(pipeline_run, tmp_path / "copy")
+        names = [artifacts.LABELS, artifacts.SWITCHES, artifacts.CLUSTER_COUNTRIES,
+                 artifacts.CLUSTER_STANDARDIZED, artifacts.CLUSTER_GDP]
+        before = {name: (config.out / name).read_bytes() for name in names}
         config = replace(config, gdp=tmp_path / "missing_gdp.csv")
         with pytest.raises(StageError, match="cluster"):
-            run_stage("cluster", config)
-        # everything the failed rerun wrote is gone, earlier stages intact
-        assert not (config.out / artifacts.LABELS).exists()
-        assert not (config.out / artifacts.SWITCHES).exists()
-        assert not (config.out / artifacts.CLUSTER_COUNTRIES).exists()
-        assert not (config.out / artifacts.CLUSTER_STANDARDIZED).exists()
-        assert (config.out / artifacts.EMBEDDING).exists()
+            run_stage("cluster", config)  # fails after writing the labels
+        # the failed rerun commits nothing, so the previous run's files stay
+        assert {name: (config.out / name).read_bytes() for name in names} == before
+        assert [p.name for p in config.out.iterdir() if p.name.startswith(".")] == []
 
     def test_misaligned_labels_detected(self, pipeline_run, tmp_path):
         config = copy_run(pipeline_run, tmp_path / "copy")
@@ -444,6 +444,36 @@ class TestStaleOutputs:
         for name in [*planted, artifacts.CLUSTER_GDP]:
             assert not (out / name).exists(), name
         assert (out / artifacts.CORRELATION_GLOBAL).exists()
+
+
+def snapshot(directory: Path) -> dict[str, tuple[int, bytes]]:
+    """Each file's inode and bytes: a rewrite with the same bytes still
+    replaces the inode, since every artifact is renamed into place."""
+    return {p.name: (p.stat().st_ino, p.read_bytes()) for p in directory.iterdir()}
+
+
+class TestStageCommit:
+    @pytest.mark.parametrize("name", list(STAGES))
+    def test_stage_writes_only_into_dest(self, pipeline_run, tmp_path, name):
+        # run_stage commits what a stage wrote into dest; a stage that wrote
+        # into out directly would bypass the commit
+        config = copy_run(pipeline_run, tmp_path / "copy")
+        before = snapshot(config.out)
+        dest = tmp_path / "dest"
+        dest.mkdir()
+        STAGES[name].run(config, dest)
+        assert snapshot(config.out) == before
+        assert list(dest.iterdir())
+
+    def test_leftover_staging_directory_is_discarded(self, pipeline_run, tmp_path):
+        config = copy_run(pipeline_run, tmp_path / "copy")
+        staging = config.out / ".correlate.staging"
+        staging.mkdir()
+        (staging / "stray.csv").write_text("left by an interrupted run\n")
+        written, _ = run_stage("correlate", config)
+        assert "stray.csv" not in [p.name for p in written]
+        assert not (config.out / "stray.csv").exists()
+        assert not staging.exists()
 
 
 class TestLoneNoisePoint:
@@ -647,6 +677,18 @@ class TestCli:
         assert code == STAGES["figures"].exit_code == 8
         assert "rows do not line up" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in copied.glob("*.svg")} == before
+
+    def test_failed_figures_keeps_every_svg(self, pipeline_run, tmp_path, capsys):
+        copied = tmp_path / "copy"
+        shutil.copytree(pipeline_run.out, copied)
+        before = {p.name: p.read_bytes() for p in copied.glob("*.svg")}
+        # figures reads the trajectory tables last, after drawing the others
+        sorted(copied.glob(artifacts.trajectory_name("*")))[0].unlink()
+        code = self.run_cli("figures", "--out", copied, "--panel", pipeline_run.panel)
+        assert code == STAGES["figures"].exit_code == 8
+        assert {p.name: p.read_bytes() for p in copied.glob("*.svg")} == before
+        assert [p.name for p in copied.iterdir() if p.name.startswith(".")] == []
+        capsys.readouterr()
 
     def test_all_runs_clean(self, demo_dir, tmp_path, capsys):
         out = tmp_path / "out"
