@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from sdgpipe import artifacts
 from sdgpipe.errors import MissingArtifactError
@@ -34,6 +36,8 @@ from sdgpipe.pipeline import run_stage
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
 
 def svg_root(text: str) -> ET.Element:
     return ET.fromstring(text)
@@ -52,6 +56,25 @@ class TestPrimitives:
         assert frame.y(0.0) == 120  # bottom of the panel
         assert frame.y(1.0) == 20
         assert frame.y(0.5) == 70
+
+    @given(bounds=st.lists(finite, min_size=8, max_size=8),
+           values=st.lists(st.one_of(finite, st.integers(-3000, 3000)), max_size=40))
+    def test_frame_on_an_array_equals_scalar_calls(self, bounds, values):
+        x_lo, x_hi, y_lo, y_hi = bounds[:4]
+        assume(x_hi != x_lo and y_hi != y_lo)
+        frame = Frame(x_lo, x_hi, y_lo, y_hi, *bounds[4:])
+        array = np.array(values, dtype=float)
+        with np.errstate(all="ignore"):
+            for axis in (frame.x, frame.y):
+                want = np.array([axis(float(v)) for v in values], dtype=float)
+                got = np.asarray(axis(array), dtype=float)
+                assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    def test_integer_frame_on_an_integer_range(self):
+        # the goal axis: integer bounds and positions, as fig_parallel uses them
+        frame = Frame(1, N_GOALS, -3.5, 2.25, 60, 40, 580, 370)
+        goals = np.arange(1, N_GOALS + 1)
+        assert frame.x(goals).tolist() == [frame.x(g) for g in range(1, N_GOALS + 1)]
 
     def test_tick_ladder(self):
         assert _ticks(0.0, 10.0) == pytest.approx([0, 2, 4, 6, 8, 10])
@@ -276,7 +299,15 @@ def golden_inputs(noise_only: bool = False) -> dict:
             "attainment_year": None, "extrapolate_to": 2100,
         },
     }
+    correlations = {
+        "all countries": [[1.0 if i == j else cycle(i * j + i + j, 9, 0.25, -1.0)
+                           for j in range(N_GOALS)] for i in range(N_GOALS)],
+    }
+    if not noise_only:
+        correlations["cluster 0"] = [[1.0 if i == j else cycle(2 * i * j + i + j, 5, 0.5, -1.0)
+                                      for j in range(N_GOALS)] for i in range(N_GOALS)]
     return {
+        "years": GOLDEN_YEARS,
         "meta": meta,
         "labels": labels,
         "switchers": [] if noise_only else ["BBB"],
@@ -291,12 +322,8 @@ def golden_inputs(noise_only: bool = False) -> dict:
                   for i in range(len(index))],
         "profiles": [(c, y, lab, [cycle(3 * i + 5 * g, 11, 0.5, -2.5) for g in range(N_GOALS)])
                      for i, ((c, y), lab) in enumerate(zip(index, labels))],
-        "correlations": {
-            "all countries": [[1.0 if i == j else cycle(i * j + i + j, 9, 0.25, -1.0)
-                               for j in range(N_GOALS)] for i in range(N_GOALS)],
-            "cluster 0": [[1.0 if i == j else cycle(2 * i * j + i + j, 5, 0.5, -1.0)
-                           for j in range(N_GOALS)] for i in range(N_GOALS)],
-        },
+        # heatmap subtitle -> matrix
+        "correlations": correlations,
         # (cluster, year, mean, std, n); cluster 1 in 2000 has std 0
         "gaussian_fits": [] if noise_only else [
             (0, 2000, 30.0, 2.5, 2), (0, 2005, 26.25, 3.0, 2),
@@ -310,19 +337,101 @@ def golden_inputs(noise_only: bool = False) -> dict:
     }
 
 
+# The study shape: 30 countries x 23 years, six clusters plus noise, so seven
+# heatmaps, seven profile panels over three grid rows and four distribution
+# panels over two.
+STUDY_YEARS = list(range(2000, 2023))
+STUDY_COUNTRIES = [f"C{i:02d}" for i in range(30)]
+STUDY_DISTRIBUTION_YEARS = (2000, 2007, 2014, 2021)
+
+
+def study_label(i: int, year: int) -> int:
+    # C28 and C29 are noise; C09 moves from 3 to 0 in 2011; C14 visits 5
+    # from 2016 to 2018
+    if i >= 28:
+        return -1
+    if i == 9 and year >= 2011:
+        return 0
+    if i == 14 and 2016 <= year < 2019:
+        return 5
+    return i % 6
+
+
+def study_fit(a: float, b: float, c: float, zero: float | None, excluded=()) -> dict:
+    return {
+        "a": a, "b": b, "c": c, "rms_residual": 0.125,
+        "years_used": [y for y in STUDY_YEARS if y not in excluded],
+        "excluded_years": list(excluded), "last_data_year": 2022,
+        "zero_crossing": zero, "attainment_year": None if zero is None else math.ceil(zero),
+        "extrapolate_to": 2100,
+    }
+
+
+def study_inputs() -> dict:
+    index = [(c, y) for c in STUDY_COUNTRIES for y in STUDY_YEARS]
+    labels = [study_label(STUDY_COUNTRIES.index(c), y) for c, y in index]
+    shocks = (2020, 2021, 2022)
+    correlations = {
+        "all countries": [[1.0 if i == j else cycle(i * j + i + j, 9, 0.25, -1.0)
+                           for j in range(N_GOALS)] for i in range(N_GOALS)],
+        **{f"cluster {k}": [[1.0 if i == j else cycle((k + 1) * i * j + i + 2 * j + k, 9,
+                                                      0.25, -1.0)
+                             for j in range(N_GOALS)] for i in range(N_GOALS)]
+           for k in range(6)},
+    }
+    return {
+        "years": STUDY_YEARS,
+        "meta": [[c, str(y)] for c, y in index],
+        "labels": labels,
+        "switchers": ["C09", "C14"],
+        "means": [[cycle(5 * i + 11 * g, 31, 1.25, 35.0) for g in range(N_GOALS)]
+                  for i in range(len(STUDY_YEARS))],
+        "proj": [[cycle(5 * i + 3, 37, 0.25, -4.5), cycle(11 * i + 7, 41, 0.25, -5.0)]
+                 for i in range(len(index))],
+        "ideal": [9.5, -1.25],
+        "loadings": [(cycle(3 * g + 2, 11, 0.125, -0.625), cycle(5 * g + 1, 13, 0.125, -0.75))
+                     for g in range(N_GOALS)],
+        "embed": [[cycle(13 * i + 1, 53, 0.5, -13.0), cycle(7 * i + 4, 47, 0.5, -11.5)]
+                  for i in range(len(index))],
+        "profiles": [(c, y, lab, [cycle(3 * i + 5 * g, 23, 0.25, -2.75) for g in range(N_GOALS)])
+                     for i, ((c, y), lab) in enumerate(zip(index, labels))],
+        "correlations": correlations,
+        # cluster 3 in 2007 has std 0
+        "gaussian_fits": [
+            (k, y, 20.0 + 1.25 * k + 0.5 * (y % 7),
+             0.0 if (k, y) == (3, 2007) else 0.25 * (k + 1) + 0.125 * (y % 3), 4 + k)
+            for k in range(6) for y in STUDY_DISTRIBUTION_YEARS
+        ],
+        "tables": {k: [(y, 30.0 - 0.25 * k - 0.5 * (y - 2000) + 0.125 * (y % 3),
+                        0.5 + 0.125 * k) for y in STUDY_YEARS] for k in range(6)},
+        "trajectory_fits": {
+            0: study_fit(1030.0, -0.5, 0.0, 2060.0, shocks),  # crossing, labelled
+            1: study_fit(42030.0, -41.0, 0.01, None),  # vertex above zero: no crossing
+            2: study_fit(4396.75, -4.195, 0.001, 2045.0, shocks),  # roots 2045 and 2150
+            3: study_fit(21.5, -0.01, 0.0, 2150.0),  # crosses after extrapolate_to
+            4: study_fit(-20.0, 0.02, 0.0, None, shocks),  # rising: no future zero
+            5: study_fit(1038.75, -0.5, 0.0, 2077.5),  # fractional crossing
+        },
+    }
+
+
+def heatmap_name(subtitle: str) -> str:
+    if subtitle == "all countries":
+        return artifacts.CORRELATION_GLOBAL
+    return artifacts.correlation_cluster_name(int(subtitle.removeprefix("cluster ")))
+
+
 def golden_renders(inputs: dict) -> dict[str, str]:
     """The figures emit_figures would draw from these inputs, by file name."""
     svgs = {
-        "parallel.svg": fig_parallel(GOLDEN_YEARS, inputs["means"]),
+        "parallel.svg": fig_parallel(inputs["years"], inputs["means"]),
         "pca_scatter.svg": fig_pca_scatter(inputs["meta"], inputs["proj"], inputs["ideal"]),
         "pca_biplot.svg": fig_pca_biplot(inputs["meta"], inputs["proj"], inputs["loadings"]),
         "tsne_clusters.svg": fig_tsne_clusters(
             inputs["meta"], inputs["embed"], inputs["labels"], inputs["switchers"]),
         "cluster_profiles.svg": fig_cluster_profiles(inputs["profiles"]),
-        "correlation_global.svg": fig_correlation_heatmap(
-            inputs["correlations"]["all countries"], "all countries"),
-        "correlation_cluster0.svg": fig_correlation_heatmap(
-            inputs["correlations"]["cluster 0"], "cluster 0"),
+        **{artifacts.svg_name(heatmap_name(subtitle)): fig_correlation_heatmap(matrix, subtitle)
+           for subtitle, matrix in inputs["correlations"].items()},
         "distributions.svg": fig_distributions(
             inputs["gaussian_fits"], sorted({f[1] for f in inputs["gaussian_fits"]})),
     }
@@ -342,7 +451,7 @@ def write_golden_artifacts(out, inputs: dict) -> None:
                              for row in rows])
 
     table(artifacts.YEARLY_MEANS, ["year", *GOAL_COLUMNS],
-          [[str(y), *row] for y, row in zip(GOLDEN_YEARS, inputs["means"])])
+          [[str(y), *row] for y, row in zip(inputs["years"], inputs["means"])])
     # a third component the figures must ignore
     table(artifacts.PCA_PROJECTION, ["country", "year", "pc01", "pc02", "pc03"],
           [[*m, *row, 0.5] for m, row in zip(inputs["meta"], inputs["proj"])])
@@ -357,12 +466,9 @@ def write_golden_artifacts(out, inputs: dict) -> None:
           [[c, "2003", "0", "1"] for c in inputs["switchers"]])
     table(artifacts.CLUSTER_STANDARDIZED, ["country", "year", "cluster", *GOAL_COLUMNS],
           [[c, str(y), str(k), *z] for c, y, k, z in inputs["profiles"]])
-    correlations = inputs["correlations"]
-    table(artifacts.CORRELATION_GLOBAL, ["goal", *GOAL_COLUMNS],
-          [[g, *row] for g, row in zip(GOAL_COLUMNS, correlations["all countries"])])
-    if 0 in inputs["tables"]:
-        table(artifacts.correlation_cluster_name(0), ["goal", *GOAL_COLUMNS],
-              [[g, *row] for g, row in zip(GOAL_COLUMNS, correlations["cluster 0"])])
+    for subtitle, matrix in inputs["correlations"].items():
+        table(heatmap_name(subtitle), ["goal", *GOAL_COLUMNS],
+              [[g, *row] for g, row in zip(GOAL_COLUMNS, matrix)])
     table(artifacts.GAUSSIAN_FITS, ["cluster", "year", "mean", "std", "n_members"],
           [[str(k), str(y), m, s, str(n)] for k, y, m, s, n in inputs["gaussian_fits"]])
     for cid, rows in inputs["tables"].items():
@@ -417,3 +523,40 @@ class TestGoldenBytes:
         if not noise_only:
             renders = golden_renders(inputs)
             assert {n: sha256_text(s) for n, s in renders.items()} == got
+
+
+# Recorded from the renderer before the figures learned to format whole
+# polylines and to map whole coordinate arrays at once.
+STUDY_DIGESTS = {
+    "cluster_profiles.svg": "fee3e50409d87a3d4f5832252d5bfd0822332002fa38af2b18589422a7a62d36",
+    "correlation_cluster0.svg": "89d8ddfa8c770a34b7c7d0ddaf20ae2083e444ecc84427eb65679fa4edc73673",
+    "correlation_cluster1.svg": "78b1b66a9ff3f9c7eb5e8446729795e95529e3a6802c2da1d6c50cd481d606a6",
+    "correlation_cluster2.svg": "cbe3d3009c89988a410aa979b01a26edbdbf1bea06024de0fa945c3f31b58330",
+    "correlation_cluster3.svg": "874afdee14eda95d48485061a8c20554c6de8826209a42116c8b8ba2bd5b71ba",
+    "correlation_cluster4.svg": "882a9b235733ac82f31a2fd664f6b2c1f28b7870730c55dbea6e333b1cc3be73",
+    "correlation_cluster5.svg": "320ad7b6925b89a6a416d7536b94e7a28501b84d8922572ad6f68eb584a5a5dc",
+    "correlation_global.svg": "387d0e903c3112e2e4ce4b8576746c22dbeb032a064f33ab131fe2519b631f69",
+    "distributions.svg": "2736f07f63c6a1be8f9b53da40aa50a2d694b36a7f36df3a8acd2a2fd998ff81",
+    "parallel.svg": "a126b058db715c7a7753bc029e279c0be81ef8591163b43978201dbfc581356e",
+    "pca_biplot.svg": "20d7af0519ebd55aaede16421150d5859b23ce366fcdaa5fc190dd7ca7899f90",
+    "pca_scatter.svg": "021247279e331118b096bff6acc0786585eaf8ee84db464266f7f7d235f33672",
+    "trajectories.svg": "1dd0a481cb50c3e8ed3da7a914ac14840e105c3ff2b6a81bc8425e4079d45a7d",
+    "tsne_clusters.svg": "fcf6d5df821ffde1a3e0e3ab140cd87d1abc0268ff581d525e25829ff289ed57",
+}
+
+
+class TestStudyShapedGoldenBytes:
+    @pytest.fixture(scope="class")
+    def renders(self):
+        return golden_renders(study_inputs())
+
+    @pytest.mark.parametrize("name", sorted(STUDY_DIGESTS))
+    def test_figure_functions(self, renders, name):
+        assert sha256_text(renders[name]) == STUDY_DIGESTS[name]
+
+    def test_emit_figures_from_artifacts(self, tmp_path, renders):
+        write_golden_artifacts(tmp_path, study_inputs())
+        written = emit_figures(tmp_path)
+        got = {path.name: sha256_text(path.read_text()) for path in written}
+        assert got == {name: sha256_text(svg) for name, svg in renders.items()}
+        assert got == STUDY_DIGESTS

@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import platform
 import shutil
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdgpipe
 from sdgpipe import artifacts, dbscan, tsne
@@ -414,6 +417,76 @@ class TestReadMatrix:
             artifacts.read_matrix(tmp_path / "empty.csv", 1)
 
 
+# Cells chosen where a formatter could go wrong: signed zero, values that
+# round to a signed zero, exact binary halves at the last kept digit (round
+# half to even), infinities and the extremes of the float range.
+EDGE_FLOATS = [0.0, -0.0, -1e-9, 1e-9, -4e-5, 0.125, -0.125, 0.0078125, -0.0078125,
+               0.03125, -0.03125, 2.5e-7, 1e300, -1e300, 5e-324, math.inf, -math.inf]
+cells = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False))
+NAN = math.nan
+
+
+def cell_rows(min_columns: int = 1):
+    """Rows of one width, with NaN cells mixed in by hypothesis."""
+    return st.integers(min_columns, 6).flatmap(lambda width: st.lists(
+        st.lists(st.one_of(cells, st.just(NAN)), min_size=width, max_size=width),
+        max_size=5))
+
+
+class TestBulkFormatOracle:
+    """format_rows, read_matrix and their per-cell references agree exactly."""
+
+    ORACLES = [(artifacts.fmt, artifacts.fmt), (artifacts.fmt_signed, artifacts.fmt_signed)]
+
+    @staticmethod
+    def reference(meta, rows, fmt):
+        return [[*m, *("" if math.isnan(v) else fmt(v) for v in row)]
+                for m, row in zip(meta, rows)]
+
+    @pytest.mark.parametrize("fmt,cell", ORACLES, ids=["fmt", "fmt_signed"])
+    @given(rows=cell_rows())
+    @settings(max_examples=150)
+    def test_format_rows_matches_per_cell(self, fmt, cell, rows):
+        meta = [("AAA", i) for i in range(len(rows))]
+        got = artifacts.format_rows(meta, np.array(rows, dtype=float), cell)
+        assert got == self.reference(meta, rows, fmt)
+
+    @pytest.mark.parametrize("fmt,cell", ORACLES, ids=["fmt", "fmt_signed"])
+    def test_format_rows_nan_positions(self, fmt, cell):
+        rows = [[NAN, 1.5, -0.0], [0.125, NAN, -1e-9], [-0.0078125, 2.0, NAN],
+                [NAN, NAN, NAN], EDGE_FLOATS[:3]]
+        got = artifacts.format_rows(zip("abcde"), rows, cell)
+        want = self.reference(zip("abcde"), rows, fmt)
+        assert got == want
+        assert got[3] == ["d", "", "", ""]
+        assert artifacts.format_rows(zip("ab"), [[NAN], [NAN]], cell) == [["a", ""], ["b", ""]]
+
+    def test_format_rows_takes_iterables_and_no_meta(self):
+        # zips of arrays, a single row without leading cells, int leading cells
+        mean, std = np.array([1.0, -2.5]), np.array([0.25, 3.0])
+        assert artifacts.format_rows(zip(["g1", "g2"]), zip(mean, std)) == [
+            ["g1", "1.000000", "0.250000"], ["g2", "-2.500000", "3.000000"]]
+        assert artifacts.format_rows([()], [np.array([0.5, -0.0])]) == [
+            ["0.500000", "-0.000000"]]
+        assert artifacts.format_rows([], np.zeros((0, 3))) == []
+
+    @given(rows=cell_rows())
+    @settings(max_examples=150)
+    def test_read_matrix_matches_per_cell_float(self, tmp_path_factory, rows):
+        rows = [[0.0 if math.isnan(v) else v for v in row] for row in rows]
+        width = len(rows[0]) if rows else 2
+        path = tmp_path_factory.mktemp("matrix") / "table.csv"
+        artifacts.write_csv(path, ["country", "year", *(f"v{j}" for j in range(width))],
+                            artifacts.format_rows([("AAA", 2000)] * len(rows), rows))
+        _, text_rows = artifacts.read_csv(path)
+        want = np.array([[float(cell) for cell in row[2:]] for row in text_rows],
+                        dtype=float).reshape(len(rows), width)
+        meta, got = artifacts.read_matrix(path, 2)
+        assert meta == [["AAA", "2000"]] * len(rows)
+        assert got.shape == want.shape
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+
 class TestAtomicWrites:
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -450,6 +523,85 @@ def snapshot(directory: Path) -> dict[str, tuple[int, bytes]]:
     """Each file's inode and bytes: a rewrite with the same bytes still
     replaces the inode, since every artifact is renamed into place."""
     return {p.name: (p.stat().st_ino, p.read_bytes()) for p in directory.iterdir()}
+
+
+def study_embedding(meta: list[list[str]]) -> list[list[float]]:
+    """A hand-built map for the 690-row study panel (country i in latent group
+    i % 6): six tight clouds, the first two 2.0 apart and the rest at least 17,
+    two countries scattered as noise and two countries visiting another cloud."""
+    centers = [(0.0, 0.0), (3.0, 0.0), (20.0, 0.0), (0.0, 20.0), (20.0, 20.0), (40.0, 40.0)]
+    countries = sorted({country for country, _ in meta})
+    points = []
+    for country, year in meta:
+        i, t = countries.index(country), int(year) - 2000
+        cx, cy = centers[i % 6]
+        if i >= 28:  # noise: every point at least 10 from any other
+            points.append([100.0 + 10.0 * t, 100.0 + 10.0 * i])
+            continue
+        if i == 9 and t >= 11:  # moves into the first cloud
+            cx, cy = centers[0]
+        if i == 14 and 16 <= t <= 18:  # visits the last cloud
+            cx, cy = centers[5]
+        points.append([cx + 0.25 * (i // 6), cy + 0.125 * t])
+    return points
+
+
+@pytest.fixture(scope="module")
+def study_stage_digests(tmp_path_factory):
+    """(eps, stage) -> digest of every file the stage wrote, for the back half
+    of the pipeline run twice on one study-shaped directory: eps 1.0 keeps the
+    six clouds apart, eps 2.5 merges the first two."""
+    from sdgpipe.panel import write_gdp_csv, write_panel_csv
+    from sdgpipe.synthetic import synthetic_gdp, synthetic_panel
+
+    base = tmp_path_factory.mktemp("study")
+    panel = synthetic_panel(30, n_groups=6, seed=3)
+    write_panel_csv(panel, base / "panel.csv")
+    write_gdp_csv(synthetic_gdp(panel), base / "gdp.csv")
+    config = PipelineConfig(panel=base / "panel.csv", gdp=base / "gdp.csv", out=base / "out")
+    config.out.mkdir()
+    for stage in ("ingest", "pca"):
+        run_stage(stage, config)
+    meta, _ = artifacts.read_matrix(config.out / artifacts.PANEL_FILTERED, 2)
+    artifacts.write_csv(config.out / artifacts.EMBEDDING, ["country", "year", "x", "y"],
+                        [[*m, artifacts.fmt(x), artifacts.fmt(y)]
+                         for m, (x, y) in zip(meta, study_embedding(meta))])
+    digests = {}
+    for eps in (1.0, 2.5):
+        for stage in ("cluster", "correlate", "dynamics", "figures"):
+            written, _ = run_stage(stage, replace(config, eps=eps))
+            total = hashlib.sha256()
+            for path in sorted(written):
+                total.update(path.name.encode() + bytes.fromhex(artifacts.sha256_of(path)))
+            digests[eps, stage] = (len(written), total.hexdigest())
+    return digests
+
+
+# Recorded before the artifact writers and readers and the figures moved to
+# whole-row formatting and parsing: (files written, digest over their names
+# and bytes).
+STUDY_STAGE_DIGESTS = {
+    (1.0, 'cluster'): (5, '7af567b9ee756ebf63a6a362149aa37d73dbc222f57e31a9c1eb14799b4a47b1'),
+    (1.0, 'correlate'): (7, 'f56c6b0c620f9be657b0e9454c408b66231b358126006ab872d6df2db716c9e9'),
+    (1.0, 'dynamics'): (9, '5a44c74bb5cd032733a2184055d7ddec388ea1ae43070e36aa131ccff175cec3'),
+    (1.0, 'figures'): (14, '331f1288d16d0b34c1b442d46977a57ffab14fbaac5dc56c4a4caf6799524692'),
+    (2.5, 'cluster'): (5, 'bf99e69df52e6fe778dd791645b3247ded8f36115201f76fa1c416aad5f75704'),
+    (2.5, 'correlate'): (6, '6b3080d0858c9784ad7915bbfd5bf4d8abdc1e6b1334e8d6396b779791708f92'),
+    (2.5, 'dynamics'): (8, 'b2edc77124f26c8a27c8e35bd9c9dce66c81dc4dc2ff2188759dd2af884b1cd4'),
+    (2.5, 'figures'): (13, '20b943c0331b7b58a62c59bed10c60047088970040c8c8f72a34809c2b7c5b41'),
+}
+
+
+class TestStudyShapedStageDigests:
+    @pytest.mark.parametrize("key", sorted(STUDY_STAGE_DIGESTS),
+                             ids=lambda key: f"{key[1]}-eps{key[0]}")
+    def test_stage_bytes(self, study_stage_digests, key):
+        assert study_stage_digests[key] == STUDY_STAGE_DIGESTS[key]
+
+    def test_two_eps_give_different_clusterings(self, study_stage_digests):
+        # six clusters, then five: the per-cluster file counts differ
+        assert study_stage_digests[1.0, "correlate"][0] == 7
+        assert study_stage_digests[2.5, "correlate"][0] == 6
 
 
 class TestStageCommit:
