@@ -5,6 +5,13 @@ always signed; a missing value as a blank cell) and JSON numbers at full
 repr precision, so repeated runs of the same configuration produce
 byte-identical files.
 
+format_rows formats a whole row with one % template and read_matrix parses
+a file's numeric block with one numpy conversion. Both give exactly the
+bytes and bits of the per-cell fmt / fmt_signed and float(): a % template
+formats a float as the f-string with the same spec does, and numpy parses
+a decimal string as float() does. Nothing read is cached: every call reads
+its file again.
+
 Every artifact is written to a temporary file in its own directory and then
 renamed over the target, so a reader never sees a half-written file and a
 failed write leaves the previous version in place.
@@ -15,9 +22,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
-from collections.abc import Callable, Iterable, Iterator, Sequence
+import re
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TextIO
@@ -74,13 +81,33 @@ def fmt_signed(value: float, decimals: int = 4) -> str:
     return f"{value:+.{decimals}f}"
 
 
-def format_rows(meta: Iterable, values: Iterable, fmt: Callable[[float], str] = fmt
-                ) -> list[list]:
+# The % spec of one format_rows cell: fmt's default, and fmt_signed's for
+# correlations.
+CELL = "%.6f"
+SIGNED_CELL = "%+.4f"
+
+# A NaN cell as a % template writes it, sign included.
+_NAN_CELL = re.compile(r"[+-]?nan")
+
+
+def format_rows(meta: Iterable, values: Iterable, cell: str = CELL) -> list[list]:
     """One CSV row per (leading cells, numbers) pair: the leading cells as
-    given (csv.writer writes an int as str does), each number through fmt,
-    and a NaN as a blank cell."""
-    return [[*cells, *("" if math.isnan(v) else fmt(v) for v in row)]
-            for cells, row in zip(meta, values)]
+    given (csv.writer writes an int as str does), the numbers as one cell
+    spec per number joined by commas, and a NaN as a blank cell. values
+    is a 2-d array or an iterable of equal-length rows."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    numbers = np.asarray(values, dtype=float).tolist()
+    if not numbers:
+        return []
+    template = ",".join([cell] * len(numbers[0]))
+    rows = []
+    for cells, row in zip(meta, numbers):
+        text = template % tuple(row)
+        if "nan" in text:
+            text = _NAN_CELL.sub("", text)
+        rows.append([*cells, *text.split(",")])
+    return rows
 
 
 @contextmanager
@@ -130,7 +157,7 @@ def read_matrix(path: Path, meta_columns: int, header: Sequence[str] | None = No
             f"{path.name}: expected header {','.join(header)}, got {','.join(got)}"
         )
     meta = [row[:meta_columns] for row in rows]
-    data = np.array([[float(cell) for cell in row[meta_columns:]] for row in rows])
+    data = np.array([row[meta_columns:] for row in rows], dtype=float)
     return meta, data.reshape(len(rows), len(got) - meta_columns)
 
 

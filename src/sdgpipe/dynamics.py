@@ -15,9 +15,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from sdgpipe.dbscan import final_year_membership, members_of
+from sdgpipe.dbscan import final_year_membership
 from sdgpipe.errors import (
-    EmptyClusterError,
     ShapeMismatchError,
     SingularFitError,
     TooFewMembersError,
@@ -78,9 +77,7 @@ def cluster_distance_distribution(
         raise ShapeMismatchError(
             f"labels shape {labels.shape} does not match {panel.n_observations} rows"
         )
-    mask = np.array(
-        [lab == cluster_id and y == year for lab, (_, y) in zip(labels, panel.index)]
-    )
+    mask = (labels == cluster_id) & (panel.row_years() == year)
     count = int(mask.sum())
     if count < 2:
         raise TooFewMembersError(cluster_id, year, count)
@@ -171,24 +168,23 @@ def attainment_year(fit: TrajectoryFit, last_data_year: int) -> int | None:
 def displacement_table(
     panel: ScorePanel,
     labels: np.ndarray,
-    cluster_id: int,
-) -> list[tuple[int, float, float, int]]:
-    """(year, mean, std, n) of distance to ideal for one cluster's countries.
+) -> dict[int, list[tuple[int, float, float, int]]]:
+    """(year, mean, std, n) of distance to ideal, per cluster that holds some
+    country in its final year.
 
     Membership is frozen to each country's final-year label, so the same
     countries are followed across all years; noise countries are excluded.
     """
-    if cluster_id < 0:
-        raise EmptyClusterError(cluster_id)
     membership = final_year_membership(labels, list(panel.index))
-    countries = set(members_of(membership, cluster_id))
+    final_labels = np.array([membership[country] for country, _ in panel.index])
     distances = distance_series(panel)
-    by_year: dict[int, list[float]] = {}
-    for dist, (country, year) in zip(distances, panel.index):
-        if country in countries:
-            by_year.setdefault(year, []).append(float(dist))
-    table = []
-    for year in sorted(by_year):
-        values = np.array(by_year[year])
-        table.append((year, float(values.mean()), float(values.std()), values.size))
-    return table
+    years = panel.row_years()
+    tables = {}
+    for cluster_id in sorted(c for c in set(membership.values()) if c >= 0):
+        rows = final_labels == cluster_id
+        table = []
+        for year in sorted(set(years[rows].tolist())):
+            values = distances[rows & (years == year)]
+            table.append((year, float(values.mean()), float(values.std()), values.size))
+        tables[cluster_id] = table
+    return tables

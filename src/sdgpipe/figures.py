@@ -3,6 +3,13 @@
 Plain string assembly, no plotting library: identical inputs give identical
 bytes, which the reproducibility guarantee extends to figures. Coordinates
 are written at two decimals.
+
+Points are mapped to pixels a whole array at a time and a polyline's
+coordinates are formatted with one % template. That gives the bytes of a
+point-by-point loop: numpy's elementwise + - * / round exactly as Python
+float arithmetic does, in the same order, and "%.2f" formats exactly as the
+f-string spec ".2f". Transcendental functions (the Gaussian's exp) stay
+scalar Python calls, since numpy's may round differently.
 """
 
 from __future__ import annotations
@@ -10,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from sdgpipe import artifacts
 from sdgpipe.errors import PipelineError
@@ -47,11 +56,17 @@ def _hex_to_rgb(color: str) -> tuple[int, int, int]:
     return tuple(int(color[i : i + 2], 16) for i in (0, 2, 4))
 
 
-def _mix(c1: str, c2: str, t: float) -> str:
+# (start, end) RGB of each gradient, parsed once.
+Gradient = tuple[tuple[int, int, int], tuple[int, int, int]]
+YEAR_GRADIENT = (_hex_to_rgb(YEAR_EARLY), _hex_to_rgb(YEAR_LATE))
+CORR_NEG_GRADIENT = (_hex_to_rgb("#ffffff"), _hex_to_rgb(CORR_NEG))
+CORR_POS_GRADIENT = (_hex_to_rgb("#ffffff"), _hex_to_rgb(CORR_POS))
+
+
+def _mix(gradient: Gradient, t: float) -> str:
     t = min(max(t, 0.0), 1.0)
-    r1, g1, b1 = _hex_to_rgb(c1)
-    r2, g2, b2 = _hex_to_rgb(c2)
-    return "#{:02x}{:02x}{:02x}".format(
+    (r1, g1, b1), (r2, g2, b2) = gradient
+    return "#%02x%02x%02x" % (
         round(r1 + (r2 - r1) * t),
         round(g1 + (g2 - g1) * t),
         round(b1 + (b2 - b1) * t),
@@ -60,7 +75,7 @@ def _mix(c1: str, c2: str, t: float) -> str:
 
 def year_color(position: float) -> str:
     """Gradient color for a year at fractional position in [0, 1]."""
-    return _mix(YEAR_EARLY, YEAR_LATE, position)
+    return _mix(YEAR_GRADIENT, position)
 
 
 def _year_positions(years: list[int]) -> dict[int, float]:
@@ -76,13 +91,17 @@ def cluster_color(cluster_id: int) -> str:
 
 def corr_color(value: float) -> str:
     if value >= 0:
-        return _mix("#ffffff", CORR_POS, value)
-    return _mix("#ffffff", CORR_NEG, -value)
+        return _mix(CORR_POS_GRADIENT, value)
+    return _mix(CORR_NEG_GRADIENT, -value)
 
 
 @dataclass(frozen=True)
 class Frame:
-    """Maps a data rectangle onto a pixel rectangle (y axis flipped)."""
+    """Maps a data rectangle onto a pixel rectangle (y axis flipped).
+
+    x and y take a number or a numpy array; an array maps elementwise to
+    the same values as one call per element.
+    """
 
     x_lo: float
     x_hi: float
@@ -93,10 +112,10 @@ class Frame:
     width: float
     height: float
 
-    def x(self, value: float) -> float:
+    def x(self, value: float | np.ndarray) -> float | np.ndarray:
         return self.left + (value - self.x_lo) / (self.x_hi - self.x_lo) * self.width
 
-    def y(self, value: float) -> float:
+    def y(self, value: float | np.ndarray) -> float | np.ndarray:
         return self.top + (self.y_hi - value) / (self.y_hi - self.y_lo) * self.height
 
 
@@ -187,11 +206,13 @@ def _axes(parts: list[str], frame: Frame, x_label: str, y_label: str,
                        extra=f"transform='rotate(-90 {mid_x} {mid_y})'"))
 
 
-def _scatter_frame(parts: list[str], points: list[list[float]], width: int, height: int,
+def _scatter_frame(parts: list[str], points: np.ndarray, width: int, height: int,
                    inset: int, x_label: str, y_label: str) -> Frame:
-    """Axes around padded (x, y) points in a plot area inset from the right."""
-    x_lo, x_hi = _padded(min(p[0] for p in points), max(p[0] for p in points))
-    y_lo, y_hi = _padded(min(p[1] for p in points), max(p[1] for p in points))
+    """Axes around padded (x, y) points, an (n, 2) array, in a plot area
+    inset from the right."""
+    (x_min, y_min), (x_max, y_max) = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+    x_lo, x_hi = _padded(x_min, x_max)
+    y_lo, y_hi = _padded(y_min, y_max)
     frame = Frame(x_lo, x_hi, y_lo, y_hi, 60, 40, width - inset, height - 100)
     _axes(parts, frame, x_label, y_label)
     return frame
@@ -210,39 +231,60 @@ def _grid(count: int, panel_w: int, panel_h: int, margin: int
             n_rows * (panel_h + margin) + margin + 20, origins)
 
 
-def _polyline(points: list[tuple[float, float]], color: str, width: float,
+def _polyline(xs, ys, color: str, width: float,
               opacity: float = 1.0, dash: str | None = None) -> str:
-    coords = " ".join(f"{_num(x)},{_num(y)}" for x, y in points)
+    """Polylines of one style through pixel coordinates: a 1-d ys draws one
+    line, a 2-d ys one line per row, newline-separated, every line through
+    the x positions xs. The xs are formatted once into a % template that
+    then formats all the ys at once (color and dash hold no %)."""
+    ys = np.atleast_2d(ys)
+    points = " ".join([f"{x:.2f},%.2f" for x in np.asarray(xs).tolist()])
     dash_attr = f" stroke-dasharray='{dash}'" if dash else ""
-    return (
-        f"<polyline points='{coords}' fill='none' stroke='{color}' "
+    line = (
+        f"<polyline points='{points}' fill='none' stroke='{color}' "
         f"stroke-width='{width}' stroke-opacity='{opacity}'{dash_attr}/>"
     )
+    return "\n".join([line] * len(ys)) % tuple(ys.ravel().tolist())
 
 
 def _circle(x: float, y: float, r: float, color: str, opacity: float = 1.0) -> str:
     return (
-        f"<circle cx='{_num(x)}' cy='{_num(y)}' r='{r}' fill='{color}' "
+        f"<circle cx='{x:.2f}' cy='{y:.2f}' r='{r}' fill='{color}' "
         f"fill-opacity='{opacity}'/>"
     )
+
+
+def _goal_positions(frame: Frame) -> np.ndarray:
+    """Pixel x of goals 1..17 on a goal axis."""
+    return frame.x(np.arange(1, N_GOALS + 1))
+
+
+def _by_country(meta: list[list[str]]) -> dict[str, list[int]]:
+    """Row indices of each country in year order, countries sorted."""
+    order = sorted(range(len(meta)), key=lambda i: (meta[i][0], int(meta[i][1])))
+    rows: dict[str, list[int]] = {}
+    for i in order:
+        rows.setdefault(meta[i][0], []).append(i)
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # individual figures
 
 
-def fig_parallel(years: list[int], means: list[list[float]]) -> str:
+def fig_parallel(years: list[int], means) -> str:
+    """means: (years, 17) array or nested lists of yearly goal means."""
     width, height = 760, 460
     parts: list[str] = []
-    flat = [v for row in means for v in row]
-    y_lo, y_hi = _padded(min(flat), max(flat))
+    means = np.asarray(means, dtype=float)
+    y_lo, y_hi = _padded(means.min().item(), means.max().item())
     frame = Frame(1, N_GOALS, y_lo, y_hi, 60, 40, width - 180, height - 90)
     _axes(parts, frame, "goal", "mean score", x_ticks=list(range(1, N_GOALS + 1)))
     n = len(years)
     positions = _year_positions(years)
-    for year, row in zip(years, means):
-        points = [(frame.x(g + 1), frame.y(v)) for g, v in enumerate(row)]
-        parts.append(_polyline(points, year_color(positions[year]), 1.4, opacity=0.9))
+    xs = _goal_positions(frame)
+    for year, ys in zip(years, frame.y(means)):
+        parts.append(_polyline(xs, ys, year_color(positions[year]), 1.4, opacity=0.9))
     # year gradient legend
     legend_x = width - 95
     for year in years:
@@ -258,43 +300,37 @@ def fig_parallel(years: list[int], means: list[list[float]]) -> str:
     return _svg(width, height, parts, "Yearly mean score per goal")
 
 
-def _trajectory_lines(meta: list[list[str]], coords: list[list[float]]
-                      ) -> dict[str, list[tuple[int, float, float]]]:
-    by_country: dict[str, list[tuple[int, float, float]]] = {}
-    for (country, year), row in zip(((m[0], int(m[1])) for m in meta), coords):
-        by_country.setdefault(country, []).append((year, row[0], row[1]))
-    for series in by_country.values():
-        series.sort()
-    return by_country
-
-
-def fig_pca_scatter(meta: list[list[str]], coords: list[list[float]],
-                    ideal: list[float]) -> str:
+def fig_pca_scatter(meta: list[list[str]], coords, ideal: list[float]) -> str:
+    """coords: (rows, 2) array or nested lists, in meta's row order."""
     width, height = 720, 560
     parts: list[str] = []
-    frame = _scatter_frame(parts, [*coords, ideal], width, height, 100,
+    coords = np.asarray(coords, dtype=float)
+    frame = _scatter_frame(parts, np.vstack((coords, ideal)), width, height, 100,
                            "component 1", "component 2")
-    by_country = _trajectory_lines(meta, coords)
-    positions = _year_positions(sorted({int(m[1]) for m in meta}))
-    for country in sorted(by_country):
-        pts = [(frame.x(x), frame.y(y)) for _, x, y in by_country[country]]
-        parts.append(_polyline(pts, "#bbbbbb", 0.6, opacity=0.5))
-    for country in sorted(by_country):
-        for year, x, y in by_country[country]:
-            parts.append(_circle(frame.x(x), frame.y(y), 2.0, year_color(positions[year]), 0.75))
+    px, py = frame.x(coords[:, 0]), frame.y(coords[:, 1])
+    by_country = _by_country(meta)
+    for rows in by_country.values():
+        parts.append(_polyline(px[rows], py[rows], "#bbbbbb", 0.6, opacity=0.5))
+    years = [int(m[1]) for m in meta]
+    colors = {year: year_color(t) for year, t in _year_positions(sorted(set(years))).items()}
+    xs, ys = px.tolist(), py.tolist()
+    for rows in by_country.values():
+        for i in rows:
+            parts.append(_circle(xs[i], ys[i], 2.0, colors[years[i]], 0.75))
     ideal_x, ideal_y = frame.x(ideal[0]), frame.y(ideal[1])
     parts.append(_circle(ideal_x, ideal_y, 5.0, "#000000"))
     parts.append(_text(_num(ideal_x + 8), _num(ideal_y + 4), "ideal", 10, fill="#000000"))
     return _svg(width, height, parts, "Observations in the first two components")
 
 
-def fig_pca_biplot(meta: list[list[str]], coords: list[list[float]],
+def fig_pca_biplot(meta: list[list[str]], coords,
                    loadings: list[tuple[float, float]]) -> str:
     width, height = 720, 560
     parts: list[str] = []
+    coords = np.asarray(coords, dtype=float)
     frame = _scatter_frame(parts, coords, width, height, 100, "component 1", "component 2")
-    for row in coords:
-        parts.append(_circle(frame.x(row[0]), frame.y(row[1]), 1.6, "#aaaaaa", 0.45))
+    for x, y in zip(frame.x(coords[:, 0]).tolist(), frame.y(coords[:, 1]).tolist()):
+        parts.append(_circle(x, y, 1.6, "#aaaaaa", 0.45))
     # scale arrows so the longest reaches 40% of the shorter half-span
     longest = max(math.hypot(x, y) for x, y in loadings)
     reach = 0.4 * min(frame.x_hi - frame.x_lo, frame.y_hi - frame.y_lo)
@@ -307,26 +343,21 @@ def fig_pca_biplot(meta: list[list[str]], coords: list[list[float]],
     return _svg(width, height, parts, "Component plane with goal loading vectors")
 
 
-def fig_tsne_clusters(meta: list[list[str]], coords: list[list[float]],
+def fig_tsne_clusters(meta: list[list[str]], coords,
                       labels: list[int], switch_countries: list[str]) -> str:
     width, height = 760, 600
     parts: list[str] = []
+    coords = np.asarray(coords, dtype=float)
     frame = _scatter_frame(parts, coords, width, height, 160, "map x", "map y")
+    px, py = frame.x(coords[:, 0]), frame.y(coords[:, 1])
     switch_set = set(switch_countries)
-    by_country = _trajectory_lines(meta, coords)
-    for country in sorted(switch_set & set(by_country)):
-        pts = [(frame.x(x), frame.y(y)) for _, x, y in by_country[country]]
-        parts.append(_polyline(pts, "#444444", 0.9, opacity=0.8, dash="3,3"))
-    for (row, label, m) in zip(coords, labels, meta):
+    for country, rows in _by_country(meta).items():
+        if country in switch_set:
+            parts.append(_polyline(px[rows], py[rows], "#444444", 0.9, opacity=0.8, dash="3,3"))
+    for x, y, label, m in zip(px.tolist(), py.tolist(), labels, meta):
         hot = m[0] in switch_set
-        parts.append(
-            _circle(
-                frame.x(row[0]), frame.y(row[1]),
-                2.6 if hot else 2.0,
-                cluster_color(label),
-                0.95 if hot else 0.5,
-            )
-        )
+        parts.append(_circle(x, y, 2.6 if hot else 2.0, cluster_color(label),
+                             0.95 if hot else 0.5))
     # legend
     legend_x = width - 92
     for i, cid in enumerate(sorted(set(labels))):
@@ -343,47 +374,48 @@ def fig_cluster_profiles(rows: list[tuple[str, int, int, list[float]]]) -> str:
     panel_w, panel_h = 300, 230
     width, height, origins = _grid(len(clusters), panel_w, panel_h, 20)
     parts: list[str] = []
-    flat = [v for _, _, _, z in rows for v in z]
-    y_lo, y_hi = _padded(min(flat), max(flat))
+    z = np.asarray([z for _, _, _, z in rows], dtype=float)
+    row_countries = np.array([country for country, _, _, _ in rows])
+    row_years = np.array([year for _, year, _, _ in rows], dtype=int)
+    row_clusters = np.array([cluster for _, _, cluster, _ in rows], dtype=int)
+    y_lo, y_hi = _padded(z.min().item(), z.max().item())
     positions = _year_positions(sorted({year for _, year, _, _ in rows}))
     for cid, (x0, y0) in zip(clusters, origins):
         left, top = x0 + 40, y0 + 24
         frame = Frame(1, N_GOALS, y_lo, y_hi, left, top, panel_w - 50, panel_h - 56)
-        sub = [(c, y, z) for c, y, k, z in rows if k == cid]
+        members = row_clusters == cid
+        sub, years = z[members], row_years[members]
         name = "noise" if cid < 0 else f"cluster {cid}"
-        countries = len({c for c, _, _ in sub})
+        countries = len(set(row_countries[members].tolist()))
         parts.append(_text(_num(left + (panel_w - 50) / 2), _num(top - 7),
                            f"{name} ({countries} countries)", 11, fill="#111111",
                            anchor="middle"))
         _axes(parts, frame, "goal", "z-score", x_ticks=[1, 5, 9, 13, 17])
-        for _, _, z in sub:
-            pts = [(frame.x(g + 1), frame.y(v)) for g, v in enumerate(z)]
-            parts.append(_polyline(pts, "#999999", 0.5, opacity=0.22))
-        by_year: dict[int, list[list[float]]] = {}
-        for _, year, z in sub:
-            by_year.setdefault(year, []).append(z)
-        for year in sorted(by_year):
-            block = by_year[year]
-            mean = [sum(col_v) / len(col_v) for col_v in zip(*block)]
-            pts = [(frame.x(g + 1), frame.y(v)) for g, v in enumerate(mean)]
-            parts.append(_polyline(pts, year_color(positions[year]), 1.3, opacity=0.95))
+        xs = _goal_positions(frame)
+        parts.append(_polyline(xs, frame.y(sub), "#999999", 0.5, opacity=0.22))
+        for year in sorted(set(years.tolist())):
+            block = sub[years == year]
+            # sum() adds the rows in order, as Python sums each goal's column
+            mean = sum(block) / len(block)
+            parts.append(_polyline(xs, frame.y(mean), year_color(positions[year]), 1.3,
+                                   opacity=0.95))
     return _svg(width, height, parts)
 
 
-def fig_correlation_heatmap(values: list[list[float]], subtitle: str) -> str:
+def fig_correlation_heatmap(values, subtitle: str) -> str:
+    """values: 17 x 17 correlations, array or nested lists."""
     cell = 26
     left, top = 70, 60
     width = left + N_GOALS * cell + 90
     height = top + N_GOALS * cell + 40
     parts: list[str] = []
+    values = np.asarray(values, dtype=float).tolist()
     for i in range(N_GOALS):
         for j in range(N_GOALS):
-            v = values[i][j]
-            x_px = left + j * cell
-            y_px = top + i * cell
             parts.append(
-                f"<rect x='{x_px}' y='{y_px}' width='{cell}' height='{cell}' "
-                f"fill='{corr_color(v)}' stroke='#ffffff' stroke-width='0.5'/>"
+                f"<rect x='{left + j * cell}' y='{top + i * cell}' width='{cell}' "
+                f"height='{cell}' fill='{corr_color(values[i][j])}' stroke='#ffffff' "
+                f"stroke-width='0.5'/>"
             )
     for i in range(N_GOALS):
         parts.append(_text(left - 6, _num(top + i * cell + cell * 0.65), i + 1, 9,
@@ -397,8 +429,8 @@ def fig_correlation_heatmap(values: list[list[float]], subtitle: str) -> str:
     for s in range(steps):
         v = 1.0 - 2.0 * s / (steps - 1)
         parts.append(
-            f"<rect x='{bar_x}' y='{_num(top + s * bar_h / steps)}' width='14' "
-            f"height='{_num(bar_h / steps + 0.5)}' fill='{corr_color(v)}'/>"
+            f"<rect x='{bar_x}' y='{top + s * bar_h / steps:.2f}' width='14' "
+            f"height='{bar_h / steps + 0.5:.2f}' fill='{corr_color(v)}'/>"
         )
     for v, label in ((1.0, "+1"), (0.0, "0"), (-1.0, "-1")):
         y_px = top + (1.0 - v) / 2.0 * bar_h
@@ -414,6 +446,7 @@ def fig_distributions(fits: list[tuple[int, int, float, float, int]],
     panel_w, panel_h = 340, 260
     width, height, origins = _grid(len(years), panel_w, panel_h, 24)
     parts: list[str] = []
+    samples = 120
     for year, (x0, y0) in zip(years, origins):
         left, top = x0 + 42, y0 + 26
         sub = [f for f in fits if f[1] == year]
@@ -431,21 +464,17 @@ def fig_distributions(fits: list[tuple[int, int, float, float, int]],
         parts.append(_text(_num(left + (panel_w - 56) / 2), _num(top - 8), year, 12,
                            fill="#111111", anchor="middle"))
         _axes(parts, frame, "distance to ideal", "density", y_fmt=lambda v: f"{v:.2f}")
+        x_values = x_lo + (x_hi - x_lo) * np.arange(samples + 1) / samples
+        xs, x_list = frame.x(x_values), x_values.tolist()
         for cid, _, mean, std, _ in sorted(sub):
             color = cluster_color(cid)
             if std == 0.0:
                 px = frame.x(mean)
                 parts.append(_line(px, frame.y(0), px, frame.top, color, 1.4))
                 continue
-            pts = []
-            samples = 120
-            for s in range(samples + 1):
-                x_val = x_lo + (x_hi - x_lo) * s / samples
-                dens = math.exp(-0.5 * ((x_val - mean) / std) ** 2) / (
-                    std * math.sqrt(2 * math.pi)
-                )
-                pts.append((frame.x(x_val), frame.y(dens)))
-            parts.append(_polyline(pts, color, 1.5, opacity=0.95))
+            dens = [math.exp(-0.5 * ((x_val - mean) / std) ** 2) / (std * math.sqrt(2 * math.pi))
+                    for x_val in x_list]
+            parts.append(_polyline(xs, frame.y(np.array(dens)), color, 1.5, opacity=0.95))
     return _svg(width, height, parts)
 
 
@@ -473,7 +502,7 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
                      fits: dict[int, dict], extrapolate_to: int) -> str:
     """tables: cluster -> [(year, mean, std)]; fits: cluster -> fit payload."""
 
-    def curve(fit: dict, year: float) -> float:
+    def curve(fit: dict, year: float | np.ndarray) -> float | np.ndarray:
         return fit["a"] + fit["b"] * year + fit["c"] * year * year
 
     width, height = 780, 540
@@ -484,6 +513,8 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
     o_lo, o_hi = _padded(min(observed), max(observed))
     left_frame = Frame(first_year, last_year, o_lo, o_hi, 60, 46, 310, 430)
     _axes(parts, left_frame, "year", "mean distance to ideal")
+    observed_years = np.array(_sample_years(first_year, last_year))
+    observed_xs = left_frame.x(observed_years)
     for cid in sorted(tables):
         color = cluster_color(cid)
         fit = fits[cid]
@@ -491,14 +522,13 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
         for year, mean, _ in tables[cid]:
             if year in excluded:
                 parts.append(
-                    f"<circle cx='{_num(left_frame.x(year))}' cy='{_num(left_frame.y(mean))}' "
+                    f"<circle cx='{left_frame.x(year):.2f}' cy='{left_frame.y(mean):.2f}' "
                     f"r='2.4' fill='none' stroke='{color}' stroke-width='1'/>"
                 )
             else:
                 parts.append(_circle(left_frame.x(year), left_frame.y(mean), 2.4, color))
-        pts = [(left_frame.x(year), left_frame.y(curve(fit, year)))
-               for year in _sample_years(first_year, last_year)]
-        parts.append(_polyline(pts, color, 1.3, opacity=0.9))
+        parts.append(_polyline(observed_xs, left_frame.y(curve(fit, observed_years)), color,
+                               1.3, opacity=0.9))
 
     # right panel: extrapolation down to zero
     curve_max = o_hi
@@ -521,13 +551,13 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
         parts.append(_line(px, frame.top, px, frame.top + frame.height,
                            "#777777", 0.8, dash="2,3"))
         parts.append(_text(_num(px + 3), _num(frame.top + 12), 2030, 9, fill="#555555"))
-    extrapolated_years = _sample_years(first_year, extrapolate_to)
+    extrapolated_years = np.array(_sample_years(first_year, extrapolate_to))
+    extrapolated_xs = frame.x(extrapolated_years)
     for cid in sorted(fits):
         fit = fits[cid]
         color = cluster_color(cid)
-        pts = [(frame.x(year), frame.y(max(curve(fit, year), e_lo)))
-               for year in extrapolated_years]
-        parts.append(_polyline(pts, color, 1.3, opacity=0.9))
+        ys = frame.y(np.maximum(curve(fit, extrapolated_years), e_lo))
+        parts.append(_polyline(extrapolated_xs, ys, color, 1.3, opacity=0.9))
         crossing = fit["zero_crossing"]  # None exactly when attainment_year is
         if crossing is not None and crossing <= extrapolate_to:
             parts.append(_text(_num(frame.x(crossing)), _num(zero_y - 5),
@@ -560,9 +590,9 @@ def emit_figures(out: str | Path, dest: str | Path | None = None) -> list[Path]:
                             f"{artifacts.LABELS} rows do not line up")
 
     years_meta, means = artifacts.read_matrix(out / artifacts.YEARLY_MEANS, 1)
-    emit("parallel.svg", fig_parallel([int(row[0]) for row in years_meta], means.tolist()))
+    emit("parallel.svg", fig_parallel([int(row[0]) for row in years_meta], means))
 
-    proj = proj[:, :2].tolist()
+    proj = proj[:, :2]
     _, ideal = artifacts.read_matrix(out / artifacts.PCA_IDEAL, 0)
     emit("pca_scatter.svg", fig_pca_scatter(proj_meta, proj, ideal[0, :2].tolist()))
     _, vectors = artifacts.read_matrix(out / artifacts.PCA_LOADINGS, 1)
@@ -571,7 +601,7 @@ def emit_figures(out: str | Path, dest: str | Path | None = None) -> list[Path]:
     _, switch_rows = artifacts.read_csv(out / artifacts.SWITCHES)
     switchers = sorted({row[0] for row in switch_rows})
     emit("tsne_clusters.svg", fig_tsne_clusters(
-        embed_meta, embed[:, :2].tolist(), labels[:, 0].astype(int).tolist(), switchers))
+        embed_meta, embed[:, :2], labels[:, 0].astype(int).tolist(), switchers))
 
     profile_meta, z = artifacts.read_matrix(out / artifacts.CLUSTER_STANDARDIZED, 3)
     profiles = [(c, int(y), int(k), row) for (c, y, k), row in zip(profile_meta, z.tolist())]
@@ -584,7 +614,7 @@ def emit_figures(out: str | Path, dest: str | Path | None = None) -> list[Path]:
         heatmaps[path.name] = f"cluster {path.name.removeprefix(prefix).removesuffix(suffix)}"
     for name, subtitle in heatmaps.items():
         _, values = artifacts.read_matrix(out / name, 1)
-        emit(artifacts.svg_name(name), fig_correlation_heatmap(values.tolist(), subtitle))
+        emit(artifacts.svg_name(name), fig_correlation_heatmap(values, subtitle))
 
     fit_meta, fit_values = artifacts.read_matrix(out / artifacts.GAUSSIAN_FITS, 2)
     fits = [(int(c), int(y), m, s, int(n))

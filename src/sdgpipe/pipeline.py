@@ -324,7 +324,7 @@ def stage_correlate(config: PipelineConfig, dest: Path) -> None:
             matrices[artifacts.correlation_year_name(year)] = matrix
 
     for name, matrix in matrices.items():
-        rows = artifacts.format_rows(zip(GOAL_COLUMNS), matrix.values, artifacts.fmt_signed)
+        rows = artifacts.format_rows(zip(GOAL_COLUMNS), matrix.values, artifacts.SIGNED_CELL)
         artifacts.write_csv(dest / name, ["goal", *GOAL_COLUMNS], rows)
 
 
@@ -365,11 +365,8 @@ def stage_dynamics(config: PipelineConfig, dest: Path) -> None:
     artifacts.write_csv(dest / artifacts.GAUSSIAN_FITS,
                         ["cluster", "year", "mean", "std", "n_members"], fit_rows)
 
-    membership = dbscan.final_year_membership(labels, list(panel.index))
-    final_ids = sorted(c for c in set(membership.values()) if c >= 0)
     fits_payload: dict[str, dict] = {}
-    for cluster_id in final_ids:
-        table = dynamics.displacement_table(panel, labels, cluster_id)
+    for cluster_id, table in dynamics.displacement_table(panel, labels).items():
         artifacts.write_csv(dest / artifacts.trajectory_name(cluster_id),
                             ["year", "mean", "std", "n"],
                             [[str(year), artifacts.fmt(mean), artifacts.fmt(std), str(n)]

@@ -18,7 +18,6 @@ from sdgpipe.dynamics import (
     future_root,
 )
 from sdgpipe.errors import (
-    EmptyClusterError,
     ShapeMismatchError,
     SingularFitError,
     TooFewMembersError,
@@ -278,7 +277,7 @@ class TestDisplacement:
     def test_final_year_membership_follows_countries(self):
         panel = self.make_panel()
         labels = self.labels_with_switcher(panel)
-        table = displacement_table(panel, labels, 0)
+        table = displacement_table(panel, labels)[0]
         assert [row[0] for row in table] == [2000, 2001, 2002]
         # SWI is tracked in every year because it ends in cluster 0
         assert all(n == 3 for _, _, _, n in table)
@@ -293,25 +292,26 @@ class TestDisplacement:
     def test_noise_countries_excluded(self):
         panel = self.make_panel()
         labels = self.labels_with_switcher(panel)
-        with pytest.raises(EmptyClusterError):
-            displacement_table(panel, labels, -1)
-        table = displacement_table(panel, labels, 0)
+        tables = displacement_table(panel, labels)
+        assert -1 not in tables
+        table = tables[0]
         d_noise = distance_to_ideal(np.full(N_GOALS, 20.0))
         for _, mean, _, _ in table:
             assert mean < d_noise  # the far noise country never contributes
 
     def test_empty_cluster(self):
+        # cluster 1 holds SWI before 2002 but no country in its final year,
+        # so it gets no table
         panel = self.make_panel()
         labels = self.labels_with_switcher(panel)
-        with pytest.raises(EmptyClusterError):
-            displacement_table(panel, labels, 5)
+        assert list(displacement_table(panel, labels)) == [0]
 
     def test_curve_matches_table(self):
         # the (year, mean) curve the dynamics stage fits: per-year mean over
         # the final-year members, every year
         panel = self.make_panel()
         labels = self.labels_with_switcher(panel)
-        curve = {year: mean for year, mean, _, _ in displacement_table(panel, labels, 0)}
+        curve = {year: mean for year, mean, _, _ in displacement_table(panel, labels)[0]}
         members = {"AAA", "BBB", "SWI"}
         for year in (2000, 2001, 2002):
             want = [
@@ -324,5 +324,5 @@ class TestDisplacement:
     def test_distances_shrink_as_scores_rise(self):
         panel = self.make_panel()
         labels = self.labels_with_switcher(panel)
-        means = [mean for _, mean, _, _ in displacement_table(panel, labels, 0)]
+        means = [mean for _, mean, _, _ in displacement_table(panel, labels)[0]]
         assert means[0] > means[1] > means[2]

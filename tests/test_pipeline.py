@@ -436,7 +436,7 @@ def cell_rows(min_columns: int = 1):
 class TestBulkFormatOracle:
     """format_rows, read_matrix and their per-cell references agree exactly."""
 
-    ORACLES = [(artifacts.fmt, artifacts.fmt), (artifacts.fmt_signed, artifacts.fmt_signed)]
+    ORACLES = [(artifacts.fmt, artifacts.CELL), (artifacts.fmt_signed, artifacts.SIGNED_CELL)]
 
     @staticmethod
     def reference(meta, rows, fmt):
