@@ -410,11 +410,13 @@ def fig_correlation_heatmap(values, subtitle: str) -> str:
     height = top + N_GOALS * cell + 40
     parts: list[str] = []
     values = np.asarray(values, dtype=float).tolist()
+    # the matrix is symmetric: each distinct value is coloured once
+    colors = {v: corr_color(v) for v in {v for row in values for v in row}}
     for i in range(N_GOALS):
         for j in range(N_GOALS):
             parts.append(
                 f"<rect x='{left + j * cell}' y='{top + i * cell}' width='{cell}' "
-                f"height='{cell}' fill='{corr_color(values[i][j])}' stroke='#ffffff' "
+                f"height='{cell}' fill='{colors[values[i][j]]}' stroke='#ffffff' "
                 f"stroke-width='0.5'/>"
             )
     for i in range(N_GOALS):
