@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from sdgpipe import artifacts
 from sdgpipe.errors import PipelineError
@@ -231,7 +232,7 @@ def _grid(count: int, panel_w: int, panel_h: int, margin: int
             n_rows * (panel_h + margin) + margin + 20, origins)
 
 
-def _polyline(xs, ys, color: str, width: float,
+def _polyline(xs: ArrayLike, ys: ArrayLike, color: str, width: float,
               opacity: float = 1.0, dash: str | None = None) -> str:
     """Polylines of one style through pixel coordinates: a 1-d ys draws one
     line, a 2-d ys one line per row, newline-separated, every line through
@@ -272,7 +273,7 @@ def _by_country(meta: list[list[str]]) -> dict[str, list[int]]:
 # individual figures
 
 
-def fig_parallel(years: list[int], means) -> str:
+def fig_parallel(years: list[int], means: ArrayLike) -> str:
     """means: (years, 17) array or nested lists of yearly goal means."""
     width, height = 760, 460
     parts: list[str] = []
@@ -300,7 +301,7 @@ def fig_parallel(years: list[int], means) -> str:
     return _svg(width, height, parts, "Yearly mean score per goal")
 
 
-def fig_pca_scatter(meta: list[list[str]], coords, ideal: list[float]) -> str:
+def fig_pca_scatter(meta: list[list[str]], coords: ArrayLike, ideal: list[float]) -> str:
     """coords: (rows, 2) array or nested lists, in meta's row order."""
     width, height = 720, 560
     parts: list[str] = []
@@ -323,7 +324,7 @@ def fig_pca_scatter(meta: list[list[str]], coords, ideal: list[float]) -> str:
     return _svg(width, height, parts, "Observations in the first two components")
 
 
-def fig_pca_biplot(meta: list[list[str]], coords,
+def fig_pca_biplot(meta: list[list[str]], coords: ArrayLike,
                    loadings: list[tuple[float, float]]) -> str:
     width, height = 720, 560
     parts: list[str] = []
@@ -343,7 +344,7 @@ def fig_pca_biplot(meta: list[list[str]], coords,
     return _svg(width, height, parts, "Component plane with goal loading vectors")
 
 
-def fig_tsne_clusters(meta: list[list[str]], coords,
+def fig_tsne_clusters(meta: list[list[str]], coords: ArrayLike,
                       labels: list[int], switch_countries: list[str]) -> str:
     width, height = 760, 600
     parts: list[str] = []
@@ -402,7 +403,7 @@ def fig_cluster_profiles(rows: list[tuple[str, int, int, list[float]]]) -> str:
     return _svg(width, height, parts)
 
 
-def fig_correlation_heatmap(values, subtitle: str) -> str:
+def fig_correlation_heatmap(values: ArrayLike, subtitle: str) -> str:
     """values: 17 x 17 correlations, array or nested lists."""
     cell = 26
     left, top = 70, 60
