@@ -12,9 +12,11 @@ formats a float as the f-string with the same spec does, and numpy parses
 a decimal string as float() does. Nothing read is cached: every call reads
 its file again.
 
-Every artifact is written to a temporary file in its own directory and then
-renamed over the target, so a reader never sees a half-written file and a
-failed write leaves the previous version in place.
+Every file is written and read as UTF-8, whatever the locale. The writers
+write straight to the path they are given: a stage writes into its own
+staging directory, which the pipeline commits into the run directory with
+one rename per file, so no reader of a run directory sees a half-written
+artifact.
 """
 
 from __future__ import annotations
@@ -22,12 +24,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import os
 import re
-from collections.abc import Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Iterable, Sequence
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -110,26 +109,13 @@ def format_rows(meta: Iterable, values: Iterable, cell: str = CELL) -> list[list
     return rows
 
 
-@contextmanager
-def _replacing(path: Path, newline: str | None = None) -> Iterator[TextIO]:
-    """Text handle on a temporary sibling of path that replaces path on success."""
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with temporary.open("w", newline=newline) as handle:
-            yield handle
-        os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
-
-
 def write_text(path: Path, text: str) -> None:
-    with _replacing(path) as handle:
+    with path.open("w", encoding="utf-8") as handle:
         handle.write(text)
 
 
 def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    with _replacing(path, newline="") as handle:
+    with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -138,7 +124,7 @@ def write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     if not path.exists():
         raise MissingArtifactError(path.name)
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         rows = list(reader)
     if not rows:
@@ -168,7 +154,7 @@ def write_json(path: Path, payload: dict) -> None:
 def read_json(path: Path) -> dict:
     if not path.exists():
         raise MissingArtifactError(path.name)
-    return json.loads(path.read_text())
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def sha256_of(path: Path) -> str:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sdgpipe.dbscan import final_year_membership, members_of
+from sdgpipe.dbscan import final_year_labels
 from sdgpipe.errors import (
     ShapeMismatchError,
     TooFewObservationsError,
@@ -68,14 +68,11 @@ def cluster_correlations(
     Membership is taken from each country's final-year label; noise (-1)
     countries are left out.
     """
-    membership = final_year_membership(labels, list(panel.index))
+    final_labels = final_year_labels(labels, list(panel.index))
     result: dict[int, CorrelationMatrix] = {}
-    for cluster_id in sorted(set(membership.values())):
-        if cluster_id < 0:
-            continue
-        countries = set(members_of(membership, cluster_id))
-        mask = np.array([country in countries for country, _ in panel.index])
-        result[cluster_id] = pearson_matrix(panel, mask, basis=f"cluster {cluster_id}")
+    for cluster_id in sorted(c for c in set(final_labels.tolist()) if c >= 0):
+        result[cluster_id] = pearson_matrix(panel, final_labels == cluster_id,
+                                            basis=f"cluster {cluster_id}")
     return result
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sdgpipe.errors import EmptyClusterError, ShapeMismatchError
+from sdgpipe.errors import ShapeMismatchError
 
 NOISE = -1
 
@@ -132,12 +132,10 @@ def final_year_membership(labels: np.ndarray, index: list[tuple[str, int]]) -> d
     return latest
 
 
-def members_of(membership: dict[str, int], cluster_id: int) -> list[str]:
-    """Countries assigned to cluster_id, sorted; raises when none are."""
-    members = sorted(c for c, lab in membership.items() if lab == cluster_id)
-    if not members:
-        raise EmptyClusterError(cluster_id)
-    return members
+def final_year_labels(labels: np.ndarray, index: list[tuple[str, int]]) -> np.ndarray:
+    """Each row's country's final_year_membership label, in index order."""
+    membership = final_year_membership(labels, index)
+    return np.array([membership[country] for country, _ in index], dtype=int)
 
 
 def detect_switches(

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from sdgpipe.dbscan import final_year_membership
+from sdgpipe.dbscan import final_year_labels
 from sdgpipe.errors import (
     ShapeMismatchError,
     SingularFitError,
@@ -175,12 +175,11 @@ def displacement_table(
     Membership is frozen to each country's final-year label, so the same
     countries are followed across all years; noise countries are excluded.
     """
-    membership = final_year_membership(labels, list(panel.index))
-    final_labels = np.array([membership[country] for country, _ in panel.index])
+    final_labels = final_year_labels(labels, list(panel.index))
     distances = distance_series(panel)
     years = panel.row_years()
     tables = {}
-    for cluster_id in sorted(c for c in set(membership.values()) if c >= 0):
+    for cluster_id in sorted(c for c in set(final_labels.tolist()) if c >= 0):
         rows = final_labels == cluster_id
         table = []
         for year in sorted(set(years[rows].tolist())):

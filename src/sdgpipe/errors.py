@@ -95,14 +95,6 @@ class SingularFitError(PipelineError):
     """Least-squares design matrix is rank deficient."""
 
 
-class EmptyClusterError(PipelineError):
-    """A cluster referenced by id has no members."""
-
-    def __init__(self, cluster: int):
-        self.cluster = cluster
-        super().__init__(f"cluster {cluster} has no members")
-
-
 class MissingArtifactError(PipelineError):
     """A stage needs an artifact that an earlier stage has not produced."""
 

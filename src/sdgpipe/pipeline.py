@@ -3,8 +3,9 @@
 Every stage reads its inputs from files that earlier stages wrote into the
 output directory, so running stages one at a time and all in one go gives
 identical bytes. A stage writes into its own staging directory, which is
-committed into the output directory only on success: a failed stage leaves
-that directory as it was and surfaces as a StageError naming the stage.
+committed into the output directory only on success, one rename per file: a
+failed stage leaves that directory as it was and surfaces as a StageError
+naming the stage. The manifest is committed the same way.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, object] = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -289,7 +290,7 @@ def stage_cluster(config: PipelineConfig, dest: Path) -> None:
         gdp = load_gdp(config.gdp)
         rows = []
         for cluster_id in sorted(set(membership.values())):
-            members = dbscan.members_of(membership, cluster_id)
+            members = sorted(c for c, label in membership.items() if label == cluster_id)
             values = np.array([gdp[c] for c in members if c in gdp])
             if values.size:
                 mean = artifacts.fmt(float(values.mean()), 2)
@@ -402,7 +403,8 @@ def _stage_figures(config: PipelineConfig, dest: Path) -> None:
 @dataclass(frozen=True)
 class Stage:
     """One subcommand: run(config, dest), which reads config.out and writes
-    only into dest; the exit code of its failure; its help text; glob
+    only into dest, plainly, since run_stage renames each finished file into
+    config.out; the exit code of its failure; its help text; glob
     patterns of the outputs whose set depends on the clustering or the
     config, whose matches the stage's commit deletes unless it wrote them
     again, so a rerun that writes fewer (no --gdp, fewer clusters) leaves
@@ -441,30 +443,43 @@ STAGES = {
 FULL_RUN = tuple(name for name in STAGES if name != "scan-eps")
 
 
-def run_stage(name: str, config: PipelineConfig) -> tuple[list[Path], float]:
-    """Run one stage into a staging directory inside config.out. On success
-    delete the variable outputs it did not write again and move its files
-    in; on failure drop them, leave config.out as it was and raise StageError."""
-    if name not in STAGES:
-        raise ConfigError(f"unknown stage {name!r}")
-    config.validate()
-    stage, out = STAGES[name], config.out
+def _commit(out: Path, name: str, write: Callable[[Path], None],
+            stale: tuple[str, ...] = ()) -> list[Path]:
+    """Call write(dest) on a fresh staging directory out/.<name>.staging. On
+    success delete the files in out that match a stale pattern and were not
+    written again, then rename each written file into out; returns their
+    paths in out. The staging directory is removed on success and on
+    failure, so a write that raises leaves out as it was."""
     dest = out / f".{name}.staging"
     shutil.rmtree(dest, ignore_errors=True)  # left by an interrupted run
     dest.mkdir(parents=True)
+    try:
+        write(dest)
+        committed = [out / path.name for path in sorted(dest.iterdir())]
+        for pattern in stale:
+            for path in set(out.glob(pattern)).difference(committed):
+                path.unlink()
+        for path in committed:
+            os.replace(dest / path.name, path)
+    finally:
+        shutil.rmtree(dest)
+    return committed
+
+
+def run_stage(name: str, config: PipelineConfig) -> tuple[list[Path], float]:
+    """Run one stage into a staging directory and commit it into config.out,
+    deleting the stage's variable outputs it did not write again. A failed
+    stage leaves config.out as it was and raises StageError."""
+    if name not in STAGES:
+        raise ConfigError(f"unknown stage {name!r}")
+    config.validate()
+    stage = STAGES[name]
     start = time.perf_counter()
     try:
-        stage.run(config, dest)
+        committed = _commit(config.out, name, lambda dest: stage.run(config, dest),
+                            stage.variable_outputs)
     except Exception as exc:
-        shutil.rmtree(dest)
         raise StageError(name, exc) from exc
-    committed = [out / path.name for path in sorted(dest.iterdir())]
-    for pattern in stage.variable_outputs:
-        for path in set(out.glob(pattern)).difference(committed):
-            path.unlink()
-    for path in committed:
-        os.replace(dest / path.name, path)
-    dest.rmdir()
     return committed, time.perf_counter() - start
 
 
@@ -510,20 +525,18 @@ def write_manifest(
         path.name: artifacts.sha256_of(path)
         for path in sorted(set(written), key=lambda p: p.name)
     }
-    path = config.out / artifacts.MANIFEST
-    artifacts.write_json(
-        path,
-        {
-            "config": config_snapshot(config),
-            "environment": {
-                "python": platform.python_version(),
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "platform": platform.platform(),
-            },
-            "inputs": inputs,
-            "stages": timings,
-            "outputs": outputs,
+    payload = {
+        "config": config_snapshot(config),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "platform": platform.platform(),
         },
-    )
+        "inputs": inputs,
+        "stages": timings,
+        "outputs": outputs,
+    }
+    [path] = _commit(config.out, "manifest",
+                     lambda dest: artifacts.write_json(dest / artifacts.MANIFEST, payload))
     return path

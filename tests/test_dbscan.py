@@ -10,11 +10,11 @@ from sdgpipe.dbscan import (
     adjusted_rand_index,
     cluster,
     detect_switches,
+    final_year_labels,
     final_year_membership,
-    members_of,
     scan_eps,
 )
-from sdgpipe.errors import EmptyClusterError, ShapeMismatchError
+from sdgpipe.errors import ShapeMismatchError
 
 
 def oracle_labels(points, eps, min_pts):
@@ -253,12 +253,12 @@ class TestMembership:
         with pytest.raises(ShapeMismatchError):
             final_year_membership(np.array([0, 1]), self.INDEX)
 
-    def test_members_of(self):
-        membership = {"BBB": 0, "AAA": 0, "CCC": 1}
-        assert members_of(membership, 0) == ["AAA", "BBB"]
-        assert members_of(membership, 1) == ["CCC"]
-        with pytest.raises(EmptyClusterError):
-            members_of(membership, 2)
+    def test_final_year_labels_spread_membership_over_rows(self):
+        labels = np.array([0, 1, 0, 0, NOISE])
+        got = final_year_labels(labels, self.INDEX)
+        assert got.tolist() == [1, 1, 0, 0, NOISE]
+        with pytest.raises(ShapeMismatchError):
+            final_year_labels(np.array([0, 1]), self.INDEX)
 
 
 class TestSwitches:

@@ -1,6 +1,6 @@
 import argparse
-import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -32,6 +32,7 @@ from sdgpipe.pipeline import (
     load_config,
     run_pipeline,
     run_stage,
+    write_manifest,
 )
 
 from conftest import DEMO_SETTINGS
@@ -487,17 +488,6 @@ class TestBulkFormatOracle:
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
-class TestAtomicWrites:
-    def test_failed_write_keeps_previous_file(self, tmp_path):
-        path = tmp_path / "table.csv"
-        artifacts.write_csv(path, ["a"], [["1"]])
-        before = path.read_bytes()
-        with pytest.raises(csv.Error):
-            artifacts.write_csv(path, ["a"], [["2"], 3])  # 3 is not a row
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
-
-
 class TestStaleOutputs:
     def test_rerun_removes_outputs_it_no_longer_writes(self, pipeline_run, tmp_path):
         config = copy_run(pipeline_run, tmp_path / "copy")
@@ -626,6 +616,62 @@ class TestStageCommit:
         assert "stray.csv" not in [p.name for p in written]
         assert not (config.out / "stray.csv").exists()
         assert not staging.exists()
+
+    def test_each_file_is_renamed_once(self, pipeline_run, tmp_path, monkeypatch):
+        # the files in a staging directory are complete before the commit's
+        # rename, so no writer renames a file of its own
+        config = copy_run(pipeline_run, tmp_path / "copy")
+        calls = []
+        rename = os.replace
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rename(*args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", counted)
+        written, seconds = run_stage("figures", config)
+        assert written
+        assert len(calls) == len(written)
+        calls.clear()
+        manifest = write_manifest(config, written, [{"name": "figures", "seconds": seconds}])
+        assert manifest == config.out / artifacts.MANIFEST
+        assert len(calls) == 1
+
+    def test_write_failing_midway_leaves_out_as_it_was(self, pipeline_run, tmp_path,
+                                                        monkeypatch):
+        config = copy_run(pipeline_run, tmp_path / "copy")
+        before = snapshot(config.out)
+        write_csv = artifacts.write_csv
+        calls = []
+
+        def third_fails(path, header, rows):
+            calls.append(path.name)
+            if len(calls) == 3:
+                rows = [*rows[:1], 3]  # 3 is not a row: fails after writing one
+            write_csv(path, header, rows)
+
+        monkeypatch.setattr(artifacts, "write_csv", third_fails)
+        with pytest.raises(StageError, match="cluster"):
+            run_stage("cluster", config)
+        assert len(calls) == 3
+        assert snapshot(config.out) == before
+        assert [p.name for p in config.out.iterdir() if p.name.startswith(".")] == []
+
+    def test_failed_manifest_write_keeps_previous_manifest(self, pipeline_run, tmp_path,
+                                                           monkeypatch):
+        config = copy_run(pipeline_run, tmp_path / "copy")
+        before = (config.out / artifacts.MANIFEST).read_bytes()
+
+        def fails_after_open(path, payload):
+            with path.open("w", encoding="utf-8") as handle:
+                handle.write("{")
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(artifacts, "write_json", fails_after_open)
+        with pytest.raises(OSError, match="no space left"):
+            write_manifest(config, [], [])
+        assert (config.out / artifacts.MANIFEST).read_bytes() == before
+        assert [p.name for p in config.out.iterdir() if p.name.startswith(".")] == []
 
 
 class TestLoneNoisePoint:
@@ -979,3 +1025,52 @@ class TestStageTable:
         assert stop.value.code == 0
         text = capsys.readouterr().out
         assert hashlib.sha256(text.encode()).hexdigest() == self.HELP_SHA256[command]
+
+
+class TestUtf8Artifacts:
+    """Input CSVs are decoded as UTF-8, so artifacts are written and read as
+    UTF-8 too: under an ASCII locale a non-ASCII country name must survive
+    the whole run."""
+
+    def run_all(self, panel: Path, gdp: Path, out: Path, **env_overrides: str):
+        env = dict(os.environ, **env_overrides)
+        source_root = str(Path(sdgpipe.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (source_root, env.get("PYTHONPATH"))))
+        settings = [f"--{key.replace('_', '-')}={value}" for key, value in DEMO_SETTINGS.items()]
+        argv = [sys.executable, "-m", "sdgpipe", "all", f"--panel={panel}", f"--gdp={gdp}",
+                f"--out={out}", *settings]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+
+    def test_non_ascii_country_under_ascii_locale(self, demo_dir, tmp_path):
+        for name in ("panel.csv", "gdp.csv"):
+            text = (demo_dir / name).read_text(encoding="utf-8")
+            assert "\nAAA," in text
+            (tmp_path / name).write_text(text.replace("\nAAA,", "\nCôte d'Ivoire,"),
+                                         encoding="utf-8")
+        panel, gdp = tmp_path / "panel.csv", tmp_path / "gdp.csv"
+        ascii_run = self.run_all(panel, gdp, tmp_path / "ascii", PYTHONUTF8="0",
+                                 PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        assert ascii_run.returncode == 0, ascii_run.stderr
+        utf8_run = self.run_all(panel, gdp, tmp_path / "utf8", PYTHONUTF8="1")
+        assert utf8_run.returncode == 0, utf8_run.stderr
+
+        def files(out: Path) -> dict[str, bytes]:
+            return {p.name: p.read_bytes() for p in out.iterdir() if p.name != artifacts.MANIFEST}
+
+        got = files(tmp_path / "ascii")
+        assert "Côte d'Ivoire".encode() in got[artifacts.PANEL_FILTERED]
+        assert got == files(tmp_path / "utf8")
+
+
+def test_traced_names_resolve(monkeypatch):
+    # perfbench/tracer.py wraps these (module, attribute) pairs; one that a
+    # refactor removed makes Tracer.install raise AttributeError
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look it up
+    spec.loader.exec_module(tracer)
+    assert tracer.PATCHES
+    missing = [f"{module.__name__}.{attr}" for module, attr, *_ in tracer.PATCHES
+               if not hasattr(module, attr)]
+    assert missing == []
