@@ -1,8 +1,10 @@
 """Command line entry point.
 
-One subcommand per stage plus `all` for the full run. Values come from an
-optional key=value config file, overridden by flags. Every stage failure
-maps to its own exit code so shell callers can tell where a run died.
+One subcommand per stage plus `all` for the full run, which stops at the
+eps scan and prints it when no eps is given. Values come from an optional
+key=value config file, overridden by flags. Every stage failure maps to its
+own exit code so shell callers can tell where a run died; usage errors,
+argparse's included, exit USAGE_EXIT.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
-from pathlib import Path
 
+from sdgpipe import artifacts
 from sdgpipe.errors import PipelineError, StageError
 from sdgpipe.pipeline import (
     FIELD_PARSERS,
@@ -19,6 +21,7 @@ from sdgpipe.pipeline import (
     PipelineConfig,
     apply_overrides,
     load_config,
+    parse_path,
     run_pipeline,
     run_stage,
     write_manifest,
@@ -31,7 +34,7 @@ def _common_options() -> argparse.ArgumentParser:
     """The options every subcommand takes: --config and one flag per config
     field. Built once and shared as a parent, not once per subcommand."""
     parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument("--config", type=Path, help="key=value config file")
+    parser.add_argument("--config", type=parse_path, help="key=value config file")
     for f in fields(PipelineConfig):
         flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
         if f.type == "bool":
@@ -64,13 +67,21 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:  # argparse has printed its message
+        if stop.code == 0:  # --help
+            raise
+        return USAGE_EXIT
     try:
         config = _config_from_args(args)
         if args.command == "all":
             manifest = run_pipeline(config)
-            print(f"pipeline complete; manifest at {manifest}")
+            if config.eps is None:
+                print((config.out / artifacts.EPS_SCAN).read_text(encoding="utf-8"))
+                print("pick an eps from the table above and re-run with --eps")
+            else:
+                print(f"pipeline complete; manifest at {manifest}")
         else:
             written, seconds = run_stage(args.command, config)
             write_manifest(config, written,

@@ -118,6 +118,16 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def parse_path(text: str) -> Path:
+    """A path from its text; empty text is an error, not the current directory."""
+    if not text:
+        raise ValueError("empty path")
+    return Path(text)
+
+
+parse_path.__name__ = "path"  # argparse names it in errors
+
+
 def _tuple_parser(item: type):
     """Parser of comma-separated `item` values; empty text gives ()."""
 
@@ -131,7 +141,7 @@ def _tuple_parser(item: type):
 
 # Field annotation (without "| None") -> parser of its text form.
 _TYPE_PARSERS = {
-    "Path": Path,
+    "Path": parse_path,
     "float": float,
     "int": int,
     "bool": _parse_bool,
@@ -439,8 +449,10 @@ STAGES = {
 }
 
 # scan-eps only tabulates candidate radii for picking eps; a full run takes
-# eps as given.
+# eps as given. A run without eps stops at the scan, so eps can be picked
+# from eps_scan.csv.
 FULL_RUN = tuple(name for name in STAGES if name != "scan-eps")
+SCAN_RUN = (*FULL_RUN[: FULL_RUN.index("cluster")], "scan-eps")
 
 
 def _commit(out: Path, name: str, write: Callable[[Path], None],
@@ -483,9 +495,12 @@ def run_stage(name: str, config: PipelineConfig) -> tuple[list[Path], float]:
     return committed, time.perf_counter() - start
 
 
-def run_pipeline(config: PipelineConfig, stages: tuple[str, ...] = FULL_RUN) -> Path:
-    """Run the given stages in order and write the manifest; returns its path."""
+def run_pipeline(config: PipelineConfig, stages: tuple[str, ...] | None = None) -> Path:
+    """Run the given stages in order and write the manifest; returns its path.
+    By default the stages are FULL_RUN if config.eps is set, else SCAN_RUN."""
     config.validate()
+    if stages is None:
+        stages = FULL_RUN if config.eps is not None else SCAN_RUN
     all_written: list[Path] = []
     timings: list[dict[str, object]] = []
     for name in stages:

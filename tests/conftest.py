@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
+import sdgpipe
 from sdgpipe.panel import write_gdp_csv, write_panel_csv
 from sdgpipe.pipeline import PipelineConfig, run_pipeline
 from sdgpipe.synthetic import synthetic_gdp, synthetic_panel
@@ -33,6 +37,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 # scan-eps gives 4 clusters for eps 2.5-5.5 and 3 for eps 6.0-8.0, so eps 5.0
 # is on the 4-cluster plateau. Tests must not assume a cluster count.
 DEMO_SETTINGS = dict(perplexity=30.0, iterations=400, eps=5.0, min_pts=5, seed=0)
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """The environment plus overrides for a child process that runs the
+    same sdgpipe this process imported."""
+    env = dict(os.environ, **overrides)
+    source_root = str(Path(sdgpipe.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (source_root, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture(scope="session")

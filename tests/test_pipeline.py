@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import importlib.util
 import json
 import math
@@ -16,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sdgpipe
 from sdgpipe import artifacts, dbscan, tsne
 from sdgpipe.cli import _config_from_args, build_parser, main
 from sdgpipe.dynamics import TrajectoryFit, future_root
@@ -26,6 +27,7 @@ from sdgpipe.pipeline import (
     DEFAULT_EPS_GRID,
     FULL_RUN,
     STAGES,
+    SCAN_RUN,
     PipelineConfig,
     apply_overrides,
     config_snapshot,
@@ -35,7 +37,7 @@ from sdgpipe.pipeline import (
     write_manifest,
 )
 
-from conftest import DEMO_SETTINGS
+from conftest import DEMO_SETTINGS, child_env
 
 
 def masked_manifest(path: Path) -> dict:
@@ -925,17 +927,99 @@ class TestCli:
         assert want["outputs"] == got["outputs"]
 
 
+class TestUsageErrors:
+    """Usage errors exit 1: exit code 2 means the ingest stage failed. A
+    blank path is an error, not the current directory."""
+
+    @pytest.mark.parametrize("argv", [["all", "--eps", "abc"], ["all", "--bogus"], []])
+    def test_argparse_errors_exit_one(self, argv, tmp_path):
+        result = subprocess.run([sys.executable, "-m", "sdgpipe", *argv], env=child_env(),
+                                cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 1
+        assert "sdgpipe" in result.stderr and "error:" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_blank_out_writes_nothing(self, demo_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["ingest", "--panel", str(demo_dir / "panel.csv"), "--out", ""]) == 1
+        assert "argument --out: invalid path value: ''" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_blank_config_value_names_its_line(self, demo_dir, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"panel = {demo_dir / 'panel.csv'}\nout = {tmp_path / 'out'}\ngdp =\n")
+        with pytest.raises(ConfigError, match=r"run.cfg:3: bad value for gdp: empty path"):
+            load_config(cfg)
+        assert main(["all", "--config", str(cfg), "--eps", "5.0"]) == 1
+        assert "run.cfg:3" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # no stage ran
+
+    def test_blank_config_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["all", "--config", ""]) == 1
+        assert "argument --config: invalid path value: ''" in capsys.readouterr().err
+
+
+class TestScanRun:
+    """Without eps, `all` runs the stages before cluster plus scan-eps, writes
+    their manifest and prints the scan table."""
+
+    SETTINGS = {key: value for key, value in DEMO_SETTINGS.items() if key != "eps"}
+
+    def argv(self, command: str, demo_dir: Path, out: Path) -> list[str]:
+        settings = [f"--{key.replace('_', '-')}={value}" for key, value in self.SETTINGS.items()]
+        return [command, f"--panel={demo_dir / 'panel.csv'}", f"--out={out}", *settings]
+
+    @pytest.fixture(scope="class")
+    def scan_run(self, demo_dir, tmp_path_factory) -> tuple[Path, int, str]:
+        out = tmp_path_factory.mktemp("scan") / "out"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(self.argv("all", demo_dir, out))
+        return out, code, stdout.getvalue()
+
+    def test_prints_the_scan(self, scan_run):
+        out, code, stdout = scan_run
+        assert code == 0
+        assert (out / artifacts.EPS_SCAN).read_text() in stdout
+        assert "re-run with --eps" in stdout
+
+    def test_manifest_lists_the_scan_stages(self, scan_run):
+        out, _, _ = scan_run
+        payload = json.loads((out / artifacts.MANIFEST).read_text())
+        assert [s["name"] for s in payload["stages"]] == ["ingest", "pca", "tsne", "scan-eps"]
+        assert list(SCAN_RUN) == ["ingest", "pca", "tsne", "scan-eps"]
+        assert not (out / artifacts.LABELS).exists()
+
+    def test_matches_staged_run(self, scan_run, demo_dir, tmp_path, capsys):
+        out, _, _ = scan_run
+        staged = tmp_path / "staged"
+        for stage in ("ingest", "pca", "tsne", "scan-eps"):
+            assert main(self.argv(stage, demo_dir, staged)) == 0
+        capsys.readouterr()
+
+        def files(directory: Path) -> dict[str, bytes]:
+            return {p.name: p.read_bytes() for p in directory.iterdir()
+                    if p.name != artifacts.MANIFEST}
+
+        assert files(staged) == files(out)
+
+    def test_api_run_without_eps(self, scan_run, demo_config, tmp_path):
+        out, _, _ = scan_run
+        manifest = run_pipeline(replace(demo_config, out=tmp_path / "out", eps=None))
+        assert manifest == tmp_path / "out" / artifacts.MANIFEST
+        got, want = masked_manifest(manifest), masked_manifest(out / artifacts.MANIFEST)
+        assert [s["name"] for s in got["stages"]] == list(SCAN_RUN)
+        assert got["outputs"] == want["outputs"]
+
+
 class TestStartupImports:
     """scipy.spatial took a process about 0.4 s to import (2-CPU Linux VM), so
     only the stages that compute distances (tsne, scan-eps, cluster) may load it."""
 
     def run_python(self, code: str) -> str:
-        env = dict(os.environ)
-        # the child runs the same sdgpipe this process imported
-        source_root = str(Path(sdgpipe.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (source_root, env.get("PYTHONPATH"))))
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                text=True, timeout=120)
+        result = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                                capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         return result.stdout
 
@@ -1033,13 +1117,11 @@ class TestUtf8Artifacts:
     the whole run."""
 
     def run_all(self, panel: Path, gdp: Path, out: Path, **env_overrides: str):
-        env = dict(os.environ, **env_overrides)
-        source_root = str(Path(sdgpipe.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (source_root, env.get("PYTHONPATH"))))
         settings = [f"--{key.replace('_', '-')}={value}" for key, value in DEMO_SETTINGS.items()]
         argv = [sys.executable, "-m", "sdgpipe", "all", f"--panel={panel}", f"--gdp={gdp}",
                 f"--out={out}", *settings]
-        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+        return subprocess.run(argv, env=child_env(**env_overrides), capture_output=True,
+                              text=True, timeout=300)
 
     def test_non_ascii_country_under_ascii_locale(self, demo_dir, tmp_path):
         for name in ("panel.csv", "gdp.csv"):
