@@ -157,7 +157,7 @@ FIELD_PARSERS = {
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse a key=value config file (# comments and blank lines allowed)."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, object] = {}
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -495,12 +495,11 @@ def run_stage(name: str, config: PipelineConfig) -> tuple[list[Path], float]:
     return committed, time.perf_counter() - start
 
 
-def run_pipeline(config: PipelineConfig, stages: tuple[str, ...] | None = None) -> Path:
-    """Run the given stages in order and write the manifest; returns its path.
-    By default the stages are FULL_RUN if config.eps is set, else SCAN_RUN."""
+def run_pipeline(config: PipelineConfig) -> Path:
+    """Run FULL_RUN if config.eps is set, else SCAN_RUN, in order, and write
+    the manifest; returns its path."""
     config.validate()
-    if stages is None:
-        stages = FULL_RUN if config.eps is not None else SCAN_RUN
+    stages = FULL_RUN if config.eps is not None else SCAN_RUN
     all_written: list[Path] = []
     timings: list[dict[str, object]] = []
     for name in stages:

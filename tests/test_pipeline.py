@@ -959,6 +959,10 @@ class TestUsageErrors:
         assert main(["all", "--config", ""]) == 1
         assert "argument --config: invalid path value: ''" in capsys.readouterr().err
 
+    def test_directory_config_path(self, tmp_path, capsys):
+        assert main(["all", "--config", str(tmp_path)]) == 1
+        assert f"config file not found: {tmp_path}" in capsys.readouterr().err
+
 
 class TestScanRun:
     """Without eps, `all` runs the stages before cluster plus scan-eps, writes
