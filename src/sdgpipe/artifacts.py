@@ -53,6 +53,13 @@ DISTANCES = "distances.csv"
 GAUSSIAN_FITS = "gaussian_fits.csv"
 TRAJECTORY_FITS = "trajectory_fits.json"
 MANIFEST = "manifest.json"
+PARALLEL_SVG = "parallel.svg"
+PCA_SCATTER_SVG = "pca_scatter.svg"
+PCA_BIPLOT_SVG = "pca_biplot.svg"
+TSNE_CLUSTERS_SVG = "tsne_clusters.svg"
+CLUSTER_PROFILES_SVG = "cluster_profiles.svg"
+DISTRIBUTIONS_SVG = "distributions.svg"
+TRAJECTORIES_SVG = "trajectories.svg"
 
 
 def correlation_cluster_name(cluster_id: int) -> str:

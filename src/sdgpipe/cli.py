@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = [_common_options()]
     for name, stage in STAGES.items():
         sub.add_parser(name, help=stage.help, parents=common)
-    sub.add_parser("all", help="run every stage in order and write the manifest", parents=common)
+    sub.add_parser("all", help="run every stage; without --eps, stop after scan-eps",
+                   parents=common)
     return parser
 
 

@@ -583,7 +583,7 @@ def emit_figures(out: str | Path, dest: str | Path | None = None) -> list[Path]:
         artifacts.write_text(path, svg)
         produced.append(path)
 
-    # tsne_clusters.svg pairs embedding.csv with labels.csv by position, and
+    # The t-SNE figure pairs embedding.csv with labels.csv by position, and
     # the PCA and t-SNE scatters must show the same observations.
     proj_meta, proj = artifacts.read_matrix(out / artifacts.PCA_PROJECTION, 2)
     embed_meta, embed = artifacts.read_matrix(out / artifacts.EMBEDDING, 2)
@@ -593,22 +593,22 @@ def emit_figures(out: str | Path, dest: str | Path | None = None) -> list[Path]:
                             f"{artifacts.LABELS} rows do not line up")
 
     years_meta, means = artifacts.read_matrix(out / artifacts.YEARLY_MEANS, 1)
-    emit("parallel.svg", fig_parallel([int(row[0]) for row in years_meta], means))
+    emit(artifacts.PARALLEL_SVG, fig_parallel([int(row[0]) for row in years_meta], means))
 
     proj = proj[:, :2]
     _, ideal = artifacts.read_matrix(out / artifacts.PCA_IDEAL, 0)
-    emit("pca_scatter.svg", fig_pca_scatter(proj_meta, proj, ideal[0, :2].tolist()))
+    emit(artifacts.PCA_SCATTER_SVG, fig_pca_scatter(proj_meta, proj, ideal[0, :2].tolist()))
     _, vectors = artifacts.read_matrix(out / artifacts.PCA_LOADINGS, 1)
-    emit("pca_biplot.svg", fig_pca_biplot(proj_meta, proj, vectors.tolist()))
+    emit(artifacts.PCA_BIPLOT_SVG, fig_pca_biplot(proj_meta, proj, vectors.tolist()))
 
     _, switch_rows = artifacts.read_csv(out / artifacts.SWITCHES)
     switchers = sorted({row[0] for row in switch_rows})
-    emit("tsne_clusters.svg", fig_tsne_clusters(
+    emit(artifacts.TSNE_CLUSTERS_SVG, fig_tsne_clusters(
         embed_meta, embed[:, :2], labels[:, 0].astype(int).tolist(), switchers))
 
     profile_meta, z = artifacts.read_matrix(out / artifacts.CLUSTER_STANDARDIZED, 3)
     profiles = [(c, int(y), int(k), row) for (c, y, k), row in zip(profile_meta, z.tolist())]
-    emit("cluster_profiles.svg", fig_cluster_profiles(profiles))
+    emit(artifacts.CLUSTER_PROFILES_SVG, fig_cluster_profiles(profiles))
 
     heatmaps = {artifacts.CORRELATION_GLOBAL: "all countries"}
     pattern = artifacts.correlation_cluster_name("*")
@@ -622,17 +622,18 @@ def emit_figures(out: str | Path, dest: str | Path | None = None) -> list[Path]:
     fit_meta, fit_values = artifacts.read_matrix(out / artifacts.GAUSSIAN_FITS, 2)
     fits = [(int(c), int(y), m, s, int(n))
             for (c, y), (m, s, n) in zip(fit_meta, fit_values.tolist())]
-    emit("distributions.svg", fig_distributions(fits, sorted({f[1] for f in fits})))
+    emit(artifacts.DISTRIBUTIONS_SVG, fig_distributions(fits, sorted({f[1] for f in fits})))
 
     payload = artifacts.read_json(out / artifacts.TRAJECTORY_FITS)
     trajectory_fits = {int(k): v for k, v in payload.items()}
     if not trajectory_fits:  # nothing but noise: still render a (labeled) empty figure
-        emit("trajectories.svg", _svg(500, 120, [], "Mean distance to ideal: no clusters found"))
+        emit(artifacts.TRAJECTORIES_SVG,
+             _svg(500, 120, [], "Mean distance to ideal: no clusters found"))
         return produced
     tables = {}
     for cid in sorted(trajectory_fits):
         _, rows = artifacts.read_matrix(out / artifacts.trajectory_name(cid), 0)
         tables[cid] = [(int(year), mean, std) for year, mean, std, _ in rows.tolist()]
     extrapolate_to = max(fit["extrapolate_to"] for fit in trajectory_fits.values())
-    emit("trajectories.svg", fig_trajectories(tables, trajectory_fits, extrapolate_to))
+    emit(artifacts.TRAJECTORIES_SVG, fig_trajectories(tables, trajectory_fits, extrapolate_to))
     return produced

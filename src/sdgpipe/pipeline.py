@@ -412,40 +412,68 @@ def _stage_figures(config: PipelineConfig, dest: Path) -> None:
 
 @dataclass(frozen=True)
 class Stage:
-    """One subcommand: run(config, dest), which reads config.out and writes
-    only into dest, plainly, since run_stage renames each finished file into
-    config.out; the exit code of its failure; its help text; glob
-    patterns of the outputs whose set depends on the clustering or the
-    config, whose matches the stage's commit deletes unless it wrote them
-    again, so a rerun that writes fewer (no --gdp, fewer clusters) leaves
-    none behind; and the config fields naming the input files it reads,
-    which the manifest checksums."""
+    """One subcommand, declared once.
+
+    run(config, dest) reads config.out and writes only into dest, plainly,
+    since run_stage renames each finished file into config.out. exit_code is
+    what the CLI returns when it fails, and help its help text.
+
+    writes names every file the stage may write, with `*` for a cluster id or
+    a year. Its commit deletes each match that the stage did not write
+    again, so a rerun that writes fewer files (no --gdp, fewer clusters)
+    leaves none behind.
+
+    config names the PipelineConfig fields its outputs depend on. The
+    manifest records their values and checksums the files that its path
+    fields name.
+    """
 
     run: Callable[[PipelineConfig, Path], None]
     exit_code: int
     help: str
-    variable_outputs: tuple[str, ...] = ()
-    inputs: tuple[str, ...] = ()
+    writes: tuple[str, ...]
+    config: tuple[str, ...] = ()
 
 
 # In `sdgpipe --help` order.
 STAGES = {
     "ingest": Stage(stage_ingest, 2, "load, validate, filter, and standardize the panel",
-                    inputs=("panel",)),
-    "pca": Stage(stage_pca, 3, "fit the component basis and project observations"),
-    "tsne": Stage(stage_tsne, 4, "embed component coordinates into the 2-d or 3-d map"),
+                    writes=(artifacts.PANEL_FILTERED, artifacts.MOMENTS,
+                            artifacts.STANDARDIZED, artifacts.YEARLY_MEANS),
+                    config=("panel",)),
+    "pca": Stage(stage_pca, 3, "fit the component basis and project observations",
+                 writes=(artifacts.PCA_MODEL, artifacts.PCA_PROJECTION,
+                         artifacts.PCA_LOADINGS, artifacts.PCA_IDEAL),
+                 config=("pca_components",)),
+    "tsne": Stage(stage_tsne, 4, "embed component coordinates into the 2-d or 3-d map",
+                  writes=(artifacts.EMBEDDING, artifacts.KL_HISTORY),
+                  config=("perplexity", "embed_dim", "seed",
+                          *(f.name for f in fields(tsne.GradientSchedule)))),
     "cluster": Stage(stage_cluster, 5, "density-cluster the map and derive memberships",
-                     (artifacts.CLUSTER_GDP,), inputs=("gdp",)),
+                     writes=(artifacts.LABELS, artifacts.SWITCHES, artifacts.CLUSTER_COUNTRIES,
+                             artifacts.CLUSTER_STANDARDIZED, artifacts.CLUSTER_GDP),
+                     config=("eps", "min_pts", "gdp")),
     "scan-eps": Stage(stage_scan_eps, 9,
-                      "tabulate cluster count and noise share over an eps grid"),
+                      "tabulate cluster count and noise share over an eps grid",
+                      writes=(artifacts.EPS_SCAN,),
+                      config=("min_pts", "eps_grid")),
     "correlate": Stage(stage_correlate, 6, "goal correlation matrices, pooled and per cluster",
-                       (artifacts.correlation_cluster_name("*"),
-                        artifacts.correlation_year_name("*"))),
+                       writes=(artifacts.CORRELATION_GLOBAL,
+                               artifacts.correlation_cluster_name("*"),
+                               artifacts.correlation_year_name("*")),
+                       config=("per_year_correlations",)),
     "dynamics": Stage(stage_dynamics, 7,
                       "distance-to-ideal distributions, trends, extrapolation",
-                      (artifacts.trajectory_name("*"),)),
+                      writes=(artifacts.DISTANCES, artifacts.GAUSSIAN_FITS,
+                              artifacts.trajectory_name("*"), artifacts.TRAJECTORY_FITS),
+                      config=("exclude_years", "distribution_years", "extrapolate_to")),
     "figures": Stage(_stage_figures, 8, "render SVG figures from existing artifacts",
-                     (artifacts.svg_name(artifacts.correlation_cluster_name("*")),)),
+                     writes=(artifacts.PARALLEL_SVG, artifacts.PCA_SCATTER_SVG,
+                             artifacts.PCA_BIPLOT_SVG, artifacts.TSNE_CLUSTERS_SVG,
+                             artifacts.CLUSTER_PROFILES_SVG,
+                             artifacts.svg_name(artifacts.CORRELATION_GLOBAL),
+                             artifacts.svg_name(artifacts.correlation_cluster_name("*")),
+                             artifacts.DISTRIBUTIONS_SVG, artifacts.TRAJECTORIES_SVG)),
 }
 
 # scan-eps only tabulates candidate radii for picking eps; a full run takes
@@ -456,11 +484,11 @@ SCAN_RUN = (*FULL_RUN[: FULL_RUN.index("cluster")], "scan-eps")
 
 
 def _commit(out: Path, name: str, write: Callable[[Path], None],
-            stale: tuple[str, ...] = ()) -> list[Path]:
+            writes: tuple[str, ...] = ()) -> list[Path]:
     """Call write(dest) on a fresh staging directory out/.<name>.staging. On
-    success delete the files in out that match a stale pattern and were not
-    written again, then rename each written file into out; returns their
-    paths in out. The staging directory is removed on success and on
+    success delete the files in out that match a name or glob of writes and
+    were not written again, then rename each written file into out; returns
+    their paths in out. The staging directory is removed on success and on
     failure, so a write that raises leaves out as it was."""
     dest = out / f".{name}.staging"
     shutil.rmtree(dest, ignore_errors=True)  # left by an interrupted run
@@ -468,7 +496,7 @@ def _commit(out: Path, name: str, write: Callable[[Path], None],
     try:
         write(dest)
         committed = [out / path.name for path in sorted(dest.iterdir())]
-        for pattern in stale:
+        for pattern in writes:
             for path in set(out.glob(pattern)).difference(committed):
                 path.unlink()
         for path in committed:
@@ -480,7 +508,7 @@ def _commit(out: Path, name: str, write: Callable[[Path], None],
 
 def run_stage(name: str, config: PipelineConfig) -> tuple[list[Path], float]:
     """Run one stage into a staging directory and commit it into config.out,
-    deleting the stage's variable outputs it did not write again. A failed
+    deleting the files of its writes that it did not write again. A failed
     stage leaves config.out as it was and raises StageError."""
     if name not in STAGES:
         raise ConfigError(f"unknown stage {name!r}")
@@ -489,7 +517,7 @@ def run_stage(name: str, config: PipelineConfig) -> tuple[list[Path], float]:
     start = time.perf_counter()
     try:
         committed = _commit(config.out, name, lambda dest: stage.run(config, dest),
-                            stage.variable_outputs)
+                            stage.writes)
     except Exception as exc:
         raise StageError(name, exc) from exc
     return committed, time.perf_counter() - start
@@ -527,20 +555,23 @@ def write_manifest(
     written: list[Path],
     timings: list[dict[str, object]],
 ) -> Path:
-    """Record config, timings, output checksums, the checksums of the input
-    files the timed stages read, and the environment (the embedding, and so
-    the clusters, can differ across Python, numpy and scipy builds)."""
+    """Record the config fields the timed stages declare (and out), timings,
+    output checksums, the checksums of the files named by the declared path
+    fields, and the environment (the embedding, and so the clusters, can
+    differ across Python, numpy and scipy builds)."""
+    declared = {name for t in timings for name in STAGES[t["name"]].config}
     inputs = {}
-    for name in sorted({name for t in timings for name in STAGES[t["name"]].inputs}):
+    for name in sorted(declared):
         value = getattr(config, name)
-        if value is not None:
+        if isinstance(value, Path):
             inputs[name] = {"path": str(value), "sha256": artifacts.sha256_of(value)}
     outputs = {
         path.name: artifacts.sha256_of(path)
         for path in sorted(set(written), key=lambda p: p.name)
     }
     payload = {
-        "config": config_snapshot(config),
+        "config": {name: value for name, value in config_snapshot(config).items()
+                   if name == "out" or name in declared},
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,

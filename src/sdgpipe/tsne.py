@@ -19,19 +19,19 @@ first writes the blocks' kernel rows (1 + d^2)^-1; one serial sum over the
 whole kernel then gives the normalizer Z. The second turns each block into
 its gradient weights (a p_ij - q_ij)(1 + d^2)^-1, with the exaggeration a
 as a scalar, their row sums and their contraction with the map. The KL of a
-recorded step is summed from the same kernel, one partial per half block,
-added in row order. Every block row is computed as the full-matrix call
-would compute it, so the gradient is bitwise the same however the blocks are
+recorded step is summed from the same kernel, one partial per block, added
+in row order. Every block row is computed as the full-matrix call would
+compute it, so the gradient is bitwise the same however the blocks are
 shared out. From PARALLEL_MIN_ROWS rows on, `embed` splits the blocks of
 each pass over one thread per usable CPU; smaller maps run serially, where
 threads cost more than they save.
 
 Memory: `embed` holds two n x n arrays, P and the kernel (Z must be one
 serial sum over the whole kernel to stay bitwise fixed), plus one
-BLOCK_ROWS x n scratch per worker, allocated once per call, in which the
-weights and KL terms are formed half a block at a time. Calibration holds
-one n x n array: distances are computed a row at a time, and the
-conditionals become P in place.
+2 x BLOCK_ROWS x n scratch per worker, allocated once per call, in which a
+block's weights and KL terms are formed. Calibration holds one n x n array:
+distances are computed a row at a time, and the conditionals become P in
+place.
 """
 
 from __future__ import annotations
@@ -54,10 +54,7 @@ PERPLEXITY_TOL = 1e-5
 MAX_CALIBRATION_STEPS = 100
 
 # Rows per block of the sweeps.
-BLOCK_ROWS = 128
-# A block's gradient weights and KL terms are formed half a block at a time,
-# so the two n-wide operands of a half fit in one BLOCK_ROWS x n scratch.
-HALF_ROWS = BLOCK_ROWS // 2
+BLOCK_ROWS = 64
 # Maps with fewer rows run the sweep serially. On a 2-CPU Linux VM two
 # workers were slower than one up to about 400 rows (0.83 against 0.72 ms
 # per gradient at 276) and faster from about 420 (3.0 against 4.1 ms at 690).
@@ -242,21 +239,11 @@ def _pool_size(n_blocks: int) -> int:
     return min(cpus, n_blocks)
 
 
-def _halves(
-    rows: slice, scratch: np.ndarray
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Each half block of a row block, with two contiguous half x n buffers
-    side by side in the scratch."""
-    for start in range(rows.start, rows.stop, HALF_ROWS):
-        half = slice(start, min(start + HALF_ROWS, rows.stop))
-        count = half.stop - start
-        yield half, scratch[0, :count], scratch[1, :count]
-
-
 def _in_order(blocks: list[slice], n: int) -> Sweep:
     """Sweep that applies work to the given row blocks of an n-row map in
-    order, in the calling thread, with one BLOCK_ROWS x n scratch of its own."""
-    scratch = np.empty((2, HALF_ROWS, n))
+    order, in the calling thread, with a 2 x BLOCK_ROWS x n scratch of its
+    own: two contiguous block x n buffers side by side."""
+    scratch = np.empty((2, BLOCK_ROWS, n))
 
     def sweep(work: Work) -> None:
         for rows in blocks:
@@ -331,8 +318,8 @@ def _gradient(
 
         dC/dy_i = 4 sum_j (scale p_ij - q_ij) (y_i - y_j) (1 + ||y_i - y_j||^2)^-1
 
-    kernel is an n x n buffer; the weights are formed half a block at a time
-    in the sweep's scratch. Returns (gradient, Z) and leaves the kernel in
+    kernel is an n x n buffer; the weights are formed a block at a time in
+    the sweep's scratch. Returns (gradient, Z) and leaves the kernel in
     kernel, so Q = kernel / Z.
     """
     Z = _student_t(Y, kernel, sweep)
@@ -340,14 +327,14 @@ def _gradient(
     contraction = np.empty(Y.shape)
 
     def rows_of(rows: slice, scratch: np.ndarray) -> None:
-        for half, target, weights in _halves(rows, scratch):
-            # x * 1.0 == x, so the unexaggerated steps read P itself.
-            target = P[half] if scale == 1.0 else np.multiply(P[half], scale, out=target)
-            np.divide(kernel[half], Z, out=weights)
-            np.subtract(target, weights, out=weights)
-            np.multiply(weights, kernel[half], out=weights)
-            weights.sum(axis=1, out=row_sums[half])
-            np.einsum("ij,jk->ik", weights, Y, out=contraction[half], optimize=False)
+        target, weights = scratch[:, :rows.stop - rows.start]
+        # x * 1.0 == x, so the unexaggerated steps read P itself.
+        target = P[rows] if scale == 1.0 else np.multiply(P[rows], scale, out=target)
+        np.divide(kernel[rows], Z, out=weights)
+        np.subtract(target, weights, out=weights)
+        np.multiply(weights, kernel[rows], out=weights)
+        weights.sum(axis=1, out=row_sums[rows])
+        np.einsum("ij,jk->ik", weights, Y, out=contraction[rows], optimize=False)
 
     sweep(rows_of)
     return 4.0 * (row_sums[:, None] * Y - contraction), Z
@@ -356,21 +343,21 @@ def _gradient(
 def _kl(P: np.ndarray, kernel: np.ndarray, Z: float, sweep: Sweep) -> float:
     """kl_divergence(P, kernel / Z) without its n x n temporaries.
 
-    The terms of each half block are summed on their own, with the same
-    floors, and the partial sums are added in row order, so the pool cannot
-    change the result.
+    The terms of each block are summed on their own, with the same floors,
+    and the partial sums are added in row order, so the pool cannot change
+    the result.
     """
-    partials = np.empty(math.ceil(P.shape[0] / HALF_ROWS))
+    partials = np.empty(math.ceil(P.shape[0] / BLOCK_ROWS))
 
     def rows_of(rows: slice, scratch: np.ndarray) -> None:
-        for half, floored, ratio in _halves(rows, scratch):
-            np.maximum(P[half], P_FLOOR, out=floored)
-            np.divide(kernel[half], Z, out=ratio)
-            np.maximum(ratio, P_FLOOR, out=ratio)
-            np.divide(floored, ratio, out=ratio)
-            np.log(ratio, out=ratio)
-            np.multiply(P[half], ratio, out=ratio)
-            partials[half.start // HALF_ROWS] = ratio.sum()
+        floored, ratio = scratch[:, :rows.stop - rows.start]
+        np.maximum(P[rows], P_FLOOR, out=floored)
+        np.divide(kernel[rows], Z, out=ratio)
+        np.maximum(ratio, P_FLOOR, out=ratio)
+        np.divide(floored, ratio, out=ratio)
+        np.log(ratio, out=ratio)
+        np.multiply(P[rows], ratio, out=ratio)
+        partials[rows.start // BLOCK_ROWS] = ratio.sum()
 
     sweep(rows_of)
     return sum(partials.tolist())

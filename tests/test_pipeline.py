@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import fnmatch
 import hashlib
 import io
 import importlib.util
@@ -7,6 +8,7 @@ import json
 import math
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -215,30 +217,10 @@ class TestValidate:
 
 class TestFullRunArtifacts:
     def test_expected_files_exist(self, pipeline_run):
+        # the fixture run has --gdp, so it writes every fixed name of its stages
         out = pipeline_run.out
-        always = [
-            artifacts.PANEL_FILTERED,
-            artifacts.MOMENTS,
-            artifacts.STANDARDIZED,
-            artifacts.YEARLY_MEANS,
-            artifacts.PCA_MODEL,
-            artifacts.PCA_PROJECTION,
-            artifacts.PCA_LOADINGS,
-            artifacts.PCA_IDEAL,
-            artifacts.EMBEDDING,
-            artifacts.KL_HISTORY,
-            artifacts.LABELS,
-            artifacts.SWITCHES,
-            artifacts.CLUSTER_COUNTRIES,
-            artifacts.CLUSTER_STANDARDIZED,
-            artifacts.CLUSTER_GDP,
-            artifacts.CORRELATION_GLOBAL,
-            artifacts.DISTANCES,
-            artifacts.GAUSSIAN_FITS,
-            artifacts.TRAJECTORY_FITS,
-            artifacts.MANIFEST,
-        ]
-        for name in always:
+        always = [name for stage in FULL_RUN for name in STAGES[stage].writes if "*" not in name]
+        for name in [*always, artifacts.MANIFEST]:
             assert (out / name).exists(), name
 
     def test_no_temporary_files_left(self, pipeline_run):
@@ -1064,7 +1046,11 @@ class TestStageTable:
         }
 
     def test_inputs(self):
-        assert {name: stage.inputs for name, stage in STAGES.items() if stage.inputs} == {
+        # the manifest checksums the files named by a stage's path fields
+        paths = {f.name for f in fields(PipelineConfig) if "Path" in f.type}
+        declared = {name: tuple(f for f in stage.config if f in paths)
+                    for name, stage in STAGES.items()}
+        assert {name: found for name, found in declared.items() if found} == {
             "ingest": ("panel",),
             "cluster": ("gdp",),
         }
@@ -1081,7 +1067,7 @@ class TestStageTable:
             ("correlate", "goal correlation matrices, pooled and per cluster"),
             ("dynamics", "distance-to-ideal distributions, trends, extrapolation"),
             ("figures", "render SVG figures from existing artifacts"),
-            ("all", "run every stage in order and write the manifest"),
+            ("all", "run every stage; without --eps, stop after scan-eps"),
         ]
 
     def test_full_run(self):
@@ -1091,7 +1077,7 @@ class TestStageTable:
     # sha256 of `sdgpipe [<command>] --help` at COLUMNS=80. argparse's layout
     # changes between Python minor versions, so the digests hold for 3.11 only.
     HELP_SHA256 = {
-        "": "f0bf07d494de623826dd1f4fb0b13dffb05ac25048c923b7d9fec3ae2624150c",
+        "": "670a04d545ce9cba8d5443df5edf8310ce53c83dd2000dd5b4fabc19803f2b80",
         "ingest": "39b17397b915fbac9e6f677e2ce7a6d53856cc1797e0e7e46ee0dd9bbe146a73",
         "pca": "ed5f0c03528865dcf77ac1577eeddd51ccb75f3ef8c815d318486b08f741a9af",
         "tsne": "0a8746a88943bc99865d73fc8342ea78b351f1493bec43352e2a3774994e5d4a",
@@ -1113,6 +1099,69 @@ class TestStageTable:
         assert stop.value.code == 0
         text = capsys.readouterr().out
         assert hashlib.sha256(text.encode()).hexdigest() == self.HELP_SHA256[command]
+
+
+class TestStageContract:
+    """What STAGES declares of each stage holds: it writes exactly its
+    `writes`, and the manifest of a run records only its `config`."""
+
+    @pytest.fixture(scope="class")
+    def written(self, demo_config, tmp_path_factory) -> dict[str, list[str]]:
+        """Stage -> names it wrote, each stage run once with --gdp and
+        --per-year, so every optional file is written."""
+        config = replace(demo_config, out=tmp_path_factory.mktemp("contract") / "out",
+                         per_year_correlations=True)
+        return {name: [path.name for path in run_stage(name, config)[0]] for name in STAGES}
+
+    @pytest.mark.parametrize("name", list(STAGES))
+    def test_stage_writes_exactly_its_declared_files(self, written, name):
+        declared = STAGES[name].writes
+        unmatched = [p for p in declared if not fnmatch.filter(written[name], p)]
+        undeclared = [w for w in written[name]
+                      if not any(fnmatch.fnmatchcase(w, p) for p in declared)]
+        assert (unmatched, undeclared) == ([], [])
+
+    def test_no_file_is_declared_by_two_stages(self, written):
+        names = {w for names in written.values() for w in names}
+        names |= {p.replace("*", "7") for stage in STAGES.values() for p in stage.writes}
+        for file in sorted(names):
+            owners = [name for name, stage in STAGES.items()
+                      if any(fnmatch.fnmatchcase(file, p) for p in stage.writes)]
+            assert len(owners) == 1, (file, owners)
+
+    def test_every_field_but_out_is_declared(self):
+        declared = {f for stage in STAGES.values() for f in stage.config}
+        assert declared == {f.name for f in fields(PipelineConfig)} - {"out"}
+
+    def test_lone_stage_manifest_records_only_its_fields(self, pipeline_run, tmp_path, capsys):
+        copied = tmp_path / "copy"
+        shutil.copytree(pipeline_run.out, copied)
+
+        def config_of(stage: str, *flags) -> dict:
+            argv = [stage, "--panel", pipeline_run.panel, "--out", copied, *flags]
+            assert main([str(a) for a in argv]) == 0
+            return json.loads((copied / artifacts.MANIFEST).read_text())["config"]
+
+        assert config_of("figures") == {"out": str(copied)}
+        assert config_of("cluster", "--gdp", pipeline_run.gdp, "--eps", 5.0) == {
+            "eps": 5.0,
+            "min_pts": DEMO_SETTINGS["min_pts"],
+            "gdp": str(pipeline_run.gdp),
+            "out": str(copied),
+        }
+        capsys.readouterr()
+
+    def test_readme_artifacts_table_matches_writes(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Artifacts\n", 1)[1].split("\n## ", 1)[0]
+        table = {}
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 2 and cells[0] in STAGES:
+                files = re.sub(r"\(only with [^)]*\)", "", cells[1])  # not a file name
+                table[cells[0]] = tuple(re.sub(r"<[ky]>", "*", name)
+                                        for name in re.findall(r"`([^`]+)`", files))
+        assert table == {name: stage.writes for name, stage in STAGES.items()}
 
 
 class TestUtf8Artifacts:

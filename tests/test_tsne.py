@@ -226,7 +226,8 @@ def random_affinities(rng, n):
 
 class TestBlockedSweep:
     @pytest.mark.parametrize("n", [4, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
-                                   2 * BLOCK_ROWS + 3])
+                                   2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1,
+                                   4 * BLOCK_ROWS + 3])
     @pytest.mark.parametrize("dim", [2, 3])
     def test_bitwise_equal_to_dense_gradient(self, n, dim):
         rng = np.random.default_rng(n * 10 + dim)
