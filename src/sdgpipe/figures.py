@@ -444,7 +444,7 @@ def fig_correlation_heatmap(values: ArrayLike, subtitle: str) -> str:
 def fig_distributions(fits: list[tuple[int, int, float, float, int]],
                       years: list[int]) -> str:
     """fits: (cluster, year, mean, std, n)."""
-    if not fits:  # nothing but noise: a labeled empty figure, as for trajectories
+    if not fits:  # nothing but noise: a labeled empty figure
         return _svg(500, 120, [], "Distance-to-ideal distributions: no clusters found")
     panel_w, panel_h = 340, 260
     width, height, origins = _grid(len(years), panel_w, panel_h, 24)
@@ -504,6 +504,8 @@ def _sample_years(first: int, last: int) -> list[float]:
 def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
                      fits: dict[int, dict], extrapolate_to: int) -> str:
     """tables: cluster -> [(year, mean, std)]; fits: cluster -> fit payload."""
+    if not fits:  # nothing but noise: a labeled empty figure, as for distributions
+        return _svg(500, 120, [], "Mean distance to ideal: no clusters found")
 
     def curve(fit: dict, year: float | np.ndarray) -> float | np.ndarray:
         return fit["a"] + fit["b"] * year + fit["c"] * year * year
@@ -626,14 +628,11 @@ def emit_figures(out: str | Path, dest: str | Path | None = None) -> list[Path]:
 
     payload = artifacts.read_json(out / artifacts.TRAJECTORY_FITS)
     trajectory_fits = {int(k): v for k, v in payload.items()}
-    if not trajectory_fits:  # nothing but noise: still render a (labeled) empty figure
-        emit(artifacts.TRAJECTORIES_SVG,
-             _svg(500, 120, [], "Mean distance to ideal: no clusters found"))
-        return produced
     tables = {}
     for cid in sorted(trajectory_fits):
         _, rows = artifacts.read_matrix(out / artifacts.trajectory_name(cid), 0)
         tables[cid] = [(int(year), mean, std) for year, mean, std, _ in rows.tolist()]
-    extrapolate_to = max(fit["extrapolate_to"] for fit in trajectory_fits.values())
+    extrapolate_to = max((fit["extrapolate_to"] for fit in trajectory_fits.values()),
+                         default=None)
     emit(artifacts.TRAJECTORIES_SVG, fig_trajectories(tables, trajectory_fits, extrapolate_to))
     return produced

@@ -10,6 +10,7 @@ naming the stage. The manifest is committed the same way.
 
 from __future__ import annotations
 
+import math
 import os
 import platform
 import shutil
@@ -61,14 +62,6 @@ class PipelineConfig:
     pca_components: int = 10
     embed_dim: int = 2
     iterations: int = tsne.GradientSchedule.iterations
-    learning_rate: float = tsne.GradientSchedule.learning_rate
-    momentum_early: float = tsne.GradientSchedule.momentum_early
-    momentum_late: float = tsne.GradientSchedule.momentum_late
-    momentum_switch: int = tsne.GradientSchedule.momentum_switch
-    exaggeration: float = tsne.GradientSchedule.exaggeration
-    exaggeration_until: int = tsne.GradientSchedule.exaggeration_until
-    record_every: int = tsne.GradientSchedule.record_every
-    init_scale: float = tsne.GradientSchedule.init_scale
     seed: int = 0
     eps: float | None = None
     min_pts: int = dbscan.DEFAULT_MIN_PTS
@@ -86,27 +79,26 @@ class PipelineConfig:
             raise ConfigError("panel CSV path is required")
         if self.out is None:
             raise ConfigError("output directory is required")
-        if self.perplexity <= 1:
-            raise ConfigError("perplexity must exceed 1")
+        if not 1 < self.perplexity < math.inf:  # NaN fails every comparison
+            raise ConfigError("perplexity must be finite and exceed 1")
         if not 2 <= self.pca_components <= N_GOALS:
             raise ConfigError(f"pca_components must be in [2, {N_GOALS}]")
         if self.embed_dim not in (2, 3):
             raise ConfigError("embed_dim must be 2 or 3")
-        if self.eps is not None and self.eps <= 0:
-            raise ConfigError("eps must be positive")
+        if self.eps is not None and not 0 < self.eps < math.inf:
+            raise ConfigError("eps must be finite and positive")
         if self.min_pts < 1:
             raise ConfigError("min_pts must be >= 1")
-        if not self.eps_grid or any(e <= 0 for e in self.eps_grid):
-            raise ConfigError("eps_grid must be nonempty and positive")
+        if not self.eps_grid or not all(0 < e < math.inf for e in self.eps_grid):
+            raise ConfigError("eps_grid must be nonempty, finite and positive")
         try:
             self.schedule().validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     def schedule(self) -> tsne.GradientSchedule:
-        return tsne.GradientSchedule(
-            **{f.name: getattr(self, f.name) for f in fields(tsne.GradientSchedule)}
-        )
+        """The library's optimizer schedule with this run's iteration count."""
+        return tsne.GradientSchedule(iterations=self.iterations)
 
 
 def _parse_bool(text: str) -> bool:
@@ -155,11 +147,13 @@ FIELD_PARSERS = {
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Parse a key=value config file (# comments and blank lines allowed)."""
+    """Parse a key=value config file (# comments and blank lines allowed; each
+    key at most once)."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}  # key -> the line that set it
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -170,6 +164,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         key = key.strip()
         if key not in FIELD_PARSERS:
             raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{line_no}: {key} already set on line {lines[key]}")
+        lines[key] = line_no
         try:
             values[key] = FIELD_PARSERS[key](value.strip())
         except (ValueError, TypeError) as exc:
@@ -447,8 +444,7 @@ STAGES = {
                  config=("pca_components",)),
     "tsne": Stage(stage_tsne, 4, "embed component coordinates into the 2-d or 3-d map",
                   writes=(artifacts.EMBEDDING, artifacts.KL_HISTORY),
-                  config=("perplexity", "embed_dim", "seed",
-                          *(f.name for f in fields(tsne.GradientSchedule)))),
+                  config=("perplexity", "embed_dim", "seed", "iterations")),
     "cluster": Stage(stage_cluster, 5, "density-cluster the map and derive memberships",
                      writes=(artifacts.LABELS, artifacts.SWITCHES, artifacts.CLUSTER_COUNTRIES,
                              artifacts.CLUSTER_STANDARDIZED, artifacts.CLUSTER_GDP),

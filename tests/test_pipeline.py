@@ -27,6 +27,7 @@ from sdgpipe.errors import ConfigError, MissingArtifactError, StageError
 from sdgpipe.panel import GOAL_COLUMNS
 from sdgpipe.pipeline import (
     DEFAULT_EPS_GRID,
+    FIELD_PARSERS,
     FULL_RUN,
     STAGES,
     SCAN_RUN,
@@ -82,8 +83,16 @@ class TestConfigFile:
 
     def test_unknown_key_names_line(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("panel = a.csv\nbogus = 1\n")
-        with pytest.raises(ConfigError, match=":2"):
+        # the t-SNE schedule is fixed but for iterations, so learning_rate is unknown
+        for key, value in (("bogus", 1), ("learning_rate", 20)):
+            path.write_text(f"panel = a.csv\n{key} = {value}\n")
+            with pytest.raises(ConfigError, match=f":2: unknown key '{key}'"):
+                load_config(path)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("eps = 1.0\n\neps = 5.0\n")
+        with pytest.raises(ConfigError, match=":3: eps already set on line 1"):
             load_config(path)
 
     def test_bad_value(self, tmp_path):
@@ -160,6 +169,18 @@ class TestSingleSource:
             assert getattr(from_file, f.name) != f.default, f.name
             assert replace(from_file, **{f.name: f.default}) == PipelineConfig()
 
+    def test_readme_settings_table_matches_fields(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("\n| key | flag | default |\n", 1)[1].split("\n\n", 1)[0]
+        rows = []
+        for line in table.splitlines()[1:]:  # past the |---| line
+            key, flag, default = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+            # a default is a config-file value in backticks, or "none; <what that means>"
+            value = None if default.startswith("none; ") else FIELD_PARSERS[key](default)
+            rows.append((key, flag, value))
+        assert rows == [(f.name, f.metadata.get("flag", "--" + f.name.replace("_", "-")),
+                         f.default) for f in fields(PipelineConfig)]
+
     def test_snapshot_has_exactly_the_fields(self):
         config = PipelineConfig(panel=Path("p.csv"), out=Path("o"))
         snapshot = config_snapshot(config)
@@ -189,13 +210,15 @@ class TestValidate:
             dict(pca_components=18),
             dict(embed_dim=4),
             dict(iterations=0),
-            dict(record_every=0),
-            dict(learning_rate=0.0),
-            dict(init_scale=0.0),
             dict(eps=-1.0),
             dict(min_pts=0),
             dict(eps_grid=()),
             dict(eps_grid=(1.0, -2.0)),
+            dict(perplexity=math.nan),
+            dict(perplexity=math.inf),
+            dict(eps=math.nan),
+            dict(eps=math.inf),
+            dict(eps_grid=(math.nan,)),
         ],
     )
     def test_rejects(self, kw):
@@ -203,12 +226,8 @@ class TestValidate:
             self.base(**kw).validate()
 
     def test_schedule_carries_fields(self):
-        config = self.base(iterations=321, learning_rate=55.0, exaggeration=9.0)
-        schedule = config.schedule()
-        assert schedule.iterations == 321
-        assert schedule.learning_rate == 55.0
-        assert schedule.exaggeration == 9.0
-        assert schedule.momentum_switch == 250
+        schedule = self.base(iterations=321).schedule()
+        assert schedule == replace(tsne.GradientSchedule(), iterations=321)
 
     def test_defaults_come_from_the_stages(self):
         assert PipelineConfig().schedule() == tsne.GradientSchedule()
@@ -921,6 +940,16 @@ class TestUsageErrors:
         assert "sdgpipe" in result.stderr and "error:" in result.stderr
         assert list(tmp_path.iterdir()) == []
 
+    # The t-SNE optimizer schedule is fixed but for --iterations.
+    @pytest.mark.parametrize("flag", ["--learning-rate", "--momentum-early", "--momentum-late",
+                                      "--momentum-switch", "--exaggeration",
+                                      "--exaggeration-until", "--record-every", "--init-scale"])
+    def test_removed_schedule_flags_exit_one(self, flag, demo_dir, tmp_path, capsys):
+        argv = ["tsne", "--panel", demo_dir / "panel.csv", "--out", tmp_path / "out", flag, "20"]
+        assert main([str(a) for a in argv]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_blank_out_writes_nothing(self, demo_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["ingest", "--panel", str(demo_dir / "panel.csv"), "--out", ""]) == 1
@@ -1078,15 +1107,15 @@ class TestStageTable:
     # changes between Python minor versions, so the digests hold for 3.11 only.
     HELP_SHA256 = {
         "": "670a04d545ce9cba8d5443df5edf8310ce53c83dd2000dd5b4fabc19803f2b80",
-        "ingest": "39b17397b915fbac9e6f677e2ce7a6d53856cc1797e0e7e46ee0dd9bbe146a73",
-        "pca": "ed5f0c03528865dcf77ac1577eeddd51ccb75f3ef8c815d318486b08f741a9af",
-        "tsne": "0a8746a88943bc99865d73fc8342ea78b351f1493bec43352e2a3774994e5d4a",
-        "cluster": "94130db42d1207741fb66c1fb6dacb8ebe3211a0010efb4d423edefe004969ac",
-        "scan-eps": "f4af6a6d656c4b19defe26cff6de5e8ae68bf5c7a4ccba0280b40e0ce7f71f0e",
-        "correlate": "0ac2ac67d599d9ba33604cd1f5bf33d0af355f1443b720e9625150afc3d165bb",
-        "dynamics": "465709c6727c0069de0a8086dc34ca6dbecac931d1fb1b17168a10fa0933bc24",
-        "figures": "24f690e2dc3e7697e9172a8eaf8cc80b04bd108b691d92d42d37c5e474585a6b",
-        "all": "f37673895a2c8638f062ff5b0e5ea286d92b31e4fddb03ed76f1b0ae9568082b",
+        "ingest": "e169152e6113f7aa437f0b76518a5b851771cb7960d7b3c3d0c6f78ea6126ae7",
+        "pca": "e19879457dd4cf4ea9e5e9ff30ec7aad5f9a5449401cd7fb0ce96a72fb9f671a",
+        "tsne": "18c8b534acf72554705d995d0b0ff4c71c70c1ec73c414a2a05064fc36a58601",
+        "cluster": "7ac58663dcdfa66984e8cc1cd1ee667d3c8eacccd4f7bbc85ed7af866678fa1a",
+        "scan-eps": "787ca605ded4d558b4cb27c2e32e9e8780c616a2404cace600178ccfd38e33ce",
+        "correlate": "cec4a8c5860604771ac12934daf0fe596fa0be81f344031b2ecb2cede0810a55",
+        "dynamics": "b08b0297b09a8ef8146c2c53f6599df53501d11341caa02c3d71f21129d8f471",
+        "figures": "1a8796699408e9ea8bdfaf8ca46f1f244e0c085e21d8addcdc98e33a96362a69",
+        "all": "dbd308a0e089c8c793968ba96cde02d8dca336487af72a7c9ba15d7b0149ecf1",
     }
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
@@ -1147,6 +1176,13 @@ class TestStageContract:
             "eps": 5.0,
             "min_pts": DEMO_SETTINGS["min_pts"],
             "gdp": str(pipeline_run.gdp),
+            "out": str(copied),
+        }
+        assert config_of("tsne", "--iterations", 20) == {
+            "perplexity": PipelineConfig.perplexity,
+            "embed_dim": PipelineConfig.embed_dim,
+            "seed": PipelineConfig.seed,
+            "iterations": 20,
             "out": str(copied),
         }
         capsys.readouterr()

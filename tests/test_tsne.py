@@ -405,6 +405,8 @@ class TestRun:
             GradientSchedule(exaggeration=0.5).validate()
         with pytest.raises(ValueError):
             GradientSchedule(init_scale=0.0).validate()
+        with pytest.raises(ValueError):
+            GradientSchedule(record_every=0).validate()
 
 
 def traced_peak(call):
