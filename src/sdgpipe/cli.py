@@ -1,10 +1,11 @@
 """Command line entry point.
 
 One subcommand per stage plus `all` for the full run, which stops at the
-eps scan and prints it when no eps is given. Values come from an optional
-key=value config file, overridden by flags. Every stage failure maps to its
-own exit code so shell callers can tell where a run died; usage errors,
-argparse's included, exit USAGE_EXIT.
+eps scan and prints it when no eps is given, and otherwise ends by printing
+each cluster's countries and projected attainment year. Values come from an
+optional key=value config file, overridden by flags. Every stage failure
+maps to its own exit code so shell callers can tell where a run died; usage
+errors, argparse's included, exit USAGE_EXIT.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 from sdgpipe import artifacts
 from sdgpipe.errors import PipelineError, StageError
@@ -67,6 +69,29 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     return apply_overrides(config, **overrides)
 
 
+def _print_summary(out: Path) -> None:
+    """The run's headline results: each cluster's final-year countries, noise
+    first, then each cluster's projected attainment year. A character that
+    stdout cannot encode (a country name under an ASCII locale) is printed
+    as a backslash escape."""
+    _, rows = artifacts.read_csv(out / artifacts.CLUSTER_COUNTRIES)
+    members: dict[int, list[str]] = {}
+    for country, cluster_id in rows:
+        members.setdefault(int(cluster_id), []).append(country)
+    lines = []
+    for cluster_id in sorted(members):
+        name = "noise" if cluster_id < 0 else f"cluster {cluster_id}"
+        lines.append(f"  {name}: {', '.join(members[cluster_id])}")
+    fits = artifacts.read_json(out / artifacts.TRAJECTORY_FITS)
+    for cluster_id in sorted(fits, key=int):
+        year = fits[cluster_id]["attainment_year"]
+        when = "never (no future zero)" if year is None else year
+        lines.append(f"  cluster {cluster_id}: projected attainment {when}")
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    for line in lines:
+        print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -83,6 +108,7 @@ def main(argv: list[str] | None = None) -> int:
                 print("pick an eps from the table above and re-run with --eps")
             else:
                 print(f"pipeline complete; manifest at {manifest}")
+                _print_summary(config.out)
         else:
             written, seconds = run_stage(args.command, config)
             write_manifest(config, written,

@@ -120,23 +120,29 @@ class Frame:
         return self.top + (self.y_hi - value) / (self.y_hi - self.y_lo) * self.height
 
 
-def _padded(lo: float, hi: float, frac: float = 0.06) -> tuple[float, float]:
+# Axis ranges are padded by this share of their span on each side.
+PAD_FRACTION = 0.06
+# An axis gets at most this many tick intervals.
+TICK_TARGET = 5
+
+
+def _padded(lo: float, hi: float) -> tuple[float, float]:
     if hi == lo:
-        pad = max(abs(hi), 1.0) * frac
+        pad = max(abs(hi), 1.0) * PAD_FRACTION
     else:
-        pad = (hi - lo) * frac
+        pad = (hi - lo) * PAD_FRACTION
     return lo - pad, hi + pad
 
 
-def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / target
+    raw = span / TICK_TARGET
     power = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * power
-        if span / step <= target:
+        if span / step <= TICK_TARGET:
             break
     first = math.ceil(lo / step) * step
     out = []
@@ -574,10 +580,9 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
 # artifact plumbing
 
 
-def emit_figures(out: str | Path, dest: str | Path | None = None) -> list[Path]:
-    """Draw every figure from the artifacts in out into dest (default out); returns the paths."""
-    out = Path(out)
-    dest = Path(dest or out)
+def emit_figures(out: str | Path, dest: str | Path) -> list[Path]:
+    """Draw every figure from the artifacts in out into dest; returns the paths."""
+    out, dest = Path(out), Path(dest)
     produced: list[Path] = []
 
     def emit(name: str, svg: str) -> None:
@@ -613,10 +618,11 @@ def emit_figures(out: str | Path, dest: str | Path | None = None) -> list[Path]:
     emit(artifacts.CLUSTER_PROFILES_SVG, fig_cluster_profiles(profiles))
 
     heatmaps = {artifacts.CORRELATION_GLOBAL: "all countries"}
-    pattern = artifacts.correlation_cluster_name("*")
-    prefix, suffix = pattern.split("*")
-    for path in sorted(out.glob(pattern)):
-        heatmaps[path.name] = f"cluster {path.name.removeprefix(prefix).removesuffix(suffix)}"
+    for kind, name_of in (("cluster", artifacts.correlation_cluster_name),
+                          ("year", artifacts.correlation_year_name)):
+        prefix, suffix = name_of("*").split("*")
+        for path in sorted(out.glob(name_of("*"))):
+            heatmaps[path.name] = f"{kind} {path.name.removeprefix(prefix).removesuffix(suffix)}"
     for name, subtitle in heatmaps.items():
         _, values = artifacts.read_matrix(out / name, 1)
         emit(artifacts.svg_name(name), fig_correlation_heatmap(values, subtitle))

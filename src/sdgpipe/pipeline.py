@@ -85,6 +85,8 @@ class PipelineConfig:
             raise ConfigError(f"pca_components must be in [2, {N_GOALS}]")
         if self.embed_dim not in (2, 3):
             raise ConfigError("embed_dim must be 2 or 3")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.eps is not None and not 0 < self.eps < math.inf:
             raise ConfigError("eps must be finite and positive")
         if self.min_pts < 1:
@@ -469,6 +471,7 @@ STAGES = {
                              artifacts.CLUSTER_PROFILES_SVG,
                              artifacts.svg_name(artifacts.CORRELATION_GLOBAL),
                              artifacts.svg_name(artifacts.correlation_cluster_name("*")),
+                             artifacts.svg_name(artifacts.correlation_year_name("*")),
                              artifacts.DISTRIBUTIONS_SVG, artifacts.TRAJECTORIES_SVG)),
 }
 

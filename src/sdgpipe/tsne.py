@@ -131,18 +131,13 @@ def _row_affinities(sq_dists: np.ndarray, beta: float) -> tuple[np.ndarray, floa
     return p, math.exp(entropy)
 
 
-def calibrate_sigma(
-    sq_dists: np.ndarray,
-    perplexity: float,
-    tol: float = PERPLEXITY_TOL,
-    max_steps: int = MAX_CALIBRATION_STEPS,
-) -> tuple[float, np.ndarray]:
+def calibrate_sigma(sq_dists: np.ndarray, perplexity: float) -> tuple[float, np.ndarray]:
     """Binary-search the Gaussian bandwidth for one point.
 
     sq_dists holds the squared distances to the other N-1 points. Returns
-    (sigma, conditional row) with |2^H - perplexity| <= tol, or raises
-    CalibrationFailedError when the target is unreachable (outside
-    (1, N-1]) or the search does not converge within max_steps.
+    (sigma, conditional row) with |2^H - perplexity| <= PERPLEXITY_TOL, or
+    raises CalibrationFailedError when the target is unreachable (outside
+    (1, N-1]) or the search does not converge within MAX_CALIBRATION_STEPS.
     """
     sq_dists = np.asarray(sq_dists, dtype=float)
     n_others = sq_dists.size
@@ -151,7 +146,7 @@ def calibrate_sigma(
     # Perplexity ranges over (1, n_others]: beta -> inf concentrates all mass
     # on the nearest neighbor(s), beta -> 0 spreads it uniformly.
     if sq_dists.max() == sq_dists.min():
-        if abs(n_others - perplexity) <= tol:
+        if abs(n_others - perplexity) <= PERPLEXITY_TOL:
             return 1.0, np.full(n_others, 1.0 / n_others)
         raise CalibrationFailedError(
             f"all neighbors equidistant; perplexity fixed at {n_others}, "
@@ -160,9 +155,9 @@ def calibrate_sigma(
     beta = 1.0
     lo = 0.0
     hi = math.inf
-    for _ in range(max_steps):
+    for _ in range(MAX_CALIBRATION_STEPS):
         p, perp = _row_affinities(sq_dists, beta)
-        if abs(perp - perplexity) <= tol:
+        if abs(perp - perplexity) <= PERPLEXITY_TOL:
             return math.sqrt(0.5 / beta), p
         if perp > perplexity:
             # Too diffuse; tighten the kernel.
@@ -173,7 +168,7 @@ def calibrate_sigma(
             beta = 0.5 * (beta + lo)
     raise CalibrationFailedError(
         f"no bandwidth reached perplexity {perplexity} within "
-        f"{max_steps} bisection steps (tol {tol})"
+        f"{MAX_CALIBRATION_STEPS} bisection steps (tol {PERPLEXITY_TOL})"
     )
 
 

@@ -117,13 +117,13 @@ class TestRenderedArtifacts:
         copied = tmp_path / "copy"
         shutil.copytree(pipeline_run.out, copied)
         before = {p.name: p.read_bytes() for p in copied.glob("*.svg")}
-        emit_figures(copied)
+        emit_figures(copied, dest=copied)
         after = {p.name: p.read_bytes() for p in copied.glob("*.svg")}
         assert before == after
 
     def test_missing_artifact_is_reported(self, tmp_path):
         with pytest.raises(MissingArtifactError):
-            emit_figures(tmp_path)
+            emit_figures(tmp_path, dest=tmp_path)
 
     def test_tsne_figure_marks_every_observation(self, pipeline_run):
         _, rows = artifacts.read_csv(pipeline_run.out / artifacts.EMBEDDING)
@@ -517,7 +517,7 @@ class TestGoldenBytes:
     def test_emit_figures_from_artifacts(self, tmp_path, noise_only):
         inputs = golden_inputs(noise_only)
         write_golden_artifacts(tmp_path, inputs)
-        written = emit_figures(tmp_path)
+        written = emit_figures(tmp_path, dest=tmp_path)
         got = {path.name: sha256_text(path.read_text()) for path in written}
         assert got == (NOISE_DIGESTS if noise_only else GOLDEN_DIGESTS)
         if not noise_only:
@@ -556,7 +556,7 @@ class TestStudyShapedGoldenBytes:
 
     def test_emit_figures_from_artifacts(self, tmp_path, renders):
         write_golden_artifacts(tmp_path, study_inputs())
-        written = emit_figures(tmp_path)
+        written = emit_figures(tmp_path, dest=tmp_path)
         got = {path.name: sha256_text(path.read_text()) for path in written}
         assert got == {name: sha256_text(svg) for name, svg in renders.items()}
         assert got == STUDY_DIGESTS

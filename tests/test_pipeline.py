@@ -219,6 +219,7 @@ class TestValidate:
             dict(eps=math.nan),
             dict(eps=math.inf),
             dict(eps_grid=(math.nan,)),
+            dict(seed=-1),
         ],
     )
     def test_rejects(self, kw):
@@ -492,6 +493,26 @@ class TestBulkFormatOracle:
 
 
 class TestStaleOutputs:
+    def test_per_year_heatmaps_come_and_go_with_the_flag(self, pipeline_run, tmp_path):
+        config = copy_run(pipeline_run, tmp_path / "copy")
+        out = config.out
+        before = {p.name: p.read_bytes() for p in out.glob("*.svg")}
+        per_year = replace(config, per_year_correlations=True)
+        for stage in ("correlate", "figures"):
+            run_stage(stage, per_year)
+        _, rows = artifacts.read_csv(out / artifacts.PANEL_FILTERED)
+        years = sorted({int(row[1]) for row in rows})
+        year_svgs = {artifacts.svg_name(artifacts.correlation_year_name(y)) for y in years}
+        svgs = {p.name: p.read_bytes() for p in out.glob("*.svg")}
+        assert set(svgs) == set(before) | year_svgs
+        assert {name: svgs[name] for name in before} == before
+        first = artifacts.svg_name(artifacts.correlation_year_name(years[0]))
+        assert f"Goal correlations (year {years[0]})" in svgs[first].decode()
+        for stage in ("correlate", "figures"):
+            run_stage(stage, config)
+        assert list(out.glob(artifacts.correlation_year_name("*"))) == []
+        assert {p.name: p.read_bytes() for p in out.glob("*.svg")} == before
+
     def test_rerun_removes_outputs_it_no_longer_writes(self, pipeline_run, tmp_path):
         config = copy_run(pipeline_run, tmp_path / "copy")
         out = config.out
@@ -973,6 +994,15 @@ class TestUsageErrors:
     def test_directory_config_path(self, tmp_path, capsys):
         assert main(["all", "--config", str(tmp_path)]) == 1
         assert f"config file not found: {tmp_path}" in capsys.readouterr().err
+
+    def test_negative_seed_exits_one_before_the_stage(self, pipeline_run, tmp_path, capsys):
+        copied = tmp_path / "copy"
+        shutil.copytree(pipeline_run.out, copied)
+        before = snapshot(copied)
+        argv = ["tsne", "--panel", pipeline_run.panel, "--out", copied, "--seed", -1]
+        assert main([str(a) for a in argv]) == 1
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+        assert snapshot(copied) == before
 
 
 class TestScanRun:
