@@ -14,24 +14,24 @@ Student-t kernel with one degree of freedom,
 and the map minimizes KL(P || Q) by gradient descent with momentum and
 early exaggeration. No tree approximations; every pair is computed.
 
-Each gradient sweeps fixed blocks of BLOCK_ROWS map rows in two passes. The
-first writes the blocks' kernel rows (1 + d^2)^-1; one serial sum over the
-whole kernel then gives the normalizer Z. The second turns each block into
-its gradient weights (a p_ij - q_ij)(1 + d^2)^-1, with the exaggeration a
-as a scalar, their row sums and their contraction with the map. The KL of a
-recorded step is summed from the same kernel, one partial per block, added
-in row order. Every block row is computed as the full-matrix call would
-compute it, so the gradient is bitwise the same however the blocks are
-shared out. From PARALLEL_MIN_ROWS rows on, `embed` splits the blocks of
-each pass over one thread per usable CPU; smaller maps run serially, where
-threads cost more than they save.
+All n x n work walks fixed blocks of BLOCK_ROWS rows, each row computed as
+a one-point or whole-matrix call would compute it, so results are bitwise
+the same however the blocks are shared out. Calibration bisects a block's
+bandwidths together, one exp over the block, while each row's perplexity
+stays a scalar. Each gradient sweeps the map's blocks twice: the first pass
+writes the kernel rows (1 + d^2)^-1, and one serial sum over them gives the
+normalizer Z; the second forms each block's weights (a p_ij - q_ij)
+(1 + d^2)^-1, with the exaggeration a as a scalar, their row sums and their
+contraction with the map, after summing the block's KL terms on a recorded
+step (the partials are added in row order). From PARALLEL_MIN_ROWS rows on,
+`embed` splits the blocks of each pass over one thread per usable CPU;
+smaller maps run serially, where threads cost more than they save.
 
 Memory: `embed` holds two n x n arrays, P and the kernel (Z must be one
 serial sum over the whole kernel to stay bitwise fixed), plus one
-2 x BLOCK_ROWS x n scratch per worker, allocated once per call, in which a
-block's weights and KL terms are formed. Calibration holds one n x n array:
-distances are computed a row at a time, and the conditionals become P in
-place.
+2 x BLOCK_ROWS x n scratch per worker, allocated once per call. Calibration
+holds P, into whose rows each block's distances are written, and at most
+two block-sized arrays more.
 """
 
 from __future__ import annotations
@@ -115,20 +115,63 @@ class Embedding:
         return self.kl_history[-1][1] if self.kl_history else math.nan
 
 
-def _row_affinities(sq_dists: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Conditional affinities and perplexity for one row at precision beta.
+def _calibrate(sq: np.ndarray, first: int, perplexity: float) -> tuple[np.ndarray, tuple | None]:
+    """calibrate_sigma for the points first, first + 1, ... at once.
 
-    beta = 1 / (2 sigma^2). Distances are shifted by their minimum before
-    exponentiating, which cancels in the normalized row but keeps the sum
-    well above underflow for any beta.
+    Row r of sq holds point first + r's squared distances to all n points,
+    zero to itself; it is overwritten with the point's conditional row.
+    Returns the sigmas and (row, reason) for the lowest failing row, or None.
     """
-    shifted = sq_dists - sq_dists.min()
-    weights = np.exp(-shifted * beta)
-    total = weights.sum()
-    p = weights / total
-    # Entropy in nats: H = ln(total) + beta * E[shifted distance].
-    entropy = math.log(total) + beta * float(np.dot(p, shifted))
-    return p, math.exp(entropy)
+    b, n = sq.shape
+    off = np.arange(n) != np.arange(first, first + b)[:, None]
+    shifted = sq[off].reshape(b, n - 1)
+    # An empty, NaN or infinite row has a non-finite minimum or maximum.
+    lows, highs = shifted.min(axis=1, initial=math.inf), shifted.max(axis=1, initial=-math.inf)
+    finite = np.isfinite(lows) & np.isfinite(highs)
+    sigmas = np.ones(b)  # the sigma of an equidistant row
+    failed = {r: "need at least one finite neighbor distance" for r in np.flatnonzero(~finite)}
+    # Perplexity ranges over (1, n-1]: beta -> inf concentrates all mass on
+    # the nearest neighbor(s), beta -> 0 spreads it uniformly.
+    flat = np.flatnonzero(finite & (highs == lows))
+    sq[flat] = off[flat] / (n - 1)
+    if abs(n - 1 - perplexity) > PERPLEXITY_TOL:
+        failed.update(dict.fromkeys(flat, f"all neighbors equidistant; perplexity fixed at "
+                      f"{n - 1}, target {perplexity} unreachable"))
+    rows = np.flatnonzero(finite & (highs > lows))
+    # Shifting by the minimum cancels in the normalized row but keeps the sum
+    # well above underflow for any beta.
+    shifted = shifted[rows]
+    shifted -= lows[rows, None]
+    beta, lo, hi = np.ones(rows.size), np.zeros(rows.size), np.full(rows.size, math.inf)
+    for _ in range(MAX_CALIBRATION_STEPS):
+        if not rows.size:
+            break
+        p = -shifted
+        p *= beta[:, None]
+        np.exp(p, out=p)
+        totals = p.sum(axis=1)
+        p /= totals[:, None]
+        # Entropy in nats, H = ln(total) + beta * E[shifted distance], one row
+        # at a time: numpy's log and exp may round differently from math's,
+        # and one ulp can flip a comparison.
+        perp = np.array([math.exp(math.log(total) + b_r * float(np.dot(p_r, s_r)))
+                         for total, b_r, p_r, s_r in zip(totals, beta, p, shifted)])
+        done = abs(perp - perplexity) <= PERPLEXITY_TOL
+        sigmas[rows[done]] = np.sqrt(0.5 / beta[done])
+        for r, p_r in zip(rows[done], p[done]):
+            sq[r, off[r]] = p_r
+        del p  # so at most two block arrays live next to P
+        # A too diffuse row needs a tighter kernel: beta is a lower bound.
+        # Double beta until it has an upper bound, then bisect.
+        diffuse = perp > perplexity
+        lo = np.where(diffuse, beta, lo)
+        hi = np.where(diffuse, hi, beta)
+        beta = np.where(hi == math.inf, 2.0 * beta, 0.5 * (lo + hi))
+        if done.any():
+            rows, shifted, beta, lo, hi = (a[~done] for a in (rows, shifted, beta, lo, hi))
+    failed.update(dict.fromkeys(rows, f"no bandwidth reached perplexity {perplexity} within "
+                  f"{MAX_CALIBRATION_STEPS} bisection steps (tol {PERPLEXITY_TOL})"))
+    return sigmas, min(failed.items(), default=None)
 
 
 def calibrate_sigma(sq_dists: np.ndarray, perplexity: float) -> tuple[float, np.ndarray]:
@@ -139,45 +182,20 @@ def calibrate_sigma(sq_dists: np.ndarray, perplexity: float) -> tuple[float, np.
     raises CalibrationFailedError when the target is unreachable (outside
     (1, N-1]) or the search does not converge within MAX_CALIBRATION_STEPS.
     """
-    sq_dists = np.asarray(sq_dists, dtype=float)
-    n_others = sq_dists.size
-    if n_others < 1 or not np.all(np.isfinite(sq_dists)):
-        raise CalibrationFailedError("need at least one finite neighbor distance")
-    # Perplexity ranges over (1, n_others]: beta -> inf concentrates all mass
-    # on the nearest neighbor(s), beta -> 0 spreads it uniformly.
-    if sq_dists.max() == sq_dists.min():
-        if abs(n_others - perplexity) <= PERPLEXITY_TOL:
-            return 1.0, np.full(n_others, 1.0 / n_others)
-        raise CalibrationFailedError(
-            f"all neighbors equidistant; perplexity fixed at {n_others}, "
-            f"target {perplexity} unreachable"
-        )
-    beta = 1.0
-    lo = 0.0
-    hi = math.inf
-    for _ in range(MAX_CALIBRATION_STEPS):
-        p, perp = _row_affinities(sq_dists, beta)
-        if abs(perp - perplexity) <= PERPLEXITY_TOL:
-            return math.sqrt(0.5 / beta), p
-        if perp > perplexity:
-            # Too diffuse; tighten the kernel.
-            lo = beta
-            beta = beta * 2.0 if hi == math.inf else 0.5 * (beta + hi)
-        else:
-            hi = beta
-            beta = 0.5 * (beta + lo)
-    raise CalibrationFailedError(
-        f"no bandwidth reached perplexity {perplexity} within "
-        f"{MAX_CALIBRATION_STEPS} bisection steps (tol {PERPLEXITY_TOL})"
-    )
+    # The one-row block, with the point itself in column 0.
+    row = np.concatenate(([0.0], np.asarray(sq_dists, dtype=float)))[None]
+    sigmas, failure = _calibrate(row, 0, perplexity)
+    if failure:
+        raise CalibrationFailedError(failure[1])
+    return float(sigmas[0]), row[0, 1:]
 
 
 def joint_affinities(X: np.ndarray, perplexity: float) -> AffinityMatrix:
     """Calibrated, symmetrized, floored joint affinity matrix for rows of X.
 
-    The conditional matrix is the only n x n array: each point's squared
-    distances are computed one row at a time (bitwise that row of the full
-    cdist), and the conditionals are symmetrized and floored in place.
+    P is the only n x n array: one cdist call writes each block's squared
+    distances into its rows (bitwise those rows of the full cdist), they are
+    calibrated into conditionals there, then symmetrized and floored.
     """
     from scipy.spatial.distance import cdist  # see dbscan._checked_distances
 
@@ -185,23 +203,16 @@ def joint_affinities(X: np.ndarray, perplexity: float) -> AffinityMatrix:
     if X.ndim != 2 or X.shape[0] < 4:
         raise ValueError("need a 2-d array with at least 4 rows")
     n = X.shape[0]
-    sq = np.empty((1, n))
-    conditional = np.zeros((n, n))
+    P = np.empty((n, n))
     sigmas = np.empty(n)
-    others = np.arange(n)
-    for i in range(n):
-        cdist(X[i:i + 1], X, metric="sqeuclidean", out=sq)
-        mask = others != i
-        try:
-            sigma, row = calibrate_sigma(sq[0, mask], perplexity)
-        except CalibrationFailedError as exc:
-            raise CalibrationFailedError(f"point {i}: {exc}") from None
-        sigmas[i] = sigma
-        conditional[i, mask] = row
+    blocks = _blocks(n)
+    for rows in blocks:
+        cdist(X[rows], X, metric="sqeuclidean", out=P[rows])
+        sigmas[rows], failure = _calibrate(P[rows], rows.start, perplexity)
+        if failure:
+            raise CalibrationFailedError(f"point {rows.start + failure[0]}: {failure[1]}")
     # p_ij = (p_{j|i} + p_{i|j}) / 2n, written over both (i, j) and (j, i).
     # Addition commutes bitwise, so P is exactly symmetric.
-    P = conditional
-    blocks = _blocks(n)
     for k, rows in enumerate(blocks):
         for cols in blocks[k:]:
             pair = P[rows, cols] + P[cols, rows].T
@@ -308,21 +319,31 @@ def _gradient(
     Y: np.ndarray,
     kernel: np.ndarray,
     sweep: Sweep,
-) -> tuple[np.ndarray, float]:
+    record_kl: bool = False,
+) -> tuple[np.ndarray, float | None]:
     """Gradient of KL(scale * P || Q) with respect to the map points:
 
         dC/dy_i = 4 sum_j (scale p_ij - q_ij) (y_i - y_j) (1 + ||y_i - y_j||^2)^-1
 
-    kernel is an n x n buffer; the weights are formed a block at a time in
-    the sweep's scratch. Returns (gradient, Z) and leaves the kernel in
-    kernel, so Q = kernel / Z.
+    kernel is an n x n buffer and is left holding the kernel; the weights are
+    formed a block at a time in the sweep's scratch. With record_kl, the
+    KL(P || Q) of the unexaggerated P is returned too, else None.
     """
     Z = _student_t(Y, kernel, sweep)
     row_sums = np.empty(Y.shape[0])
     contraction = np.empty(Y.shape)
+    partials = np.empty(math.ceil(Y.shape[0] / BLOCK_ROWS))
 
     def rows_of(rows: slice, scratch: np.ndarray) -> None:
         target, weights = scratch[:, :rows.stop - rows.start]
+        if record_kl:
+            np.maximum(P[rows], P_FLOOR, out=target)
+            np.divide(kernel[rows], Z, out=weights)
+            np.maximum(weights, P_FLOOR, out=weights)
+            np.divide(target, weights, out=weights)
+            np.log(weights, out=weights)
+            np.multiply(P[rows], weights, out=weights)
+            partials[rows.start // BLOCK_ROWS] = weights.sum()
         # x * 1.0 == x, so the unexaggerated steps read P itself.
         target = P[rows] if scale == 1.0 else np.multiply(P[rows], scale, out=target)
         np.divide(kernel[rows], Z, out=weights)
@@ -332,30 +353,8 @@ def _gradient(
         np.einsum("ij,jk->ik", weights, Y, out=contraction[rows], optimize=False)
 
     sweep(rows_of)
-    return 4.0 * (row_sums[:, None] * Y - contraction), Z
-
-
-def _kl(P: np.ndarray, kernel: np.ndarray, Z: float, sweep: Sweep) -> float:
-    """kl_divergence(P, kernel / Z) without its n x n temporaries.
-
-    The terms of each block are summed on their own, with the same floors,
-    and the partial sums are added in row order, so the pool cannot change
-    the result.
-    """
-    partials = np.empty(math.ceil(P.shape[0] / BLOCK_ROWS))
-
-    def rows_of(rows: slice, scratch: np.ndarray) -> None:
-        floored, ratio = scratch[:, :rows.stop - rows.start]
-        np.maximum(P[rows], P_FLOOR, out=floored)
-        np.divide(kernel[rows], Z, out=ratio)
-        np.maximum(ratio, P_FLOOR, out=ratio)
-        np.divide(floored, ratio, out=ratio)
-        np.log(ratio, out=ratio)
-        np.multiply(P[rows], ratio, out=ratio)
-        partials[rows.start // BLOCK_ROWS] = ratio.sum()
-
-    sweep(rows_of)
-    return sum(partials.tolist())
+    kl = sum(partials.tolist()) if record_kl else None
+    return 4.0 * (row_sums[:, None] * Y - contraction), kl
 
 
 def q_matrix(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -416,8 +415,8 @@ def embed(
     rng = np.random.default_rng(seed)
     # Fortran order keeps the einsum contraction on its fast stride path.
     # Every step reuses one n x n kernel buffer (a fresh one per step
-    # page-faults in every time), and the KL of a recorded step is read off
-    # the kernel that the next step leaves.
+    # page-faults in every time). The KL of the map a step leaves is summed
+    # in the next step's sweep, so one more sweep gives the final KL.
     Y = np.asfortranarray(rng.normal(0.0, schedule.init_scale, size=(n, n_components)))
     velocity = np.zeros_like(Y)
     kernel = np.empty_like(P)
@@ -427,9 +426,10 @@ def embed(
     with _pooled(n, workers) as sweep:
         for step in range(1, schedule.iterations + 1):
             scale = schedule.exaggeration if step <= schedule.exaggeration_until else 1.0
-            grad, Z = _gradient(P, scale, Y, kernel, sweep)
-            if step > 1 and (step - 1) % schedule.record_every == 0:
-                history.append((step - 1, _kl(P, kernel, Z, sweep)))
+            recorded = step > 1 and (step - 1) % schedule.record_every == 0
+            grad, kl = _gradient(P, scale, Y, kernel, sweep, recorded)
+            if recorded:
+                history.append((step - 1, kl))
             momentum = (
                 schedule.momentum_early
                 if step < schedule.momentum_switch
@@ -440,8 +440,7 @@ def embed(
             velocity -= grad
             Y += velocity
             Y -= Y.mean(axis=0)
-        Z = _student_t(Y, kernel, sweep)
-        history.append((schedule.iterations, _kl(P, kernel, Z, sweep)))
+        history.append((schedule.iterations, _gradient(P, 1.0, Y, kernel, sweep, True)[1]))
 
     return Embedding(Y=Y, seed=seed, kl_history=tuple(history))
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -8,12 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from sdgpipe import tsne
+from sdgpipe import artifacts, tsne
 from sdgpipe.errors import CalibrationFailedError, ShapeMismatchError
+from sdgpipe.panel import write_panel_csv
+from sdgpipe.pipeline import PipelineConfig, run_stage
+from sdgpipe.synthetic import synthetic_panel
 from sdgpipe.tsne import (
     BLOCK_ROWS,
+    MAX_CALIBRATION_STEPS,
     P_FLOOR,
     PARALLEL_MIN_ROWS,
+    PERPLEXITY_TOL,
     Embedding,
     GradientSchedule,
     calibrate_sigma,
@@ -71,6 +77,10 @@ class TestCalibrateSigma:
         with pytest.raises(CalibrationFailedError):
             calibrate_sigma(d, 10.0 + 1e-3)
 
+    def test_no_neighbors_fails(self):
+        with pytest.raises(CalibrationFailedError, match="^need at least one finite"):
+            calibrate_sigma(np.array([]), 2.0)
+
     def test_target_below_one_fails(self):
         # perplexity = 2^entropy >= 1 for every bandwidth
         d = np.random.default_rng(1).uniform(1, 5, size=10)
@@ -113,6 +123,139 @@ class TestJointAffinities:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             joint_affinities(np.zeros((3, 2)), 2.0)
+
+
+def reference_row(sq_dists, beta):
+    """One row of the per-point search at precision beta: (p, perplexity)."""
+    shifted = sq_dists - sq_dists.min()
+    weights = np.exp(-shifted * beta)
+    total = weights.sum()
+    p = weights / total
+    return p, math.exp(math.log(total) + beta * float(np.dot(p, shifted)))
+
+
+def reference_sigma(sq_dists, perplexity):
+    """The per-point bandwidth search that block calibration must reproduce."""
+    n_others = sq_dists.size
+    if n_others < 1 or not np.all(np.isfinite(sq_dists)):
+        raise CalibrationFailedError("need at least one finite neighbor distance")
+    if sq_dists.max() == sq_dists.min():
+        if abs(n_others - perplexity) <= PERPLEXITY_TOL:
+            return 1.0, np.full(n_others, 1.0 / n_others)
+        raise CalibrationFailedError(
+            f"all neighbors equidistant; perplexity fixed at {n_others}, "
+            f"target {perplexity} unreachable"
+        )
+    beta, lo, hi = 1.0, 0.0, math.inf
+    for _ in range(MAX_CALIBRATION_STEPS):
+        p, perp = reference_row(sq_dists, beta)
+        if abs(perp - perplexity) <= PERPLEXITY_TOL:
+            return math.sqrt(0.5 / beta), p
+        if perp > perplexity:
+            lo = beta
+            beta = beta * 2.0 if hi == math.inf else 0.5 * (beta + hi)
+        else:
+            hi = beta
+            beta = 0.5 * (beta + lo)
+    raise CalibrationFailedError(
+        f"no bandwidth reached perplexity {perplexity} within "
+        f"{MAX_CALIBRATION_STEPS} bisection steps (tol {PERPLEXITY_TOL})"
+    )
+
+
+def reference_affinities(X, perplexity):
+    """(P, sigmas) from one search per point, in point order."""
+    n = X.shape[0]
+    conditional = np.zeros((n, n))
+    sigmas = np.empty(n)
+    for i in range(n):
+        mask = np.arange(n) != i
+        try:
+            sigmas[i], conditional[i, mask] = reference_sigma(
+                cdist(X[i:i + 1], X, metric="sqeuclidean")[0, mask], perplexity)
+        except CalibrationFailedError as exc:
+            raise CalibrationFailedError(f"point {i}: {exc}") from None
+    P = (conditional + conditional.T) / (2.0 * n)
+    np.maximum(P, P_FLOOR, out=P)
+    np.fill_diagonal(P, 0.0)
+    P /= P.sum()
+    np.maximum(P, P_FLOOR, out=P)
+    np.fill_diagonal(P, 0.0)
+    return P, sigmas
+
+
+def assert_calibrates_as_reference(X, perplexity):
+    try:
+        P, sigmas = reference_affinities(X, perplexity)
+    except CalibrationFailedError as exc:
+        with pytest.raises(CalibrationFailedError) as got:
+            joint_affinities(X, perplexity)
+        assert str(got.value) == str(exc)
+        return
+    aff = joint_affinities(X, perplexity)
+    assert aff.P.tobytes() == P.tobytes()
+    assert aff.sigmas.tobytes() == sigmas.tobytes()
+
+
+# up to a little over two blocks, so rows of the second and third block are
+# checked against their own searches
+points = st.integers(4, 2 * BLOCK_ROWS + 12)
+
+
+class TestBlockCalibration:
+    """Each block row bisects as a lone point would, to the bit."""
+
+    @given(st.integers(0, 2**32 - 1), points, st.integers(1, 12), st.floats(1.5, 60.0))
+    @settings(max_examples=30)
+    def test_mixed_scales(self, seed, n, dim, perplexity):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+        X *= 10.0 ** rng.uniform(-2, 2, size=dim)
+        assert_calibrates_as_reference(X, perplexity)
+
+    @given(st.integers(0, 2**32 - 1), points, st.integers(1, 8), st.floats(1.5, 30.0))
+    @settings(max_examples=30)
+    def test_duplicate_points(self, seed, n, distinct, perplexity):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(distinct, 3))[rng.integers(0, distinct, size=n)]
+        assert_calibrates_as_reference(X, perplexity)
+
+    @given(points, st.floats(0.01, 100.0))
+    @settings(max_examples=20)
+    def test_equidistant_points_at_perplexity_n_minus_one(self, n, side):
+        X = side * np.eye(n)  # a regular simplex: every pair at 2 side^2
+        assert_calibrates_as_reference(X, n - 1.0)
+        aff = joint_affinities(X, n - 1.0)
+        assert np.all(aff.sigmas == 1.0)
+
+    @given(points, st.data())
+    @settings(max_examples=20)
+    def test_equidistant_row_among_others_fails_at_its_index(self, n, data):
+        # the simplex's centre is equidistant from its vertices; scaling by
+        # n keeps every squared distance an exact integer
+        where = data.draw(st.integers(0, n))
+        X = np.insert(n * np.eye(n), where, np.ones(n), axis=0)
+        perplexity = data.draw(st.floats(1.5, n - 0.5))
+        with pytest.raises(CalibrationFailedError, match=rf"^point {where}: all neighbors"):
+            joint_affinities(X, perplexity)
+        assert_calibrates_as_reference(X, perplexity)
+
+    @pytest.mark.parametrize("bad", [0, BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_point(self, bad, value):
+        X = np.random.default_rng(bad).normal(size=(2 * BLOCK_ROWS, 3))
+        X[bad, 1] = value
+        with pytest.raises(CalibrationFailedError, match="^point 0: need at least one finite"):
+            joint_affinities(X, 10.0)
+        assert_calibrates_as_reference(X, 10.0)
+
+    # perplexity lies in (1, n - 1] for every bandwidth
+    @pytest.mark.parametrize(("n", "perplexity"), [(BLOCK_ROWS + 9, 0.9), (12, 20.0)])
+    def test_unreachable_target(self, n, perplexity):
+        X = np.random.default_rng(5).normal(size=(n, 2))
+        with pytest.raises(CalibrationFailedError, match="^point 0: no bandwidth reached"):
+            joint_affinities(X, perplexity)
+        assert_calibrates_as_reference(X, perplexity)
 
 
 class TestQMatrix:
@@ -233,16 +376,27 @@ class TestBlockedSweep:
         rng = np.random.default_rng(n * 10 + dim)
         P = random_affinities(rng, n)
         for Y in (rng.normal(size=(n, dim)), np.asfortranarray(rng.normal(size=(n, dim)))):
+            Q = q_matrix(Y)[0]
+            dense_kl = kl_divergence(P, Q)
             # 1.0 * P == P; 12 is the default early exaggeration
             for scale in (1.0, 12.0):
                 expected = dense_gradient(scale * P, Y)
                 assert np.array_equal(kl_gradient(scale * P, Y), expected)
+                kls = []
                 for workers in (1, 2, 3):
                     kernel = np.empty_like(P)
                     with tsne._pooled(n, workers) as sweep:
-                        grad, Z = tsne._gradient(P, scale, Y, kernel, sweep)
+                        grad, no_kl = tsne._gradient(P, scale, Y, kernel, sweep)
+                        recorded, kl = tsne._gradient(P, scale, Y, kernel, sweep, record_kl=True)
                     assert np.array_equal(grad, expected)
-                    assert np.array_equal(kernel / Z, q_matrix(Y)[0])
+                    assert np.array_equal(kernel / kernel.sum(), Q)
+                    # summing the KL terms first leaves the step as it was
+                    assert no_kl is None
+                    assert np.array_equal(recorded, grad)
+                    kls.append(kl)
+                # the KL of the unexaggerated P, the same bits on every pool
+                assert kls == [kls[0]] * 3
+                assert abs(kls[0] - dense_kl) <= 1e-12 * abs(dense_kl)
 
     def test_repeated_sweeps_under_frequent_thread_switches(self):
         n = 2 * BLOCK_ROWS + 3
@@ -433,3 +587,67 @@ class TestMemory:
     def test_calibration_holds_one_n_by_n_array(self):
         n = self.X.shape[0]
         assert traced_peak(lambda: joint_affinities(self.X, perplexity=30.0)) < 1.5 * n * n * 8
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def numeric_path() -> str:
+    """A witness of how this numpy rounds exp and log: their SIMD paths
+    differ by an ulp in some values from one CPU to the next."""
+    v = np.linspace(-60.0, 0.0, 4099)
+    e = np.exp(v)
+    return sha256(e.tobytes() + np.log(e).tobytes())
+
+
+# Recorded with numpy 2.4.6 on an x86-64 CPU with AVX-512, where the digests
+# below were taken from the per-point calibration and a separate KL sweep.
+RECORDED_NUMERIC_PATH = "cde99b915c52aaf02b45123d87f3a8915a8f276e89634877c1f6be8295a409b1"
+PINNED_DIGESTS = {
+    "fixture P": "ceb6480acef50c37418ec3512c824fee04d104000048e9c7df2120c5af5b0794",
+    "fixture sigmas": "a96043b3ee7e2690ca92cb409b72bc2e71a4c30511ebd0a17eebc138c5c2f95d",
+    "study P": "c8b38e0becd419aa4a3a7fe297af5fa835b28661841c714219b4b19dda21db7b",
+    "study sigmas": "a4a72a46f0b637d6ac1e004a8590a064f88e353e8fe0a0446e16c0b8d6c454ea",
+    artifacts.EMBEDDING: "f6660d4fa1516f484a68ca4e79fab09c0453d647286b3011e892175207fc49f9",
+    artifacts.KL_HISTORY: "de084ec12f74f7213303606b7196ed0bc3e64f2f4ecd21d1d7b2d3b82cf2992d",
+}
+
+
+@pytest.fixture(scope="module")
+def study_projection(tmp_path_factory):
+    """PCA coordinates of the 690-row study panel."""
+    base = tmp_path_factory.mktemp("study_projection")
+    write_panel_csv(synthetic_panel(30, n_groups=6, seed=3), base / "panel.csv")
+    config = PipelineConfig(panel=base / "panel.csv", out=base / "out")
+    config.out.mkdir()
+    for stage in ("ingest", "pca"):
+        run_stage(stage, config)
+    return artifacts.read_matrix(config.out / artifacts.PCA_PROJECTION, 2)[1]
+
+
+class TestPinnedBytes:
+    """The t-SNE layer's own output bytes, which no artifact digest covers."""
+
+    @pytest.fixture(autouse=True)
+    def recorded_numeric_path(self):
+        if numeric_path() != RECORDED_NUMERIC_PATH:
+            pytest.skip("numpy's exp and log round differently here than where the "
+                        "digests were recorded (ROADMAP item 2)")
+
+    def test_fixture_affinities(self, pipeline_run):
+        _, X = artifacts.read_matrix(pipeline_run.out / artifacts.PCA_PROJECTION, 2)
+        assert X.shape == (276, 10)
+        aff = joint_affinities(X, pipeline_run.perplexity)
+        assert sha256(aff.P.tobytes()) == PINNED_DIGESTS["fixture P"]
+        assert sha256(aff.sigmas.tobytes()) == PINNED_DIGESTS["fixture sigmas"]
+
+    def test_study_affinities(self, study_projection):
+        assert study_projection.shape == (690, 10)
+        aff = joint_affinities(study_projection, 50.0)
+        assert sha256(aff.P.tobytes()) == PINNED_DIGESTS["study P"]
+        assert sha256(aff.sigmas.tobytes()) == PINNED_DIGESTS["study sigmas"]
+
+    @pytest.mark.parametrize("name", [artifacts.EMBEDDING, artifacts.KL_HISTORY])
+    def test_demo_run(self, pipeline_run, name):
+        assert sha256((pipeline_run.out / name).read_bytes()) == PINNED_DIGESTS[name]
