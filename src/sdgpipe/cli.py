@@ -16,6 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from sdgpipe import artifacts
+from sdgpipe.dbscan import cluster_name
 from sdgpipe.errors import PipelineError, StageError
 from sdgpipe.pipeline import (
     FIELD_PARSERS,
@@ -80,8 +81,7 @@ def _print_summary(out: Path) -> None:
         members.setdefault(int(cluster_id), []).append(country)
     lines = []
     for cluster_id in sorted(members):
-        name = "noise" if cluster_id < 0 else f"cluster {cluster_id}"
-        lines.append(f"  {name}: {', '.join(members[cluster_id])}")
+        lines.append(f"  {cluster_name(cluster_id)}: {', '.join(members[cluster_id])}")
     fits = artifacts.read_json(out / artifacts.TRAJECTORY_FITS)
     for cluster_id in sorted(fits, key=int):
         year = fits[cluster_id]["attainment_year"]

@@ -18,6 +18,12 @@ from sdgpipe.errors import ShapeMismatchError
 
 NOISE = -1
 
+
+def cluster_name(cluster_id: int) -> str:
+    """How figures and the run summary name a cluster id."""
+    return "noise" if cluster_id < 0 else f"cluster {cluster_id}"
+
+
 DEFAULT_MIN_PTS = 5
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from sdgpipe import artifacts
+from sdgpipe.dbscan import cluster_name
 from sdgpipe.errors import PipelineError
 from sdgpipe.panel import GOAL_COLUMNS, N_GOALS
 
@@ -370,8 +371,7 @@ def fig_tsne_clusters(meta: list[list[str]], coords: ArrayLike,
     for i, cid in enumerate(sorted(set(labels))):
         y_px = 50 + i * 18
         parts.append(_circle(legend_x, y_px, 4, cluster_color(cid)))
-        name = "noise" if cid < 0 else f"cluster {cid}"
-        parts.append(_text(legend_x + 10, _num(y_px + 3.5), name, 10))
+        parts.append(_text(legend_x + 10, _num(y_px + 3.5), cluster_name(cid), 10))
     return _svg(width, height, parts, "Embedded observations by cluster")
 
 
@@ -392,10 +392,9 @@ def fig_cluster_profiles(rows: list[tuple[str, int, int, list[float]]]) -> str:
         frame = Frame(1, N_GOALS, y_lo, y_hi, left, top, panel_w - 50, panel_h - 56)
         members = row_clusters == cid
         sub, years = z[members], row_years[members]
-        name = "noise" if cid < 0 else f"cluster {cid}"
         countries = len(set(row_countries[members].tolist()))
         parts.append(_text(_num(left + (panel_w - 50) / 2), _num(top - 7),
-                           f"{name} ({countries} countries)", 11, fill="#111111",
+                           f"{cluster_name(cid)} ({countries} countries)", 11, fill="#111111",
                            anchor="middle"))
         _axes(parts, frame, "goal", "z-score", x_ticks=[1, 5, 9, 13, 17])
         xs = _goal_positions(frame)

@@ -10,6 +10,7 @@ naming the stage. The manifest is committed the same way.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import platform
@@ -32,7 +33,6 @@ from sdgpipe.errors import (
 )
 from sdgpipe.panel import (
     GOAL_COLUMNS,
-    N_GOALS,
     PANEL_HEADER,
     ScorePanel,
     filter_complete,
@@ -44,6 +44,13 @@ from sdgpipe.panel import (
 )
 
 DEFAULT_EPS_GRID = tuple(round(0.5 * k, 1) for k in range(1, 17))
+
+# The study design, fixed for the paper's 2000-2022 panel and the 10
+# components that criterion 7 checks it with.
+PCA_COMPONENTS = 10
+EXCLUDED_YEARS = (2020, 2021, 2022)  # left out of the trajectory fits
+DISTRIBUTION_YEARS = (2000, 2010, 2020)  # each gets a Gaussian fit per cluster
+EXTRAPOLATE_TO = 2100  # the trajectories are extrapolated to this year
 
 
 @dataclass(frozen=True)
@@ -59,20 +66,15 @@ class PipelineConfig:
     out: Path | None = field(default=None, metadata={"help": "artifact output directory"})
     gdp: Path | None = field(default=None, metadata={"help": "optional country GDP table"})
     perplexity: float = 50.0
-    pca_components: int = 10
-    embed_dim: int = 2
     iterations: int = tsne.GradientSchedule.iterations
     seed: int = 0
     eps: float | None = None
     min_pts: int = dbscan.DEFAULT_MIN_PTS
     eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID
-    exclude_years: tuple[int, ...] = (2020, 2021, 2022)
-    distribution_years: tuple[int, ...] = (2000, 2010, 2020)
     per_year_correlations: bool = field(
         default=False,
         metadata={"flag": "--per-year", "help": "also write one correlation matrix per year"},
     )
-    extrapolate_to: int = 2100
 
     def validate(self) -> None:
         if self.panel is None:
@@ -81,10 +83,6 @@ class PipelineConfig:
             raise ConfigError("output directory is required")
         if not 1 < self.perplexity < math.inf:  # NaN fails every comparison
             raise ConfigError("perplexity must be finite and exceed 1")
-        if not 2 <= self.pca_components <= N_GOALS:
-            raise ConfigError(f"pca_components must be in [2, {N_GOALS}]")
-        if self.embed_dim not in (2, 3):
-            raise ConfigError("embed_dim must be 2 or 3")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.eps is not None and not 0 < self.eps < math.inf:
@@ -122,15 +120,13 @@ def parse_path(text: str) -> Path:
 parse_path.__name__ = "path"  # argparse names it in errors
 
 
-def _tuple_parser(item: type):
-    """Parser of comma-separated `item` values; empty text gives ()."""
+def _parse_floats(text: str) -> tuple[float, ...]:
+    """Comma-separated floats; empty text gives ()."""
+    text = text.strip()
+    return tuple(float(part.strip()) for part in text.split(",")) if text else ()
 
-    def parse(text: str) -> tuple:
-        text = text.strip()
-        return tuple(item(part.strip()) for part in text.split(",")) if text else ()
 
-    parse.__name__ = f"{item.__name__} list"  # argparse names it in errors
-    return parse
+_parse_floats.__name__ = "float list"  # argparse names it in errors
 
 
 # Field annotation (without "| None") -> parser of its text form.
@@ -139,8 +135,7 @@ _TYPE_PARSERS = {
     "float": float,
     "int": int,
     "bool": _parse_bool,
-    "tuple[float, ...]": _tuple_parser(float),
-    "tuple[int, ...]": _tuple_parser(int),
+    "tuple[float, ...]": _parse_floats,
 }
 
 FIELD_PARSERS = {
@@ -150,13 +145,13 @@ FIELD_PARSERS = {
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse a key=value config file (# comments and blank lines allowed; each
-    key at most once)."""
+    key at most once; a leading UTF-8 byte-order mark is ignored)."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, object] = {}
     lines: dict[str, int] = {}  # key -> the line that set it
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -228,7 +223,7 @@ def stage_pca(config: PipelineConfig, dest: Path) -> None:
     _, moment_data = artifacts.read_matrix(out / artifacts.MOMENTS, 1)
     mean, std = moment_data[:, 0], moment_data[:, 1]
 
-    model = pca.fit(Z, config.pca_components)
+    model = pca.fit(Z, PCA_COMPONENTS)
     coords = pca.project(model, Z)
     pc_names = [f"pc{j + 1:02d}" for j in range(model.n_components)]
 
@@ -252,18 +247,11 @@ def stage_pca(config: PipelineConfig, dest: Path) -> None:
 
 
 def stage_tsne(config: PipelineConfig, dest: Path) -> None:
-    """Embed the component coordinates into the low-dimensional map."""
+    """Embed the component coordinates into the 2-d map."""
     meta, X = artifacts.read_matrix(config.out / artifacts.PCA_PROJECTION, 2)
-    embedding = tsne.run(
-        X,
-        config.perplexity,
-        n_components=config.embed_dim,
-        seed=config.seed,
-        schedule=config.schedule(),
-    )
-    axis_names = ["x", "y", "z"][: config.embed_dim]
+    embedding = tsne.run(X, config.perplexity, seed=config.seed, schedule=config.schedule())
 
-    artifacts.write_csv(dest / artifacts.EMBEDDING, ["country", "year", *axis_names],
+    artifacts.write_csv(dest / artifacts.EMBEDDING, ["country", "year", "x", "y"],
                         artifacts.format_rows(meta, embedding.Y))
     artifacts.write_csv(dest / artifacts.KL_HISTORY, ["iteration", "kl"],
                         [[str(step), artifacts.fmt(kl)] for step, kl in embedding.kl_history])
@@ -343,8 +331,8 @@ def stage_dynamics(config: PipelineConfig, dest: Path) -> None:
     panel, cluster_column = _read_aligned(config.out, artifacts.LABELS)
     labels = cluster_column[:, 0].astype(int)
     last_year = max(panel.years)
-    if config.extrapolate_to <= last_year:
-        raise PipelineError(f"extrapolate_to {config.extrapolate_to} is not after "
+    if EXTRAPOLATE_TO <= last_year:
+        raise PipelineError(f"extrapolate_to {EXTRAPOLATE_TO} is not after "
                             f"the last panel year {last_year}")
     labelled = [(*key, label) for key, label in zip(panel.index, labels.tolist())]
     distances = dynamics.distance_series(panel)
@@ -353,7 +341,7 @@ def stage_dynamics(config: PipelineConfig, dest: Path) -> None:
                         artifacts.format_rows(labelled, distances[:, None]))
 
     cluster_ids = sorted(c for c in set(labels.tolist()) if c >= 0)
-    dist_years = [y for y in config.distribution_years if y in panel.years]
+    dist_years = [y for y in DISTRIBUTION_YEARS if y in panel.years]
     fit_rows = []
     for cluster_id in cluster_ids:
         for year in dist_years:
@@ -383,18 +371,18 @@ def stage_dynamics(config: PipelineConfig, dest: Path) -> None:
                              for year, mean, std, n in table])
 
         curve = {year: mean for year, mean, _, _ in table}
-        fit = dynamics.fit_trajectory(curve, config.exclude_years)
+        fit = dynamics.fit_trajectory(curve, EXCLUDED_YEARS)
         fits_payload[str(cluster_id)] = {
             "a": fit.a,
             "b": fit.b,
             "c": fit.c,
             "rms_residual": fit.rms_residual,
             "years_used": list(fit.years_used),
-            "excluded_years": sorted(set(config.exclude_years) & set(curve)),
+            "excluded_years": sorted(set(EXCLUDED_YEARS) & set(curve)),
             "last_data_year": last_year,
             "zero_crossing": dynamics.future_root(fit, last_year),
             "attainment_year": dynamics.attainment_year(fit, last_year),
-            "extrapolate_to": config.extrapolate_to,
+            "extrapolate_to": EXTRAPOLATE_TO,
         }
     artifacts.write_json(dest / artifacts.TRAJECTORY_FITS, fits_payload)
 
@@ -442,11 +430,10 @@ STAGES = {
                     config=("panel",)),
     "pca": Stage(stage_pca, 3, "fit the component basis and project observations",
                  writes=(artifacts.PCA_MODEL, artifacts.PCA_PROJECTION,
-                         artifacts.PCA_LOADINGS, artifacts.PCA_IDEAL),
-                 config=("pca_components",)),
-    "tsne": Stage(stage_tsne, 4, "embed component coordinates into the 2-d or 3-d map",
+                         artifacts.PCA_LOADINGS, artifacts.PCA_IDEAL)),
+    "tsne": Stage(stage_tsne, 4, "embed component coordinates into the 2-d map",
                   writes=(artifacts.EMBEDDING, artifacts.KL_HISTORY),
-                  config=("perplexity", "embed_dim", "seed", "iterations")),
+                  config=("perplexity", "seed", "iterations")),
     "cluster": Stage(stage_cluster, 5, "density-cluster the map and derive memberships",
                      writes=(artifacts.LABELS, artifacts.SWITCHES, artifacts.CLUSTER_COUNTRIES,
                              artifacts.CLUSTER_STANDARDIZED, artifacts.CLUSTER_GDP),
@@ -463,8 +450,7 @@ STAGES = {
     "dynamics": Stage(stage_dynamics, 7,
                       "distance-to-ideal distributions, trends, extrapolation",
                       writes=(artifacts.DISTANCES, artifacts.GAUSSIAN_FITS,
-                              artifacts.trajectory_name("*"), artifacts.TRAJECTORY_FITS),
-                      config=("exclude_years", "distribution_years", "extrapolate_to")),
+                              artifacts.trajectory_name("*"), artifacts.TRAJECTORY_FITS)),
     "figures": Stage(_stage_figures, 8, "render SVG figures from existing artifacts",
                      writes=(artifacts.PARALLEL_SVG, artifacts.PCA_SCATTER_SVG,
                              artifacts.PCA_BIPLOT_SVG, artifacts.TSNE_CLUSTERS_SVG,
@@ -549,6 +535,15 @@ def config_snapshot(config: PipelineConfig) -> dict[str, object]:
     return snapshot
 
 
+def numeric_path() -> str:
+    """A witness of how this numpy rounds exp and log: their SIMD paths
+    differ by an ulp in some values from one CPU to the next, and the
+    affinities, and so the embedding, follow them."""
+    v = np.linspace(-60.0, 0.0, 4099)
+    e = np.exp(v)
+    return hashlib.sha256(e.tobytes() + np.log(e).tobytes()).hexdigest()
+
+
 def write_manifest(
     config: PipelineConfig,
     written: list[Path],
@@ -557,7 +552,7 @@ def write_manifest(
     """Record the config fields the timed stages declare (and out), timings,
     output checksums, the checksums of the files named by the declared path
     fields, and the environment (the embedding, and so the clusters, can
-    differ across Python, numpy and scipy builds)."""
+    differ across Python, numpy and scipy builds and numpy's CPU paths)."""
     declared = {name for t in timings for name in STAGES[t["name"]].config}
     inputs = {}
     for name in sorted(declared):
@@ -568,15 +563,19 @@ def write_manifest(
         path.name: artifacts.sha256_of(path)
         for path in sorted(set(written), key=lambda p: p.name)
     }
+    environment = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "platform": platform.platform(),
+        "numeric_path": numeric_path(),
+    }
+    if "NPY_DISABLE_CPU_FEATURES" in os.environ:
+        environment["NPY_DISABLE_CPU_FEATURES"] = os.environ["NPY_DISABLE_CPU_FEATURES"]
     payload = {
         "config": {name: value for name, value in config_snapshot(config).items()
                    if name == "out" or name in declared},
-        "environment": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "platform": platform.platform(),
-        },
+        "environment": environment,
         "inputs": inputs,
         "stages": timings,
         "outputs": outputs,

@@ -24,9 +24,10 @@ from sdgpipe import artifacts, dbscan, tsne
 from sdgpipe.cli import _config_from_args, build_parser, main
 from sdgpipe.dynamics import TrajectoryFit, future_root
 from sdgpipe.errors import ConfigError, MissingArtifactError, StageError
-from sdgpipe.panel import GOAL_COLUMNS
+from sdgpipe.panel import GOAL_COLUMNS, write_gdp_csv, write_panel_csv
 from sdgpipe.pipeline import (
     DEFAULT_EPS_GRID,
+    EXTRAPOLATE_TO,
     FIELD_PARSERS,
     FULL_RUN,
     STAGES,
@@ -35,10 +36,12 @@ from sdgpipe.pipeline import (
     apply_overrides,
     config_snapshot,
     load_config,
+    numeric_path,
     run_pipeline,
     run_stage,
     write_manifest,
 )
+from sdgpipe.synthetic import synthetic_gdp, synthetic_panel
 
 from conftest import DEMO_SETTINGS, child_env
 
@@ -60,10 +63,10 @@ class TestConfigFile:
         out = results
 
         perplexity = 35.5
-        pca_components = 8
+        iterations = 300
         eps = 2.5
         eps_grid = 1.0, 2.0, 3.0
-        exclude_years = 2020,2021
+        seed = 7
         per_year_correlations = true
         """
         path = tmp_path / "run.cfg"
@@ -72,10 +75,10 @@ class TestConfigFile:
         assert config.panel == Path("data/panel.csv")
         assert config.out == Path("results")
         assert config.perplexity == 35.5
-        assert config.pca_components == 8
+        assert config.iterations == 300
         assert config.eps == 2.5
         assert config.eps_grid == (1.0, 2.0, 3.0)
-        assert config.exclude_years == (2020, 2021)
+        assert config.seed == 7
         assert config.per_year_correlations is True
         # untouched keys keep their defaults
         assert config.min_pts == 5
@@ -83,11 +86,20 @@ class TestConfigFile:
 
     def test_unknown_key_names_line(self, tmp_path):
         path = tmp_path / "run.cfg"
-        # the t-SNE schedule is fixed but for iterations, so learning_rate is unknown
-        for key, value in (("bogus", 1), ("learning_rate", 20)):
+        # the t-SNE schedule is fixed but for iterations, and the study design is
+        # fixed, so learning_rate and the design's retired keys are unknown
+        for key, value in (("bogus", 1), ("learning_rate", 20), ("pca_components", 8),
+                           ("embed_dim", 3), ("exclude_years", "2020,2021"),
+                           ("distribution_years", "2000"), ("extrapolate_to", 2150)):
             path.write_text(f"panel = a.csv\n{key} = {value}\n")
             with pytest.raises(ConfigError, match=f":2: unknown key '{key}'"):
                 load_config(path)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # editors that save "UTF-8 with BOM" put U+FEFF before the first key
+        path = tmp_path / "run.cfg"
+        path.write_text("\ufeffperplexity = 35.5\nseed = 2\n", encoding="utf-8")
+        assert load_config(path) == PipelineConfig(perplexity=35.5, seed=2)
 
     def test_repeated_key_names_both_lines(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -143,8 +155,6 @@ def non_default_text(f) -> str:
         return f"elsewhere/{f.name}"
     if f.type == "bool":
         return str(not f.default).lower()
-    if f.type == "tuple[int, ...]":
-        return "1999,2001"
     if f.type == "tuple[float, ...]":
         return "1.5,2.5"
     if "int" in f.type:
@@ -205,10 +215,10 @@ class TestValidate:
             dict(panel=None),
             dict(out=None),
             dict(perplexity=1.0),
-            dict(pca_components=0),
-            dict(pca_components=1),
-            dict(pca_components=18),
-            dict(embed_dim=4),
+            dict(eps=0.0),
+            dict(eps_grid=(2.0, 0.0)),
+            dict(eps_grid=(1.0, math.inf)),
+            dict(perplexity=-math.inf),
             dict(iterations=0),
             dict(eps=-1.0),
             dict(min_pts=0),
@@ -281,9 +291,13 @@ class TestFullRunArtifacts:
         out = pipeline_run.out
         payload = json.loads((out / artifacts.MANIFEST).read_text())
         assert set(payload) == {"config", "environment", "inputs", "stages", "outputs"}
-        assert set(payload["environment"]) == {"python", "numpy", "scipy", "platform"}
+        environment = {"python", "numpy", "scipy", "platform", "numeric_path"}
+        if "NPY_DISABLE_CPU_FEATURES" in os.environ:
+            environment.add("NPY_DISABLE_CPU_FEATURES")
+        assert set(payload["environment"]) == environment
         assert payload["environment"]["python"] == platform.python_version()
         assert payload["environment"]["numpy"] == np.__version__
+        assert payload["environment"]["numeric_path"] == numeric_path()
         assert [s["name"] for s in payload["stages"]] == list(FULL_RUN)
         assert payload["config"]["perplexity"] == DEMO_SETTINGS["perplexity"]
         assert payload["inputs"]["panel"]["sha256"] == artifacts.sha256_of(
@@ -292,6 +306,13 @@ class TestFullRunArtifacts:
         for name, digest in payload["outputs"].items():
             assert name != artifacts.MANIFEST  # it cannot checksum itself
             assert artifacts.sha256_of(out / name) == digest
+
+    def test_manifest_records_disabled_cpu_features(self, demo_config, tmp_path, monkeypatch):
+        # numpy reads the variable at import, so setting it here changes only the manifest
+        monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "X86_V4")
+        path = write_manifest(replace(demo_config, out=tmp_path), [], [])
+        environment = json.loads(path.read_text())["environment"]
+        assert environment["NPY_DISABLE_CPU_FEATURES"] == "X86_V4"
 
     def test_correlation_artifact_shape(self, pipeline_run):
         header, rows = artifacts.read_csv(
@@ -336,6 +357,26 @@ class TestDeterminism:
 def copy_run(pipeline_run, destination) -> PipelineConfig:
     shutil.copytree(pipeline_run.out, destination)
     return replace(pipeline_run, out=destination)
+
+
+@pytest.fixture(scope="module")
+def late_runs(demo_config, tmp_path_factory):
+    """last_year -> a run, through cluster, of the fixture's scores dated to
+    end in last_year, at or past the extrapolation horizon; built once each."""
+    runs = {}
+
+    def run(last_year: int) -> PipelineConfig:
+        if last_year not in runs:
+            base = tmp_path_factory.mktemp(f"ends{last_year}")
+            write_panel_csv(synthetic_panel(years=tuple(range(last_year - 22, last_year + 1))),
+                            base / "panel.csv")
+            config = replace(demo_config, panel=base / "panel.csv", out=base / "out", gdp=None)
+            for stage in ("ingest", "pca", "tsne", "cluster"):
+                run_stage(stage, config)
+            runs[last_year] = config
+        return runs[last_year]
+
+    return run
 
 
 class TestFailureHandling:
@@ -389,12 +430,11 @@ class TestFailureHandling:
         with pytest.raises(StageError, match=f"{stage}.*expected header country,year,goal01"):
             run_stage(stage, config)
 
-    @pytest.mark.parametrize("year", [1990, 2000, 2010, 2022])
-    def test_extrapolate_to_must_follow_the_data(self, pipeline_run, tmp_path, year):
-        # the bundled panel covers 2000-2022
-        config = replace(copy_run(pipeline_run, tmp_path / "copy"), extrapolate_to=year)
-        with pytest.raises(StageError,
-                           match=f"extrapolate_to {year} is not after the last panel year 2022"):
+    @pytest.mark.parametrize("last_year", [2100, 2122])
+    def test_extrapolate_to_must_follow_the_data(self, late_runs, last_year):
+        config = late_runs(last_year)
+        with pytest.raises(StageError, match=f"extrapolate_to {EXTRAPOLATE_TO} is not after "
+                                             f"the last panel year {last_year}"):
             run_stage("dynamics", config)
 
 
@@ -565,9 +605,6 @@ def study_stage_digests(tmp_path_factory):
     """(eps, stage) -> digest of every file the stage wrote, for the back half
     of the pipeline run twice on one study-shaped directory: eps 1.0 keeps the
     six clouds apart, eps 2.5 merges the first two."""
-    from sdgpipe.panel import write_gdp_csv, write_panel_csv
-    from sdgpipe.synthetic import synthetic_gdp, synthetic_panel
-
     base = tmp_path_factory.mktemp("study")
     panel = synthetic_panel(30, n_groups=6, seed=3)
     write_panel_csv(panel, base / "panel.csv")
@@ -778,15 +815,14 @@ class TestCli:
             args = parser.parse_args([stage])
             assert args.command == stage
 
-    def test_tuple_flags_parse(self):
+    def test_tuple_flags_parse(self, capsys):
         parser = build_parser()
-        args = parser.parse_args(
-            ["cluster", "--eps-grid", "1.0,2.5", "--exclude-years", "2020,2021",
-             "--no-per-year"]
-        )
+        args = parser.parse_args(["cluster", "--eps-grid", "1.0, 2.5", "--no-per-year"])
         assert args.eps_grid == (1.0, 2.5)
-        assert args.exclude_years == (2020, 2021)
         assert args.per_year_correlations is False
+        with pytest.raises(SystemExit):
+            parser.parse_args(["cluster", "--eps-grid", "1.0,x"])
+        assert "argument --eps-grid: invalid float list value: '1.0,x'" in capsys.readouterr().err
 
     def test_config_file_plus_override(self, demo_dir, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -832,14 +868,12 @@ class TestCli:
         assert code == STAGES["cluster"].exit_code == 5
         capsys.readouterr()
 
-    def test_extrapolate_to_inside_the_data_is_a_dynamics_failure(self, pipeline_run, tmp_path,
-                                                                  capsys):
-        copied = tmp_path / "copy"
-        shutil.copytree(pipeline_run.out, copied)
-        code = self.run_cli("dynamics", "--panel", pipeline_run.panel, "--out", copied,
-                            "--extrapolate-to", 2000)
+    def test_extrapolate_to_inside_the_data_is_a_dynamics_failure(self, late_runs, capsys):
+        config = late_runs(2100)
+        code = self.run_cli("dynamics", "--panel", config.panel, "--out", config.out)
         assert code == STAGES["dynamics"].exit_code == 7
-        assert "extrapolate_to 2000" in capsys.readouterr().err
+        assert (f"extrapolate_to {EXTRAPOLATE_TO} is not after the last panel year 2100"
+                in capsys.readouterr().err)
 
     def test_stage_manifest_checksums_only_the_inputs_it_reads(self, pipeline_run, tmp_path,
                                                               capsys):
@@ -961,10 +995,13 @@ class TestUsageErrors:
         assert "sdgpipe" in result.stderr and "error:" in result.stderr
         assert list(tmp_path.iterdir()) == []
 
-    # The t-SNE optimizer schedule is fixed but for --iterations.
+    # The t-SNE optimizer schedule is fixed but for --iterations, and the study
+    # design (components, map dimension, years, horizon) is fixed.
     @pytest.mark.parametrize("flag", ["--learning-rate", "--momentum-early", "--momentum-late",
                                       "--momentum-switch", "--exaggeration",
-                                      "--exaggeration-until", "--record-every", "--init-scale"])
+                                      "--exaggeration-until", "--record-every", "--init-scale",
+                                      "--pca-components", "--embed-dim", "--exclude-years",
+                                      "--distribution-years", "--extrapolate-to"])
     def test_removed_schedule_flags_exit_one(self, flag, demo_dir, tmp_path, capsys):
         argv = ["tsne", "--panel", demo_dir / "panel.csv", "--out", tmp_path / "out", flag, "20"]
         assert main([str(a) for a in argv]) == 1
@@ -1120,7 +1157,7 @@ class TestStageTable:
         assert [(a.dest, a.help) for a in subparsers._choices_actions] == [
             ("ingest", "load, validate, filter, and standardize the panel"),
             ("pca", "fit the component basis and project observations"),
-            ("tsne", "embed component coordinates into the 2-d or 3-d map"),
+            ("tsne", "embed component coordinates into the 2-d map"),
             ("cluster", "density-cluster the map and derive memberships"),
             ("scan-eps", "tabulate cluster count and noise share over an eps grid"),
             ("correlate", "goal correlation matrices, pooled and per cluster"),
@@ -1136,16 +1173,16 @@ class TestStageTable:
     # sha256 of `sdgpipe [<command>] --help` at COLUMNS=80. argparse's layout
     # changes between Python minor versions, so the digests hold for 3.11 only.
     HELP_SHA256 = {
-        "": "670a04d545ce9cba8d5443df5edf8310ce53c83dd2000dd5b4fabc19803f2b80",
-        "ingest": "e169152e6113f7aa437f0b76518a5b851771cb7960d7b3c3d0c6f78ea6126ae7",
-        "pca": "e19879457dd4cf4ea9e5e9ff30ec7aad5f9a5449401cd7fb0ce96a72fb9f671a",
-        "tsne": "18c8b534acf72554705d995d0b0ff4c71c70c1ec73c414a2a05064fc36a58601",
-        "cluster": "7ac58663dcdfa66984e8cc1cd1ee667d3c8eacccd4f7bbc85ed7af866678fa1a",
-        "scan-eps": "787ca605ded4d558b4cb27c2e32e9e8780c616a2404cace600178ccfd38e33ce",
-        "correlate": "cec4a8c5860604771ac12934daf0fe596fa0be81f344031b2ecb2cede0810a55",
-        "dynamics": "b08b0297b09a8ef8146c2c53f6599df53501d11341caa02c3d71f21129d8f471",
-        "figures": "1a8796699408e9ea8bdfaf8ca46f1f244e0c085e21d8addcdc98e33a96362a69",
-        "all": "dbd308a0e089c8c793968ba96cde02d8dca336487af72a7c9ba15d7b0149ecf1",
+        "": "5b16a3ab4b3c4b84b47112f5699bc7634e06e80c6e1bac1cd3c214acbc2ea2b6",
+        "ingest": "98926b8f0acbd02d6e8547caf837148b04eac35b04acf4cefdb59e82d8e1d08d",
+        "pca": "d38905dc25416798b3b22ee7c8d025d6ad8a1a0943f88905da0906bfe85b5824",
+        "tsne": "7b958817b8f7cdb75703abb5fbeaeffc5ac1e5b3397df4cd50b5e80c50948526",
+        "cluster": "fe9ce6ab7fbed15638c661ba5982ce3fcf7848448a2a8f11ba45365f6b55a1fe",
+        "scan-eps": "613326d579539344549ccd7c9015d9e4e231d914e5e5415bd3d0ba19533f867d",
+        "correlate": "f4f1e4c303fddc3b7edae41b130b409acd3014e87049cc7aecf42f9c8d538378",
+        "dynamics": "3d6400ffcd9b3abc3e435334e02089bd7925345537c50bace957ee849ecf0586",
+        "figures": "4aade0370e8fca6205bcba59a5de81a616a8735215c7f854244dc735a9fea2ea",
+        "all": "124b096b681b787306cdbf39c619ed976b4b9b7259a7f21a2deae12496f5ae3f",
     }
 
     @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
@@ -1210,7 +1247,6 @@ class TestStageContract:
         }
         assert config_of("tsne", "--iterations", 20) == {
             "perplexity": PipelineConfig.perplexity,
-            "embed_dim": PipelineConfig.embed_dim,
             "seed": PipelineConfig.seed,
             "iterations": 20,
             "out": str(copied),

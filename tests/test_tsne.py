@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 from sdgpipe import artifacts, tsne
 from sdgpipe.errors import CalibrationFailedError, ShapeMismatchError
 from sdgpipe.panel import write_panel_csv
-from sdgpipe.pipeline import PipelineConfig, run_stage
+from sdgpipe.pipeline import PipelineConfig, numeric_path, run_stage
 from sdgpipe.synthetic import synthetic_panel
 from sdgpipe.tsne import (
     BLOCK_ROWS,
@@ -591,14 +591,6 @@ class TestMemory:
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def numeric_path() -> str:
-    """A witness of how this numpy rounds exp and log: their SIMD paths
-    differ by an ulp in some values from one CPU to the next."""
-    v = np.linspace(-60.0, 0.0, 4099)
-    e = np.exp(v)
-    return sha256(e.tobytes() + np.log(e).tobytes())
 
 
 # Recorded with numpy 2.4.6 on an x86-64 CPU with AVX-512, where the digests
