@@ -430,8 +430,12 @@ class TestFailureHandling:
         with pytest.raises(StageError, match=f"{stage}.*expected header country,year,goal01"):
             run_stage(stage, config)
 
-    @pytest.mark.parametrize("last_year", [2100, 2122])
-    def test_extrapolate_to_must_follow_the_data(self, late_runs, last_year):
+    # Each case is a horizon placed against a 2000-2022 panel, at or before
+    # its last year; the panel is dated later by EXTRAPOLATE_TO - horizon so
+    # the fixed horizon falls at the same place in it.
+    @pytest.mark.parametrize("horizon", [1990, 2000, 2010, 2022])
+    def test_extrapolate_to_must_follow_the_data(self, late_runs, horizon):
+        last_year = 2022 + EXTRAPOLATE_TO - horizon
         config = late_runs(last_year)
         with pytest.raises(StageError, match=f"extrapolate_to {EXTRAPOLATE_TO} is not after "
                                              f"the last panel year {last_year}"):
