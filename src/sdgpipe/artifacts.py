@@ -5,12 +5,20 @@ always signed; a missing value as a blank cell) and JSON numbers at full
 repr precision, so repeated runs of the same configuration produce
 byte-identical files.
 
-format_rows formats a whole row with one % template and read_matrix parses
-a file's numeric block with one numpy conversion. Both give exactly the
-bytes and bits of the per-cell fmt / fmt_signed and float(): a % template
-formats a float as the f-string with the same spec does, and numpy parses
-a decimal string as float() does. Nothing read is cached: every call reads
-its file again.
+format_rows formats a whole row with one % template, and gives exactly the
+bytes of the per-cell fmt / fmt_signed: a % template formats a float as the
+f-string with the same spec does.
+
+read_matrix reads its file once and splits records on "\n" alone, the line
+ending write_csv writes; it does not use str.splitlines, which also splits
+on \x0b, \x1c and \u2028. This is exact because no cell the pipeline
+writes holds a line break: ingest rejects a country name with one. The
+leading cells of a record come from str.split, or from csv.reader when the
+record holds a quote, and every numeric column goes to one np.loadtxt call
+(comments off, since a country name may start with "#"). numpy's parser
+rounds a decimal string as float() does, so the array is bit for bit the
+per-cell float() of the cells csv.reader gives. Nothing read is cached:
+every call reads its file again.
 
 Every file is written and read as UTF-8, whatever the locale. The writers
 write straight to the path they are given: a stage writes into its own
@@ -95,6 +103,10 @@ SIGNED_CELL = "%+.4f"
 # A NaN cell as a % template writes it, sign included.
 _NAN_CELL = re.compile(r"[+-]?nan")
 
+# Where np.loadtxt says a cell failed: the reason, its 0-based row and its
+# 1-based column.
+_LOADTXT_WHERE = re.compile(r"(.*) at row (\d+), column (\d+)\.")
+
 
 def format_rows(meta: Iterable, values: Iterable, cell: str = CELL) -> list[list]:
     """One CSV row per (leading cells, numbers) pair: the leading cells as
@@ -142,16 +154,49 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
 def read_matrix(path: Path, meta_columns: int, header: Sequence[str] | None = None
                 ) -> tuple[list[list[str]], np.ndarray]:
     """Rows of leading string cells plus the numeric remainder as a
-    (rows, columns) array, also when the file holds only its header. With
-    header given, a file whose header differs raises MalformedHeaderError."""
-    got, rows = read_csv(path)
+    (rows, columns) array, also when the file holds only its header or no
+    numeric column. With header given, a file whose header differs raises
+    MalformedHeaderError. A blank row, a row whose cell count is not the
+    header's, and a blank or non-numeric number raise ValueError."""
+    if not path.exists():
+        raise MissingArtifactError(path.name)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise MissingArtifactError(path.name)
+    got = next(csv.reader(lines[:1]))
     if header is not None and got != list(header):
         raise MalformedHeaderError(
             f"{path.name}: expected header {','.join(header)}, got {','.join(got)}"
         )
-    meta = [row[:meta_columns] for row in rows]
-    data = np.array([row[meta_columns:] for row in rows], dtype=float)
-    return meta, data.reshape(len(rows), len(got) - meta_columns)
+    width, rows = len(got), lines[1:]
+    meta = []
+    for row_no, line in enumerate(rows, start=2):
+        if not line:
+            raise ValueError(f"{path.name}: row {row_no} is blank")
+        if '"' in line:
+            cells = next(csv.reader([line]))
+            count, lead = len(cells), cells[:meta_columns]
+        else:
+            count, lead = line.count(",") + 1, line.split(",", meta_columns)[:meta_columns]
+        if count != width:
+            raise ValueError(f"{path.name}: row {row_no} has {count} cells, expected {width}")
+        meta.append(lead)
+    if not rows or width == meta_columns:
+        return meta, np.empty((len(rows), width - meta_columns))
+    try:
+        data = np.loadtxt(rows, delimiter=",", quotechar='"',
+                          usecols=range(meta_columns, width), dtype=float, ndmin=2,
+                          comments=None)
+    except ValueError as exc:
+        # numpy counts the rows it was given from 0; name the file's row
+        found = _LOADTXT_WHERE.fullmatch(str(exc))
+        if found is None:
+            raise ValueError(f"{path.name}: {exc}") from exc
+        reason, row, column = found.groups()
+        raise ValueError(f"{path.name}: row {int(row) + 2}, column {column}: {reason}") from None
+    return meta, data
 
 
 def write_json(path: Path, payload: dict) -> None:

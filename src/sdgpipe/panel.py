@@ -117,8 +117,9 @@ def _parse_score(cell: str, row: int, column: str) -> float:
 
 def _records(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """(line number, cells) of each data row of a CSV that must start with
-    header. Blank rows are skipped; a row with the wrong cell count or an
-    empty first (country) cell raises. A leading UTF-8 byte-order mark, as
+    header. Blank rows are skipped; a row with the wrong cell count, an
+    empty first (country) cell or a line break in it raises: every artifact
+    holds one record per line. A leading UTF-8 byte-order mark, as
     spreadsheet "CSV UTF-8" exports write, is dropped."""
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
@@ -137,8 +138,12 @@ def _records(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[st
                 raise MalformedHeaderError(
                     f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}"
                 )
-            if not row[0].strip():
+            country = row[0].strip()
+            if not country:
                 raise MalformedHeaderError(f"{path}: row {line_no} has an empty country")
+            if "\n" in country or "\r" in country:
+                raise MalformedHeaderError(
+                    f"{path}: row {line_no} has a line break in its country")
             yield line_no, row
 
 

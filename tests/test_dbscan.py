@@ -207,7 +207,7 @@ class TestScanEps:
         for eps, n_clusters, noise_frac in rows:
             single = cluster(pts, eps=eps, min_pts=3)
             assert n_clusters == single.n_clusters
-            assert noise_frac == pytest.approx(single.noise_fraction)
+            assert noise_frac == single.noise_fraction
 
     def test_rejects_bad_grid(self):
         pts = random_points(6, 10)

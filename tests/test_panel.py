@@ -140,6 +140,15 @@ class TestLoadPanel:
         assert np.isnan(panel.scores[0, :3]).all()
         assert panel.scores[0, 3] == 3.0
 
+    @pytest.mark.parametrize("name", ['"A\nB"', '"A\r\nB"', '"A\rB"', '" A\n B "'],
+                             ids=["lf", "crlf", "cr", "padded"])
+    def test_line_break_in_country_rejected(self, tmp_path, name):
+        p = tmp_path / "panel.csv"
+        write_csv(p, [full_line("AAA", 2000, range(17)), full_line(name, 2000, range(17))])
+        message = f"{p}: row 3 has a line break in its country"
+        with pytest.raises(MalformedHeaderError, match=f"^{re.escape(message)}$"):
+            load_panel(p)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "panel.csv"
         p.write_text("")
@@ -374,6 +383,13 @@ class TestGdp:
         p = tmp_path / "gdp.csv"
         p.write_text("country,gdp_per_capita\nAAA,5\n,1234.5\n")
         message = f"{p}: row 3 has an empty country"  # load_panel's wording
+        with pytest.raises(MalformedHeaderError, match=f"^{re.escape(message)}$"):
+            load_gdp(p)
+
+    def test_line_break_in_country_rejected(self, tmp_path):
+        p = tmp_path / "gdp.csv"
+        p.write_text('country,gdp_per_capita\nAAA,5\n"A\nB",1234.5\n')
+        message = f"{p}: row 3 has a line break in its country"
         with pytest.raises(MalformedHeaderError, match=f"^{re.escape(message)}$"):
             load_gdp(p)
 

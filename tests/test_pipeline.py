@@ -465,6 +465,45 @@ class TestReadMatrix:
         with pytest.raises(MissingArtifactError):
             artifacts.read_matrix(tmp_path / "empty.csv", 1)
 
+    @pytest.mark.parametrize("name", ["Korea, Rep.", 'The "Bahamas"', "Côte d'Ivoire",
+                                      "#hash", '"quoted", and #"', "A\x0bB\x1cC\u2028D"],
+                             ids=["comma", "doubled-quote", "non-ascii", "hash", "mixed",
+                                  "splitlines-breaks"])
+    def test_leading_cells_round_trip(self, tmp_path, name):
+        path = tmp_path / "table.csv"
+        rows = [[name, "2000", "1.500000", "-2.000000"], ["AAA", "2001", "0.250000", "3.0"],
+                [name, "2002", "-0.000000", "1e300"]]
+        artifacts.write_csv(path, ["country", "year", "x", "y"], rows)
+        meta, data = artifacts.read_matrix(path, 2)
+        assert meta == [row[:2] for row in rows]
+        assert data.tolist() == [[1.5, -2.0], [0.25, 3.0], [-0.0, 1e300]]
+        assert math.copysign(1.0, data[2, 0]) == -1.0
+
+    @pytest.mark.parametrize("meta_columns", [0, 1, 2, 3])
+    @pytest.mark.parametrize("rows", [[["1", "2", "3"]], [["1", "2", "3"], ["4", "5", "6"]]],
+                             ids=["one-row", "two-rows"])
+    def test_any_split_of_leading_and_numeric_columns(self, tmp_path, meta_columns, rows):
+        path = tmp_path / "table.csv"
+        artifacts.write_csv(path, ["a", "b", "c"], rows)
+        meta, data = artifacts.read_matrix(path, meta_columns, header=["a", "b", "c"])
+        assert meta == [row[:meta_columns] for row in rows]
+        assert data.shape == (len(rows), 3 - meta_columns)
+        assert data.tolist() == [[float(cell) for cell in row[meta_columns:]] for row in rows]
+
+    @pytest.mark.parametrize("line,message", [
+        ("BBB,2001,0.5", "row 3 has 3 cells, expected 4"),
+        ("BBB,2001,0.5,1.0,2.0", "row 3 has 5 cells, expected 4"),
+        ('"B,B",2001,0.5', "row 3 has 3 cells, expected 4"),
+        ("BBB,2001,,1.0", "row 3, column 3: could not convert string '' to float64"),
+        ("BBB,2001,0.5,wat", "row 3, column 4: could not convert string 'wat' to float64"),
+        ("", "row 3 is blank"),
+    ], ids=["short", "long", "short-quoted", "blank-cell", "non-numeric", "blank-line"])
+    def test_malformed_row_names_file_and_row(self, tmp_path, line, message):
+        path = tmp_path / "table.csv"
+        path.write_text(f"country,year,x,y\nAAA,2000,1.0,2.0\n{line}\nCCC,2002,3.0,4.0\n")
+        with pytest.raises(ValueError, match=f"^table.csv: {re.escape(message)}"):
+            artifacts.read_matrix(path, 2)
+
 
 # Cells chosen where a formatter could go wrong: signed zero, values that
 # round to a signed zero, exact binary halves at the last kept digit (round
@@ -849,6 +888,16 @@ class TestCli:
         assert (tmp_path / "out" / artifacts.PANEL_FILTERED).exists()
         assert (tmp_path / "out" / artifacts.MANIFEST).exists()
         assert "stage ingest" in capsys.readouterr().out
+
+    def test_line_break_in_country_fails_ingest(self, demo_dir, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        lines = (demo_dir / "panel.csv").read_text().splitlines(keepends=True)
+        panel.write_text("".join('"AA\nA"' + line[3:] if line.startswith("AAA,") else line
+                                 for line in lines))
+        code = self.run_cli("ingest", "--panel", panel, "--out", tmp_path / "out")
+        assert code == STAGES["ingest"].exit_code == 2
+        assert "row 2 has a line break in its country" in capsys.readouterr().err
+        assert not (tmp_path / "out" / artifacts.PANEL_FILTERED).exists()
 
     def test_usage_error_is_one(self, tmp_path, capsys):
         code = self.run_cli("ingest", "--out", tmp_path / "out")  # no panel
