@@ -17,7 +17,7 @@ from sdgpipe.dynamics import (
 from sdgpipe.panel import ScorePanel, StandardizedPanel, filter_complete, load_panel, standardize
 from sdgpipe.pca import PcaModel
 from sdgpipe.pipeline import PipelineConfig, run_pipeline, run_stage
-from sdgpipe.tsne import AffinityMatrix, Embedding, GradientSchedule
+from sdgpipe.tsne import AffinityMatrix, Embedding
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "ClusterSwitch",
     "Embedding",
     "GaussianFit",
-    "GradientSchedule",
     "PcaModel",
     "PipelineConfig",
     "ScorePanel",

@@ -10,6 +10,7 @@ clusters keeps the lowest id. Unreachable points get the noise label -1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,9 +94,9 @@ def _label(dist: np.ndarray, eps: float, min_pts: int) -> ClusterLabels:
 
 
 def cluster(points: np.ndarray, eps: float, min_pts: int = DEFAULT_MIN_PTS) -> ClusterLabels:
-    """Label every row of points; eps > 0 and min_pts >= 1 required."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    """Label every row of points; a finite eps > 0 and min_pts >= 1 required."""
+    if not 0 < eps < math.inf:  # NaN fails every comparison
+        raise ValueError("eps must be finite and positive")
     return _label(_checked_distances(points, min_pts), eps, min_pts)
 
 
@@ -106,8 +107,8 @@ def scan_eps(
 ) -> list[tuple[float, int, float]]:
     """(eps, n_clusters, noise_fraction) for each eps; no winner is picked."""
     eps_values = [float(e) for e in np.asarray(eps_values, dtype=float).ravel()]
-    if not eps_values or any(e <= 0 for e in eps_values):
-        raise ValueError("eps grid must be nonempty and positive")
+    if not eps_values or not all(0 < e < math.inf for e in eps_values):
+        raise ValueError("eps grid must be nonempty, finite and positive")
     dist = _checked_distances(points, min_pts)
     rows = []
     for eps in eps_values:

@@ -40,6 +40,7 @@ from sdgpipe.panel import (
     load_panel,
     standardize,
     standardize_within_cluster,
+    write_panel_csv,
     yearly_goal_means,
 )
 
@@ -66,7 +67,7 @@ class PipelineConfig:
     out: Path | None = field(default=None, metadata={"help": "artifact output directory"})
     gdp: Path | None = field(default=None, metadata={"help": "optional country GDP table"})
     perplexity: float = 50.0
-    iterations: int = tsne.GradientSchedule.iterations
+    iterations: int = tsne.ITERATIONS
     seed: int = 0
     eps: float | None = None
     min_pts: int = dbscan.DEFAULT_MIN_PTS
@@ -83,6 +84,8 @@ class PipelineConfig:
             raise ConfigError("output directory is required")
         if not 1 < self.perplexity < math.inf:  # NaN fails every comparison
             raise ConfigError("perplexity must be finite and exceed 1")
+        if self.iterations < 1:
+            raise ConfigError("iterations must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.eps is not None and not 0 < self.eps < math.inf:
@@ -91,14 +94,6 @@ class PipelineConfig:
             raise ConfigError("min_pts must be >= 1")
         if not self.eps_grid or not all(0 < e < math.inf for e in self.eps_grid):
             raise ConfigError("eps_grid must be nonempty, finite and positive")
-        try:
-            self.schedule().validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    def schedule(self) -> tsne.GradientSchedule:
-        """The library's optimizer schedule with this run's iteration count."""
-        return tsne.GradientSchedule(iterations=self.iterations)
 
 
 def _parse_bool(text: str) -> bool:
@@ -206,8 +201,7 @@ def stage_ingest(config: PipelineConfig, dest: Path) -> None:
     zpanel = standardize(panel)
     years, means = yearly_goal_means(panel)
 
-    artifacts.write_csv(dest / artifacts.PANEL_FILTERED, PANEL_HEADER,
-                        artifacts.format_rows(panel.index, panel.scores))
+    write_panel_csv(panel, dest / artifacts.PANEL_FILTERED)
     artifacts.write_csv(dest / artifacts.MOMENTS, ["goal", "mean", "std"],
                         artifacts.format_rows(zip(GOAL_COLUMNS), zip(zpanel.mean, zpanel.std)))
     artifacts.write_csv(dest / artifacts.STANDARDIZED, PANEL_HEADER,
@@ -225,7 +219,7 @@ def stage_pca(config: PipelineConfig, dest: Path) -> None:
 
     model = pca.fit(Z, PCA_COMPONENTS)
     coords = pca.project(model, Z)
-    pc_names = [f"pc{j + 1:02d}" for j in range(model.n_components)]
+    pc_names = [f"pc{j + 1:02d}" for j in range(coords.shape[1])]
 
     artifacts.write_json(dest / artifacts.PCA_MODEL, {
         "components": model.components.tolist(),
@@ -249,7 +243,7 @@ def stage_pca(config: PipelineConfig, dest: Path) -> None:
 def stage_tsne(config: PipelineConfig, dest: Path) -> None:
     """Embed the component coordinates into the 2-d map."""
     meta, X = artifacts.read_matrix(config.out / artifacts.PCA_PROJECTION, 2)
-    embedding = tsne.run(X, config.perplexity, seed=config.seed, schedule=config.schedule())
+    embedding = tsne.run(X, config.perplexity, config.iterations, config.seed)
 
     artifacts.write_csv(dest / artifacts.EMBEDDING, ["country", "year", "x", "y"],
                         artifacts.format_rows(meta, embedding.Y))

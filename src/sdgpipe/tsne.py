@@ -11,8 +11,11 @@ Student-t kernel with one degree of freedom,
 
     q_ij = (1 + ||y_i - y_j||^2)^-1 / sum_{k != l} (1 + ||y_k - y_l||^2)^-1,
 
-and the map minimizes KL(P || Q) by gradient descent with momentum and
-early exaggeration. No tree approximations; every pair is computed.
+and a 2-d map minimizes KL(P || Q) by gradient descent with momentum and
+early exaggeration. No tree approximations; every pair is computed. The
+optimizer schedule is fixed by the module constants ITERATIONS through
+INIT_SCALE; `run` and `embed` take only the iteration count, the seed and
+the learning rate.
 
 All n x n work walks fixed blocks of BLOCK_ROWS rows, each row computed as
 a one-point or whole-matrix call would compute it, so results are bitwise
@@ -60,6 +63,17 @@ BLOCK_ROWS = 64
 # per gradient at 276) and faster from about 420 (3.0 against 4.1 ms at 690).
 PARALLEL_MIN_ROWS = 448
 
+# The optimizer schedule of exact t-SNE (van der Maaten, JMLR 2014).
+ITERATIONS = 1000
+LEARNING_RATE = 200.0
+MOMENTUM_EARLY = 0.5
+MOMENTUM_LATE = 0.8
+MOMENTUM_SWITCH = 250
+EXAGGERATION = 12.0
+EXAGGERATION_UNTIL = 250
+RECORD_EVERY = 50
+INIT_SCALE = 1e-4
+
 # Work on one row block of the map, given its worker's scratch.
 Work = Callable[[slice, np.ndarray], None]
 # Applies work to every row block of the map.
@@ -73,33 +87,6 @@ class AffinityMatrix:
     P: np.ndarray
     sigmas: np.ndarray
     perplexity: float
-
-
-@dataclass(frozen=True)
-class GradientSchedule:
-    """Optimizer settings; the defaults are the ones used throughout."""
-
-    iterations: int = 1000
-    learning_rate: float = 200.0
-    momentum_early: float = 0.5
-    momentum_late: float = 0.8
-    momentum_switch: int = 250
-    exaggeration: float = 12.0
-    exaggeration_until: int = 250
-    record_every: int = 50
-    init_scale: float = 1e-4
-
-    def validate(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
-        if self.exaggeration < 1.0:
-            raise ValueError("exaggeration must be >= 1")
-        if self.init_scale <= 0:
-            raise ValueError("init_scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -394,21 +381,22 @@ def kl_gradient(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 def embed(
     affinity: AffinityMatrix,
-    n_components: int = 2,
+    iterations: int = ITERATIONS,
     seed: int = 0,
-    schedule: GradientSchedule | None = None,
+    learning_rate: float = LEARNING_RATE,
 ) -> Embedding:
-    """Optimize a map for calibrated joint affinities by exact t-SNE.
+    """Optimize a 2-d map for calibrated joint affinities by exact t-SNE.
 
-    The map starts from seeded Gaussian noise (scale from the schedule),
-    early iterations exaggerate P, and momentum steps up after the switch
-    iteration. The KL against the unexaggerated P is recorded every
-    record_every iterations and at the last one.
+    The map starts from seeded Gaussian noise of scale INIT_SCALE, P is
+    exaggerated by EXAGGERATION up to step EXAGGERATION_UNTIL, and momentum
+    steps from MOMENTUM_EARLY to MOMENTUM_LATE at MOMENTUM_SWITCH. The KL
+    against the unexaggerated P is recorded every RECORD_EVERY iterations and
+    at the last one.
     """
-    schedule = schedule or GradientSchedule()
-    schedule.validate()
-    if n_components not in (2, 3):
-        raise ValueError("n_components must be 2 or 3")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if not 0 < learning_rate < math.inf:  # NaN fails every comparison
+        raise ValueError("learning_rate must be finite and positive")
     P = affinity.P
     n = P.shape[0]
 
@@ -417,30 +405,25 @@ def embed(
     # Every step reuses one n x n kernel buffer (a fresh one per step
     # page-faults in every time). The KL of the map a step leaves is summed
     # in the next step's sweep, so one more sweep gives the final KL.
-    Y = np.asfortranarray(rng.normal(0.0, schedule.init_scale, size=(n, n_components)))
+    Y = np.asfortranarray(rng.normal(0.0, INIT_SCALE, size=(n, 2)))
     velocity = np.zeros_like(Y)
     kernel = np.empty_like(P)
     history: list[tuple[int, float]] = []
     workers = _pool_size(len(_blocks(n))) if n >= PARALLEL_MIN_ROWS else 1
 
     with _pooled(n, workers) as sweep:
-        for step in range(1, schedule.iterations + 1):
-            scale = schedule.exaggeration if step <= schedule.exaggeration_until else 1.0
-            recorded = step > 1 and (step - 1) % schedule.record_every == 0
+        for step in range(1, iterations + 1):
+            scale = EXAGGERATION if step <= EXAGGERATION_UNTIL else 1.0
+            recorded = step > 1 and (step - 1) % RECORD_EVERY == 0
             grad, kl = _gradient(P, scale, Y, kernel, sweep, recorded)
             if recorded:
                 history.append((step - 1, kl))
-            momentum = (
-                schedule.momentum_early
-                if step < schedule.momentum_switch
-                else schedule.momentum_late
-            )
-            velocity *= momentum
-            grad *= schedule.learning_rate
+            velocity *= MOMENTUM_EARLY if step < MOMENTUM_SWITCH else MOMENTUM_LATE
+            grad *= learning_rate
             velocity -= grad
             Y += velocity
             Y -= Y.mean(axis=0)
-        history.append((schedule.iterations, _gradient(P, 1.0, Y, kernel, sweep, True)[1]))
+        history.append((iterations, _gradient(P, 1.0, Y, kernel, sweep, True)[1]))
 
     return Embedding(Y=Y, seed=seed, kl_history=tuple(history))
 
@@ -448,9 +431,9 @@ def embed(
 def run(
     X: np.ndarray,
     perplexity: float,
-    n_components: int = 2,
+    iterations: int = ITERATIONS,
     seed: int = 0,
-    schedule: GradientSchedule | None = None,
+    learning_rate: float = LEARNING_RATE,
 ) -> Embedding:
-    """Embed rows of X by exact t-SNE: calibrate the affinities, then embed."""
-    return embed(joint_affinities(X, perplexity), n_components, seed, schedule)
+    """Embed rows of X in 2-d by exact t-SNE: calibrate the affinities, then embed."""
+    return embed(joint_affinities(X, perplexity), iterations, seed, learning_rate)

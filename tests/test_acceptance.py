@@ -185,7 +185,7 @@ def blob_separated(Y: np.ndarray, n_per: int) -> bool:
 
 # The default learning rate suits maps in the low thousands of points;
 # 40-point fixtures need a smaller step to stay stable.
-BLOB_SCHEDULE = tsne.GradientSchedule(learning_rate=20.0)
+BLOB_LEARNING_RATE = 20.0
 
 
 @criterion(3, "map embedding correctness suite")
@@ -239,8 +239,9 @@ def test_criterion_3_tsne_suite():
     emb = tsne.run(
         two_blobs(7),
         perplexity=10.0,
+        iterations=600,
         seed=7,
-        schedule=tsne.GradientSchedule(learning_rate=20.0, iterations=600),
+        learning_rate=20.0,
     )
     kl_at_50 = emb.kl_history[0][1]
     kl_drops = emb.kl_history[0][0] == 50 and emb.final_kl < kl_at_50
@@ -249,7 +250,8 @@ def test_criterion_3_tsne_suite():
     # (d) blob separation across seeds.
     separated = 0
     for seed in range(20):
-        emb = tsne.run(two_blobs(seed), perplexity=10.0, seed=seed, schedule=BLOB_SCHEDULE)
+        emb = tsne.run(two_blobs(seed), perplexity=10.0, seed=seed,
+                       learning_rate=BLOB_LEARNING_RATE)
         separated += blob_separated(emb.Y, 20)
     parts.append(("separation", separated >= 18, f"{separated}/20 seeds"))
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,8 +123,9 @@ class TestHandCases:
 
     def test_input_validation(self):
         pts = np.array([[0.0], [1.0]])
-        with pytest.raises(ValueError):
-            cluster(pts, eps=0.0)
+        for eps in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                cluster(pts, eps=eps)
         with pytest.raises(ValueError):
             cluster(pts, eps=1.0, min_pts=0)
         with pytest.raises(ValueError):
@@ -213,8 +216,9 @@ class TestScanEps:
         pts = random_points(6, 10)
         with pytest.raises(ValueError):
             scan_eps(pts, [])
-        with pytest.raises(ValueError):
-            scan_eps(pts, [1.0, -0.5])
+        for bad in (-0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                scan_eps(pts, [1.0, bad])
 
     def test_rejects_nonfinite_points(self):
         pts = random_points(7, 20)

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdgpipe
 from sdgpipe import artifacts, dbscan, tsne
 from sdgpipe.cli import _config_from_args, build_parser, main
 from sdgpipe.dynamics import TrajectoryFit, future_root
@@ -236,12 +237,8 @@ class TestValidate:
         with pytest.raises(ConfigError):
             self.base(**kw).validate()
 
-    def test_schedule_carries_fields(self):
-        schedule = self.base(iterations=321).schedule()
-        assert schedule == replace(tsne.GradientSchedule(), iterations=321)
-
     def test_defaults_come_from_the_stages(self):
-        assert PipelineConfig().schedule() == tsne.GradientSchedule()
+        assert PipelineConfig().iterations == tsne.ITERATIONS
         assert PipelineConfig().min_pts == dbscan.DEFAULT_MIN_PTS
 
 
@@ -1146,6 +1143,10 @@ class TestScanRun:
         got, want = masked_manifest(manifest), masked_manifest(out / artifacts.MANIFEST)
         assert [s["name"] for s in got["stages"]] == list(SCAN_RUN)
         assert got["outputs"] == want["outputs"]
+
+
+def test_public_names_resolve():
+    assert [name for name in sdgpipe.__all__ if not hasattr(sdgpipe, name)] == []
 
 
 class TestStartupImports:

@@ -21,7 +21,6 @@ from sdgpipe.tsne import (
     PARALLEL_MIN_ROWS,
     PERPLEXITY_TOL,
     Embedding,
-    GradientSchedule,
     calibrate_sigma,
     embed,
     joint_affinities,
@@ -433,7 +432,7 @@ def two_blobs(seed, n_per=20, dim=5, gap=12.0):
 
 
 # default lr=200 is tuned for N in the low thousands; small maps need less
-BLOB_SCHEDULE = GradientSchedule(learning_rate=20.0)
+BLOB_LEARNING_RATE = 20.0
 
 
 def blob_separated(Y, n_per):
@@ -454,8 +453,7 @@ def blob_separated(Y, n_per):
 class TestRun:
     def test_history_and_kl_decrease(self):
         X = two_blobs(0)
-        sched = GradientSchedule(learning_rate=20.0, iterations=600)
-        emb = run(X, perplexity=10.0, seed=0, schedule=sched)
+        emb = run(X, perplexity=10.0, iterations=600, seed=0, learning_rate=20.0)
         steps = [s for s, _ in emb.kl_history]
         assert steps == list(range(50, 650, 50))
         # KL against the plain P only settles after exaggeration lifts
@@ -465,28 +463,25 @@ class TestRun:
 
     def test_blobs_separate(self):
         X = two_blobs(1)
-        emb = run(X, perplexity=10.0, seed=1, schedule=BLOB_SCHEDULE)
+        emb = run(X, perplexity=10.0, seed=1, learning_rate=BLOB_LEARNING_RATE)
         assert blob_separated(emb.Y, 20)
 
     def test_seed_reproducibility(self):
         X = two_blobs(2)
-        sched = GradientSchedule(learning_rate=20.0, iterations=120)
-        a = run(X, perplexity=10.0, seed=9, schedule=sched)
-        b = run(X, perplexity=10.0, seed=9, schedule=sched)
+        a = run(X, perplexity=10.0, iterations=120, seed=9, learning_rate=20.0)
+        b = run(X, perplexity=10.0, iterations=120, seed=9, learning_rate=20.0)
         assert np.array_equal(a.Y, b.Y)
         assert a.kl_history == b.kl_history
-        c = run(X, perplexity=10.0, seed=10, schedule=sched)
+        c = run(X, perplexity=10.0, iterations=120, seed=10, learning_rate=20.0)
         assert not np.array_equal(a.Y, c.Y)
 
     def test_recorded_kl_is_kl_of_that_step(self):
         X = two_blobs(5)
         P = joint_affinities(X, perplexity=10.0).P
-        emb = run(X, perplexity=10.0, seed=3,
-                  schedule=GradientSchedule(learning_rate=20.0, iterations=120))
+        emb = run(X, perplexity=10.0, iterations=120, seed=3, learning_rate=20.0)
         assert [s for s, _ in emb.kl_history] == [50, 100, 120]
         for step, kl in emb.kl_history:
-            at_step = run(X, perplexity=10.0, seed=3,
-                          schedule=GradientSchedule(learning_rate=20.0, iterations=step))
+            at_step = run(X, perplexity=10.0, iterations=step, seed=3, learning_rate=20.0)
             assert kl == kl_divergence(P, q_matrix(at_step.Y)[0])
 
     def test_blocked_kl_history_matches_dense_kl(self):
@@ -494,36 +489,32 @@ class TestRun:
         # summed from several partials on a pooled sweep.
         X = two_blobs(9, n_per=250)
         aff = joint_affinities(X, perplexity=30.0)
-        sched = GradientSchedule(iterations=25, record_every=10)
-        emb = embed(aff, seed=6, schedule=sched)
-        assert [s for s, _ in emb.kl_history] == [10, 20, 25]
+        emb = embed(aff, iterations=60, seed=6)
+        assert [s for s, _ in emb.kl_history] == [50, 60]
         for step, kl in emb.kl_history:
-            at_step = embed(aff, seed=6, schedule=GradientSchedule(iterations=step))
+            at_step = embed(aff, iterations=step, seed=6)
             dense = kl_divergence(aff.P, q_matrix(at_step.Y)[0])
             assert abs(kl - dense) <= 1e-12 * abs(dense)
 
     def test_first_step_is_kl_gradient(self):
         X = two_blobs(6)
-        sched = GradientSchedule(learning_rate=20.0, iterations=1)
         P = joint_affinities(X, perplexity=10.0).P
-        Y0 = np.random.default_rng(4).normal(0.0, sched.init_scale, size=(40, 2))
-        expected = Y0 - sched.learning_rate * kl_gradient(sched.exaggeration * P, Y0)
+        Y0 = np.random.default_rng(4).normal(0.0, tsne.INIT_SCALE, size=(40, 2))
+        expected = Y0 - 20.0 * kl_gradient(tsne.EXAGGERATION * P, Y0)
         expected -= expected.mean(axis=0)
-        Y1 = run(X, perplexity=10.0, seed=4, schedule=sched).Y
+        Y1 = run(X, perplexity=10.0, iterations=1, seed=4, learning_rate=20.0).Y
         assert np.linalg.norm(Y1 - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_embed_of_calibrated_affinities_is_run(self):
         X = two_blobs(7)
-        sched = GradientSchedule(learning_rate=20.0, iterations=80, record_every=30)
-        a = run(X, perplexity=10.0, n_components=3, seed=5, schedule=sched)
-        b = embed(joint_affinities(X, 10.0), n_components=3, seed=5, schedule=sched)
+        a = run(X, perplexity=10.0, iterations=80, seed=5, learning_rate=20.0)
+        b = embed(joint_affinities(X, 10.0), iterations=80, seed=5, learning_rate=20.0)
         assert a.Y.tobytes() == b.Y.tobytes()
         assert a.kl_history == b.kl_history
 
     def test_pool_size_does_not_change_the_map(self, monkeypatch):
         X = two_blobs(8, n_per=350)
         assert X.shape[0] >= PARALLEL_MIN_ROWS
-        sched = GradientSchedule(iterations=30, record_every=10)
         results = []
         for workers in (1, 2, 3):
             requested = []
@@ -533,34 +524,18 @@ class TestRun:
                 return workers
 
             monkeypatch.setattr(tsne, "_pool_size", pool_size)
-            emb = run(X, perplexity=30.0, seed=2, schedule=sched)
+            emb = run(X, perplexity=30.0, iterations=60, seed=2)
             assert requested == [math.ceil(X.shape[0] / BLOCK_ROWS)]  # the pool is used
             results.append((emb.Y.tobytes(), emb.kl_history))
-        assert [s for s, _ in results[0][1]] == [10, 20, 30]
+        assert [s for s, _ in results[0][1]] == [50, 60]
         assert results[1] == results[0]
         assert results[2] == results[0]
 
-    def test_three_components(self):
-        X = two_blobs(3)
-        emb = run(X, perplexity=10.0, n_components=3, seed=0,
-                  schedule=GradientSchedule(learning_rate=20.0, iterations=60))
-        assert emb.Y.shape == (40, 3)
-
-    def test_bad_dimension(self):
+    @pytest.mark.parametrize("kw", [dict(iterations=0), dict(learning_rate=-1.0),
+                                    dict(learning_rate=math.nan), dict(learning_rate=math.inf)])
+    def test_rejects_bad_schedule(self, kw):
         with pytest.raises(ValueError):
-            run(two_blobs(4), perplexity=10.0, n_components=4)
-
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            GradientSchedule(iterations=0).validate()
-        with pytest.raises(ValueError):
-            GradientSchedule(learning_rate=-1.0).validate()
-        with pytest.raises(ValueError):
-            GradientSchedule(exaggeration=0.5).validate()
-        with pytest.raises(ValueError):
-            GradientSchedule(init_scale=0.0).validate()
-        with pytest.raises(ValueError):
-            GradientSchedule(record_every=0).validate()
+            run(two_blobs(4), perplexity=10.0, **kw)
 
 
 def traced_peak(call):
@@ -581,8 +556,8 @@ class TestMemory:
     def test_embed_holds_one_n_by_n_array_beyond_p(self):
         n = self.X.shape[0]
         aff = joint_affinities(self.X, perplexity=30.0)
-        sched = GradientSchedule(iterations=30, record_every=10)
-        assert traced_peak(lambda: embed(aff, seed=0, schedule=sched)) < 2.5 * n * n * 8
+        # 30 iterations record only the final KL
+        assert traced_peak(lambda: embed(aff, iterations=30, seed=0)) < 2.5 * n * n * 8
 
     def test_calibration_holds_one_n_by_n_array(self):
         n = self.X.shape[0]
