@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from sdgpipe.errors import MalformedHeaderError, MissingArtifactError
+from sdgpipe.errors import MalformedHeaderError, MissingArtifactError, PipelineError
 
 PANEL_FILTERED = "panel_filtered.csv"
 MOMENTS = "moments.csv"
@@ -197,6 +197,18 @@ def read_matrix(path: Path, meta_columns: int, header: Sequence[str] | None = No
         reason, row, column = found.groups()
         raise ValueError(f"{path.name}: row {int(row) + 2}, column {column}: {reason}") from None
     return meta, data
+
+
+def read_aligned(out: Path, names: Sequence[str], header: Sequence[str] | None = None
+                 ) -> tuple[list[list[str]], list[np.ndarray]]:
+    """The first named artifact's (country, year) rows, which each other one must
+    list in the same order, and every one's numeric columns; header is the first's."""
+    read = [read_matrix(out / name, 2, header if k == 0 else None)
+            for k, name in enumerate(names)]
+    for name, (rows, _) in zip(names[1:], read[1:]):
+        if rows != read[0][0]:
+            raise PipelineError(f"{name} rows do not line up with {names[0]}")
+    return read[0][0], [data for _, data in read]
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -11,6 +11,7 @@ errors, argparse's included, exit USAGE_EXIT.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -117,13 +118,16 @@ def main(argv: list[str] | None = None) -> int:
                 f"stage {args.command}: wrote {len(written)} file(s) "
                 f"in {seconds:.2f}s to {config.out}"
             )
-        return 0
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+    except BrokenPipeError:  # the reader has gone (`| head -1`); the run is complete
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return STAGES[exc.stage].exit_code
     except (PipelineError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    return 0
 
 
 if __name__ == "__main__":

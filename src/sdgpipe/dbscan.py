@@ -28,6 +28,17 @@ def cluster_name(cluster_id: int) -> str:
 DEFAULT_MIN_PTS = 5
 
 
+def check_settings(eps: float | None = None, min_pts: int | None = None,
+                   eps_grid: tuple[float, ...] | None = None) -> None:
+    """Raise ValueError for the first of the given settings that breaks its rule."""
+    if eps is not None and not 0 < eps < math.inf:  # NaN fails every comparison
+        raise ValueError("eps must be finite and positive")
+    if min_pts is not None and min_pts < 1:
+        raise ValueError("min_pts must be >= 1")
+    if eps_grid is not None and not (eps_grid and all(0 < e < math.inf for e in eps_grid)):
+        raise ValueError("eps grid must be nonempty, finite and positive")
+
+
 @dataclass(frozen=True)
 class ClusterLabels:
     """Per-point integer labels (noise = -1) and the parameters that made them."""
@@ -66,8 +77,7 @@ def _checked_distances(points: np.ndarray, min_pts: int) -> np.ndarray:
         raise ValueError("points must be a nonempty 2-d array")
     if not np.all(np.isfinite(points)):
         raise ValueError("points must be finite")
-    if min_pts < 1:
-        raise ValueError("min_pts must be >= 1")
+    check_settings(min_pts=min_pts)
     return cdist(points, points)
 
 
@@ -94,9 +104,8 @@ def _label(dist: np.ndarray, eps: float, min_pts: int) -> ClusterLabels:
 
 
 def cluster(points: np.ndarray, eps: float, min_pts: int = DEFAULT_MIN_PTS) -> ClusterLabels:
-    """Label every row of points; a finite eps > 0 and min_pts >= 1 required."""
-    if not 0 < eps < math.inf:  # NaN fails every comparison
-        raise ValueError("eps must be finite and positive")
+    """Label every row of points; eps and min_pts must pass check_settings."""
+    check_settings(eps=eps)
     return _label(_checked_distances(points, min_pts), eps, min_pts)
 
 
@@ -106,9 +115,8 @@ def scan_eps(
     min_pts: int = DEFAULT_MIN_PTS,
 ) -> list[tuple[float, int, float]]:
     """(eps, n_clusters, noise_fraction) for each eps; no winner is picked."""
-    eps_values = [float(e) for e in np.asarray(eps_values, dtype=float).ravel()]
-    if not eps_values or not all(0 < e < math.inf for e in eps_values):
-        raise ValueError("eps grid must be nonempty, finite and positive")
+    eps_values = tuple(float(e) for e in np.asarray(eps_values, dtype=float).ravel())
+    check_settings(eps_grid=eps_values)
     dist = _checked_distances(points, min_pts)
     rows = []
     for eps in eps_values:

@@ -23,7 +23,6 @@ from numpy.typing import ArrayLike
 
 from sdgpipe import artifacts
 from sdgpipe.dbscan import cluster_name
-from sdgpipe.errors import PipelineError
 from sdgpipe.panel import GOAL_COLUMNS, N_GOALS
 
 CLUSTER_PALETTE = (
@@ -591,12 +590,8 @@ def emit_figures(out: str | Path, dest: str | Path) -> list[Path]:
 
     # The t-SNE figure pairs embedding.csv with labels.csv by position, and
     # the PCA and t-SNE scatters must show the same observations.
-    proj_meta, proj = artifacts.read_matrix(out / artifacts.PCA_PROJECTION, 2)
-    embed_meta, embed = artifacts.read_matrix(out / artifacts.EMBEDDING, 2)
-    label_meta, labels = artifacts.read_matrix(out / artifacts.LABELS, 2)
-    if not proj_meta == embed_meta == label_meta:
-        raise PipelineError(f"{artifacts.PCA_PROJECTION}, {artifacts.EMBEDDING} and "
-                            f"{artifacts.LABELS} rows do not line up")
+    proj_meta, (proj, embed, labels) = artifacts.read_aligned(
+        out, (artifacts.PCA_PROJECTION, artifacts.EMBEDDING, artifacts.LABELS))
 
     years_meta, means = artifacts.read_matrix(out / artifacts.YEARLY_MEANS, 1)
     emit(artifacts.PARALLEL_SVG, fig_parallel([int(row[0]) for row in years_meta], means))
@@ -610,7 +605,7 @@ def emit_figures(out: str | Path, dest: str | Path) -> list[Path]:
     _, switch_rows = artifacts.read_csv(out / artifacts.SWITCHES)
     switchers = sorted({row[0] for row in switch_rows})
     emit(artifacts.TSNE_CLUSTERS_SVG, fig_tsne_clusters(
-        embed_meta, embed[:, :2], labels[:, 0].astype(int).tolist(), switchers))
+        proj_meta, embed[:, :2], labels[:, 0].astype(int).tolist(), switchers))
 
     profile_meta, z = artifacts.read_matrix(out / artifacts.CLUSTER_STANDARDIZED, 3)
     profiles = [(c, int(y), int(k), row) for (c, y, k), row in zip(profile_meta, z.tolist())]

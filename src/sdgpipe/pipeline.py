@@ -11,7 +11,6 @@ naming the stage. The manifest is committed the same way.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import platform
 import shutil
@@ -82,18 +81,11 @@ class PipelineConfig:
             raise ConfigError("panel CSV path is required")
         if self.out is None:
             raise ConfigError("output directory is required")
-        if not 1 < self.perplexity < math.inf:  # NaN fails every comparison
-            raise ConfigError("perplexity must be finite and exceed 1")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.eps is not None and not 0 < self.eps < math.inf:
-            raise ConfigError("eps must be finite and positive")
-        if self.min_pts < 1:
-            raise ConfigError("min_pts must be >= 1")
-        if not self.eps_grid or not all(0 < e < math.inf for e in self.eps_grid):
-            raise ConfigError("eps_grid must be nonempty, finite and positive")
+        try:
+            tsne.check_settings(self.perplexity, self.iterations, self.seed)
+            dbscan.check_settings(self.eps, self.min_pts, self.eps_grid)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -182,12 +174,9 @@ def apply_overrides(config: PipelineConfig, **overrides: object) -> PipelineConf
 
 
 def _read_aligned(out: Path, name: str) -> tuple[ScorePanel, np.ndarray]:
-    """panel_filtered.csv as a panel, plus the numeric columns of the artifact
-    name, whose (country, year) rows must be the panel's, in the same order."""
-    meta, scores = artifacts.read_matrix(out / artifacts.PANEL_FILTERED, 2, PANEL_HEADER)
-    rows, data = artifacts.read_matrix(out / name, 2)
-    if rows != meta:
-        raise PipelineError(f"{name} rows do not line up with {artifacts.PANEL_FILTERED}")
+    """panel_filtered.csv as a panel, and the numeric columns of name, aligned with it."""
+    meta, (scores, data) = artifacts.read_aligned(out, (artifacts.PANEL_FILTERED, name),
+                                                  PANEL_HEADER)
     return ScorePanel(tuple((country, int(year)) for country, year in meta), scores), data
 
 

@@ -74,6 +74,20 @@ EXAGGERATION_UNTIL = 250
 RECORD_EVERY = 50
 INIT_SCALE = 1e-4
 
+
+def check_settings(perplexity: float | None = None, iterations: int | None = None,
+                   seed: int | None = None, learning_rate: float | None = None) -> None:
+    """Raise ValueError for the first of the given settings that breaks its rule."""
+    if perplexity is not None and not 1 < perplexity < math.inf:  # NaN fails every comparison
+        raise ValueError("perplexity must be finite and exceed 1")
+    if iterations is not None and iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if seed is not None and seed < 0:
+        raise ValueError("seed must be >= 0")
+    if learning_rate is not None and not 0 < learning_rate < math.inf:
+        raise ValueError("learning_rate must be finite and positive")
+
+
 # Work on one row block of the map, given its worker's scratch.
 Work = Callable[[slice, np.ndarray], None]
 # Applies work to every row block of the map.
@@ -393,10 +407,7 @@ def embed(
     against the unexaggerated P is recorded every RECORD_EVERY iterations and
     at the last one.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if not 0 < learning_rate < math.inf:  # NaN fails every comparison
-        raise ValueError("learning_rate must be finite and positive")
+    check_settings(iterations=iterations, seed=seed, learning_rate=learning_rate)
     P = affinity.P
     n = P.shape[0]
 
@@ -436,4 +447,5 @@ def run(
     learning_rate: float = LEARNING_RATE,
 ) -> Embedding:
     """Embed rows of X in 2-d by exact t-SNE: calibrate the affinities, then embed."""
+    check_settings(perplexity, iterations, seed, learning_rate)  # before calibrating
     return embed(joint_affinities(X, perplexity), iterations, seed, learning_rate)

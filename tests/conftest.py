@@ -1,6 +1,7 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -37,6 +38,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 # scan-eps gives 4 clusters for eps 2.5-5.5 and 3 for eps 6.0-8.0, so eps 5.0
 # is on the 4-cluster plateau. Tests must not assume a cluster count.
 DEMO_SETTINGS = dict(perplexity=30.0, iterations=400, eps=5.0, min_pts=5, seed=0)
+
+# The default learning rate suits maps in the low thousands of points;
+# 40-point fixtures need a smaller step to stay stable.
+BLOB_LEARNING_RATE = 20.0
+
+
+def two_blobs(seed: int, n_per: int = 20, dim: int = 5, gap: float = 12.0) -> np.ndarray:
+    """Two tight Gaussian blobs of n_per points each, gap apart along axis 0."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 0.3, size=(n_per, dim))
+    b = rng.normal(0.0, 0.3, size=(n_per, dim))
+    b[:, 0] += gap
+    return np.vstack([a, b])
 
 
 def child_env(**overrides: str) -> dict[str, str]:

@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
 
-from conftest import ACCEPTANCE_RESULTS, DEMO_SETTINGS
+from conftest import ACCEPTANCE_RESULTS, BLOB_LEARNING_RATE, DEMO_SETTINGS, two_blobs
 import sdgpipe
 from sdgpipe import artifacts, dbscan, dynamics, pca, tsne
 from sdgpipe.correlation import pearson_matrix
@@ -170,22 +170,9 @@ def test_criterion_2_pca_oracle():
 # criterion 3
 
 
-def two_blobs(seed: int, n_per: int = 20, dim: int = 5, gap: float = 12.0):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(0.0, 0.3, size=(n_per, dim))
-    b = rng.normal(0.0, 0.3, size=(n_per, dim))
-    b[:, 0] += gap
-    return np.vstack([a, b])
-
-
 def blob_separated(Y: np.ndarray, n_per: int) -> bool:
     within = max(pdist(Y[:n_per]).max(), pdist(Y[n_per:]).max())
     return bool(within < cdist(Y[:n_per], Y[n_per:]).min())
-
-
-# The default learning rate suits maps in the low thousands of points;
-# 40-point fixtures need a smaller step to stay stable.
-BLOB_LEARNING_RATE = 20.0
 
 
 @criterion(3, "map embedding correctness suite")
@@ -241,7 +228,7 @@ def test_criterion_3_tsne_suite():
         perplexity=10.0,
         iterations=600,
         seed=7,
-        learning_rate=20.0,
+        learning_rate=BLOB_LEARNING_RATE,
     )
     kl_at_50 = emb.kl_history[0][1]
     kl_drops = emb.kl_history[0][0] == 50 and emb.final_kl < kl_at_50

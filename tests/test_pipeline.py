@@ -1,9 +1,11 @@
 import argparse
+import ast
 import contextlib
 import fnmatch
 import hashlib
 import io
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import re
 import shutil
 import subprocess
 import sys
+import textwrap
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -44,7 +47,7 @@ from sdgpipe.pipeline import (
 )
 from sdgpipe.synthetic import synthetic_gdp, synthetic_panel
 
-from conftest import DEMO_SETTINGS, child_env
+from conftest import DEMO_SETTINGS, child_env, two_blobs
 
 
 def masked_manifest(path: Path) -> dict:
@@ -201,6 +204,38 @@ class TestSingleSource:
         json.dumps(snapshot)
 
 
+BAD_SETTINGS = [
+    dict(panel=None),
+    dict(out=None),
+    dict(perplexity=1.0),
+    dict(eps=0.0),
+    dict(eps_grid=(2.0, 0.0)),
+    dict(eps_grid=(1.0, math.inf)),
+    dict(perplexity=-math.inf),
+    dict(iterations=0),
+    dict(eps=-1.0),
+    dict(min_pts=0),
+    dict(eps_grid=()),
+    dict(eps_grid=(1.0, -2.0)),
+    dict(perplexity=math.nan),
+    dict(perplexity=math.inf),
+    dict(eps=math.nan),
+    dict(eps=math.inf),
+    dict(eps_grid=(math.nan,)),
+    dict(seed=-1),
+]
+
+# The library call that takes each setting, given a value for it.
+LIBRARY_CALLS = {
+    "perplexity": lambda value: tsne.run(two_blobs(0), value, iterations=1),
+    "iterations": lambda value: tsne.run(two_blobs(0), 10.0, iterations=value),
+    "seed": lambda value: tsne.run(two_blobs(0), 10.0, iterations=1, seed=value),
+    "eps": lambda value: dbscan.cluster(np.zeros((3, 2)), value),
+    "min_pts": lambda value: dbscan.cluster(np.zeros((3, 2)), 1.0, value),
+    "eps_grid": lambda value: dbscan.scan_eps(np.zeros((3, 2)), value),
+}
+
+
 class TestValidate:
     def base(self, **kw):
         defaults = dict(panel=Path("p.csv"), out=Path("o"))
@@ -210,32 +245,28 @@ class TestValidate:
     def test_valid(self):
         self.base().validate()
 
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            dict(panel=None),
-            dict(out=None),
-            dict(perplexity=1.0),
-            dict(eps=0.0),
-            dict(eps_grid=(2.0, 0.0)),
-            dict(eps_grid=(1.0, math.inf)),
-            dict(perplexity=-math.inf),
-            dict(iterations=0),
-            dict(eps=-1.0),
-            dict(min_pts=0),
-            dict(eps_grid=()),
-            dict(eps_grid=(1.0, -2.0)),
-            dict(perplexity=math.nan),
-            dict(perplexity=math.inf),
-            dict(eps=math.nan),
-            dict(eps=math.inf),
-            dict(eps_grid=(math.nan,)),
-            dict(seed=-1),
-        ],
-    )
+    @pytest.mark.parametrize("kw", BAD_SETTINGS)
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
             self.base(**kw).validate()
+
+    @pytest.mark.parametrize("kw", [kw for kw in BAD_SETTINGS
+                                    if kw.keys() <= LIBRARY_CALLS.keys()],
+                             ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_message_is_the_library_rule(self, kw):
+        [(name, value)] = kw.items()
+        with pytest.raises(ConfigError) as usage:
+            self.base(**kw).validate()
+        with pytest.raises(ValueError) as library:
+            LIBRARY_CALLS[name](value)
+        assert str(usage.value) == str(library.value)
+
+    def test_holds_no_rule_of_its_own(self):
+        # beyond the required paths, validate only calls the library's rules
+        tree = ast.parse(textwrap.dedent(inspect.getsource(PipelineConfig.validate)))
+        compared = {type(op) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                    for op in node.ops}
+        assert compared <= {ast.Is, ast.IsNot}
 
     def test_defaults_come_from_the_stages(self):
         assert PipelineConfig().iterations == tsne.ITERATIONS
@@ -1353,15 +1384,63 @@ class TestUtf8Artifacts:
         assert got == files(tmp_path / "utf8")
 
 
+class TestClosedStdout:
+    """`sdgpipe all --eps ... | head -1`: a reader that has gone before the
+    summary is printed must not turn a complete run into a traceback. The
+    reader here closes the pipe before the child prints, since a reader that
+    first waits for one line races the child's later prints."""
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_exits_zero_without_traceback(self, demo_dir, tmp_path, unbuffered):
+        out = tmp_path / "out"
+        argv = [sys.executable, "-m", "sdgpipe", "all", f"--panel={demo_dir / 'panel.csv'}",
+                f"--out={out}", "--perplexity=30", "--iterations=50", "--eps=5.0"]
+        child = subprocess.Popen(argv, env=child_env(PYTHONUNBUFFERED=unbuffered),
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        assert child.wait(timeout=300) == 0, stderr
+        assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+        assert (out / artifacts.MANIFEST).exists()
+
+
+def load_perfbench(monkeypatch, name: str):
+    """perfbench/<name>.py as the module name, imported without writing bytecode."""
+    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_names_resolve(monkeypatch):
     # perfbench/tracer.py wraps these (module, attribute) pairs; one that a
     # refactor removed makes Tracer.install raise AttributeError
-    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look it up
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench(monkeypatch, "tracer")
     assert tracer.PATCHES
     missing = [f"{module.__name__}.{attr}" for module, attr, *_ in tracer.PATCHES
                if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_benchmark_argv_are_valid_settings(monkeypatch, tmp_path):
+    # perfbench/workloads.py drives the CLI with these argv; a settings change
+    # that would break the benchmark (a flag dropped or a rule tightened)
+    # fails here first
+    load_perfbench(monkeypatch, "tracer")  # workloads imports it by this name
+    workloads = load_perfbench(monkeypatch, "workloads")
+    inputs = tmp_path / "inputs"
+    (inputs / "map").mkdir(parents=True)
+    # a scan with two plateaus, so that recluster also yields its --eps passes
+    (inputs / "map" / artifacts.EPS_SCAN).write_text(
+        "eps,n_clusters,noise_fraction\n1.0,3,0.1\n2.0,3,0.1\n3.0,2,0.0\n")
+    parser = build_parser()
+    kinds = []
+    for workload in workloads.WORKLOADS.values():
+        for op in workload.ops(0, inputs, tmp_path / "ops"):
+            kinds.append(op.kind)
+            for argv in op.calls:
+                _config_from_args(parser.parse_args(argv)).validate()
+    assert sorted(kinds) == ["pass", "pass", "run", "run", "scan", "scan"]

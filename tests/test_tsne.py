@@ -14,6 +14,8 @@ from sdgpipe.errors import CalibrationFailedError, ShapeMismatchError
 from sdgpipe.panel import write_panel_csv
 from sdgpipe.pipeline import PipelineConfig, numeric_path, run_stage
 from sdgpipe.synthetic import synthetic_panel
+
+from conftest import BLOB_LEARNING_RATE, two_blobs
 from sdgpipe.tsne import (
     BLOCK_ROWS,
     MAX_CALIBRATION_STEPS,
@@ -423,18 +425,6 @@ class TestBlockedSweep:
                 sweep(work)
 
 
-def two_blobs(seed, n_per=20, dim=5, gap=12.0):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(scale=0.3, size=(n_per, dim))
-    b = rng.normal(scale=0.3, size=(n_per, dim))
-    b[:, 0] += gap
-    return np.vstack([a, b])
-
-
-# default lr=200 is tuned for N in the low thousands; small maps need less
-BLOB_LEARNING_RATE = 20.0
-
-
 def blob_separated(Y, n_per):
     intra = max(
         np.linalg.norm(Y[i] - Y[j])
@@ -453,7 +443,8 @@ def blob_separated(Y, n_per):
 class TestRun:
     def test_history_and_kl_decrease(self):
         X = two_blobs(0)
-        emb = run(X, perplexity=10.0, iterations=600, seed=0, learning_rate=20.0)
+        emb = run(X, perplexity=10.0, iterations=600, seed=0,
+                  learning_rate=BLOB_LEARNING_RATE)
         steps = [s for s, _ in emb.kl_history]
         assert steps == list(range(50, 650, 50))
         # KL against the plain P only settles after exaggeration lifts
@@ -533,7 +524,8 @@ class TestRun:
 
     @pytest.mark.parametrize("kw", [dict(iterations=0), dict(learning_rate=-1.0),
                                     dict(learning_rate=math.nan), dict(learning_rate=math.inf)])
-    def test_rejects_bad_schedule(self, kw):
+    def test_rejects_bad_schedule(self, kw, monkeypatch):
+        monkeypatch.setattr(tsne, "joint_affinities", None)  # rejected before calibrating
         with pytest.raises(ValueError):
             run(two_blobs(4), perplexity=10.0, **kw)
 
