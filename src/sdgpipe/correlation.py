@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from sdgpipe.dbscan import final_year_labels
-from sdgpipe.errors import (
-    ShapeMismatchError,
-    TooFewObservationsError,
-    ZeroVarianceError,
-)
-from sdgpipe.panel import _VARIANCE_FLOOR, GOAL_COLUMNS, ScorePanel
+from sdgpipe.dbscan import cluster_ids, final_year_labels
+from sdgpipe.errors import TooFewObservationsError
+from sdgpipe.panel import ScorePanel, goal_moments, one_per_row
+
+# The fewest rows a matrix is computed from; a smaller cluster or year gets none.
+MIN_OBSERVATIONS = 3
 
 
 @dataclass(frozen=True)
@@ -26,15 +26,19 @@ class CorrelationMatrix:
 
 def _pearson(X: np.ndarray, basis: str) -> CorrelationMatrix:
     n = X.shape[0]
-    if n < 3:
-        raise TooFewObservationsError(f"{basis}: {n} observation(s), need at least 3")
-    centered = X - X.mean(axis=0)
+    if n < MIN_OBSERVATIONS:
+        raise TooFewObservationsError(
+            f"{basis}: {n} observation(s), need at least {MIN_OBSERVATIONS}")
+    mean, _, flat = goal_moments(X)
+    centered = X - mean
     sumsq = np.einsum("ng,ng->g", centered, centered, optimize=False)
-    for g, s in enumerate(sumsq):
-        if s <= _VARIANCE_FLOOR:
-            raise ZeroVarianceError(GOAL_COLUMNS[g], group=basis)
     cross = np.einsum("ni,nj->ij", centered, centered, optimize=False)
+    # A flat goal's z-scores are 0 (standardize_within_cluster), so it
+    # correlates 0 with every other goal.
+    sumsq[flat] = 1.0
     corr = cross / np.sqrt(np.outer(sumsq, sumsq))
+    corr[flat] = 0.0
+    corr[:, flat] = 0.0
     corr = np.clip(corr, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
     corr.flags.writeable = False
@@ -46,18 +50,24 @@ def pearson_matrix(panel: ScorePanel, rows: np.ndarray | None = None,
     """Goal-by-goal Pearson correlations over the selected observations.
 
     rows is an optional boolean mask over panel rows; by default every
-    country-year observation is pooled. Needs at least 3 rows and nonzero
-    spread in every goal.
+    country-year observation is pooled. Needs at least MIN_OBSERVATIONS
+    rows. A goal flat over them correlates 0 with every other goal.
     """
     X = panel.scores
     if rows is not None:
-        rows = np.asarray(rows, dtype=bool)
-        if rows.shape != (panel.n_observations,):
-            raise ShapeMismatchError(
-                f"mask shape {rows.shape} does not match {panel.n_observations} rows"
-            )
-        X = X[rows]
+        X = X[one_per_row(np.asarray(rows, dtype=bool), panel.n_observations)]
     return _pearson(np.asarray(X, dtype=float), basis)
+
+
+def _per_group(panel: ScorePanel, groups: np.ndarray, ids: Iterable[int],
+               kind: str) -> dict[int, CorrelationMatrix]:
+    """A matrix for each id that at least MIN_OBSERVATIONS entries of groups hold."""
+    result: dict[int, CorrelationMatrix] = {}
+    for group in ids:
+        rows = groups == group
+        if rows.sum() >= MIN_OBSERVATIONS:
+            result[int(group)] = pearson_matrix(panel, rows, basis=f"{kind} {group}")
+    return result
 
 
 def cluster_correlations(
@@ -65,22 +75,15 @@ def cluster_correlations(
 ) -> dict[int, CorrelationMatrix]:
     """One matrix per cluster, pooling all years of that cluster's countries.
 
-    Membership is taken from each country's final-year label; noise (-1)
-    countries are left out.
+    Membership is taken from each country's final-year label; noise
+    countries, and a cluster with fewer than MIN_OBSERVATIONS rows, are
+    left out.
     """
     final_labels = final_year_labels(labels, list(panel.index))
-    result: dict[int, CorrelationMatrix] = {}
-    for cluster_id in sorted(c for c in set(final_labels.tolist()) if c >= 0):
-        result[cluster_id] = pearson_matrix(panel, final_labels == cluster_id,
-                                            basis=f"cluster {cluster_id}")
-    return result
+    return _per_group(panel, final_labels, cluster_ids(final_labels), "cluster")
 
 
 def yearly_correlations(panel: ScorePanel) -> dict[int, CorrelationMatrix]:
-    """One matrix per panel year, pooling that year's countries."""
-    years = panel.row_years()
-    result: dict[int, CorrelationMatrix] = {}
-    for year in panel.years:
-        mask = years == year
-        result[int(year)] = pearson_matrix(panel, mask, basis=f"year {year}")
-    return result
+    """One matrix per panel year, pooling that year's countries; a year with
+    fewer than MIN_OBSERVATIONS rows is left out."""
+    return _per_group(panel, panel.row_years(), panel.years, "year")

@@ -16,13 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from sdgpipe.errors import ShapeMismatchError
+from sdgpipe.panel import one_per_row
 
 NOISE = -1
 
 
 def cluster_name(cluster_id: int) -> str:
     """How figures and the run summary name a cluster id."""
-    return "noise" if cluster_id < 0 else f"cluster {cluster_id}"
+    return "noise" if cluster_id == NOISE else f"cluster {cluster_id}"
+
+
+def cluster_ids(labels: np.ndarray) -> list[int]:
+    """The sorted ids of the clusters that labels holds, noise left out."""
+    return sorted(set(np.asarray(labels).tolist()) - {NOISE})
 
 
 DEFAULT_MIN_PTS = 5
@@ -49,7 +55,7 @@ class ClusterLabels:
 
     @property
     def n_clusters(self) -> int:
-        return int(self.labels.max(initial=-1) + 1)
+        return int(self.labels.max(initial=NOISE) + 1)
 
     @property
     def noise_fraction(self) -> float:
@@ -125,19 +131,9 @@ def scan_eps(
     return rows
 
 
-def _checked_labels(labels: np.ndarray, index: list[tuple[str, int]]) -> np.ndarray:
-    """labels as an array; raises unless it holds one label per entry of index."""
-    labels = np.asarray(labels)
-    if labels.shape != (len(index),):
-        raise ShapeMismatchError(
-            f"{labels.shape[0] if labels.ndim else 0} labels for {len(index)} observations"
-        )
-    return labels
-
-
 def final_year_membership(labels: np.ndarray, index: list[tuple[str, int]]) -> dict[str, int]:
     """Each country's label in its last panel year (noise included, as -1)."""
-    labels = _checked_labels(labels, index)
+    labels = one_per_row(labels, len(index))
     latest: dict[str, int] = {}
     latest_year: dict[str, int] = {}
     for label, (country, year) in zip(labels, index):
@@ -161,7 +157,7 @@ def detect_switches(
     The reported year is the first year of the new label. Countries are
     scanned in sorted order, years ascending.
     """
-    labels = _checked_labels(labels, index)
+    labels = one_per_row(labels, len(index))
     by_country: dict[str, list[tuple[int, int]]] = {}
     for label, (country, year) in zip(labels, index):
         by_country.setdefault(country, []).append((year, int(label)))

@@ -15,13 +15,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from sdgpipe.dbscan import final_year_labels
+from sdgpipe.dbscan import cluster_ids, final_year_labels
 from sdgpipe.errors import (
     ShapeMismatchError,
     SingularFitError,
     TooFewMembersError,
 )
-from sdgpipe.panel import N_GOALS, ScorePanel
+from sdgpipe.panel import N_GOALS, ScorePanel, one_per_row
 
 IDEAL_DISTANCE_MAX = math.sqrt(N_GOALS)
 
@@ -72,11 +72,7 @@ def cluster_distance_distribution(
     different years. Needs at least 2 members; std uses the population
     denominator, matching a maximum-likelihood overlay.
     """
-    labels = np.asarray(labels)
-    if labels.shape != (panel.n_observations,):
-        raise ShapeMismatchError(
-            f"labels shape {labels.shape} does not match {panel.n_observations} rows"
-        )
+    labels = one_per_row(labels, panel.n_observations)
     mask = (labels == cluster_id) & (panel.row_years() == year)
     count = int(mask.sum())
     if count < 2:
@@ -179,7 +175,7 @@ def displacement_table(
     distances = distance_series(panel)
     years = panel.row_years()
     tables = {}
-    for cluster_id in sorted(c for c in set(final_labels.tolist()) if c >= 0):
+    for cluster_id in cluster_ids(final_labels):
         rows = final_labels == cluster_id
         table = []
         for year in sorted(set(years[rows].tolist())):

@@ -52,17 +52,11 @@ class EmptyResultError(PipelineError):
 
 
 class ZeroVarianceError(PipelineError):
-    """A column is constant where a nonzero spread is required."""
+    """A goal column of the pooled panel is flat, so it cannot be z-scored."""
 
-    def __init__(self, column: str, group: str | None = None):
+    def __init__(self, column: str):
         self.column = column
-        self.group = group
-        where = f" within {group}" if group else ""
-        super().__init__(f"column {column} has zero variance{where}")
-
-
-class DimensionMismatchError(PipelineError):
-    """Array dimensions disagree with the fitted model or companion array."""
+        super().__init__(f"column {column} has zero variance")
 
 
 class RankDeficientError(PipelineError):
@@ -74,7 +68,7 @@ class CalibrationFailedError(PipelineError):
 
 
 class ShapeMismatchError(PipelineError):
-    """Two arrays that must share a shape do not."""
+    """An array's shape disagrees with a companion array, the panel or a fitted model."""
 
 
 class TooFewObservationsError(PipelineError):

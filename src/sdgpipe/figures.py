@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from sdgpipe import artifacts
-from sdgpipe.dbscan import cluster_name
+from sdgpipe.dbscan import NOISE, cluster_name
 from sdgpipe.panel import GOAL_COLUMNS, N_GOALS
 
 CLUSTER_PALETTE = (
@@ -85,7 +85,7 @@ def _year_positions(years: list[int]) -> dict[int, float]:
 
 
 def cluster_color(cluster_id: int) -> str:
-    if cluster_id < 0:
+    if cluster_id == NOISE:
         return NOISE_COLOR
     return CLUSTER_PALETTE[cluster_id % len(CLUSTER_PALETTE)]
 

@@ -57,6 +57,9 @@ class ScorePanel:
     index: tuple[tuple[str, int], ...]
     scores: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.scores.flags.writeable = False
+
     @cached_property
     def countries(self) -> tuple[str, ...]:
         return tuple(sorted({country for country, _ in self.index}))
@@ -173,7 +176,7 @@ def load_panel(path: str | Path) -> ScorePanel:
     if not rows:
         raise EmptyResultError(f"{path}: no data rows")
     keys = tuple(sorted(rows))
-    return ScorePanel(keys, _freeze(np.array([rows[key] for key in keys], dtype=float)))
+    return ScorePanel(keys, np.array([rows[key] for key in keys], dtype=float))
 
 
 def write_panel_csv(panel: ScorePanel, path: str | Path) -> None:
@@ -197,26 +200,38 @@ def filter_complete(panel: ScorePanel) -> ScorePanel:
     if not mask.any():
         raise EmptyResultError("no country has complete coverage")
     index = tuple(key for key, hit in zip(panel.index, mask) if hit)
-    return ScorePanel(index, _freeze(panel.scores[mask]))
+    return ScorePanel(index, panel.scores[mask])
 
 
-def _pooled_moments(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return scores.mean(axis=0), scores.std(axis=0)
+def goal_moments(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each goal's mean and population std over the rows of scores, and
+    whether the goal is flat there (std at or below _VARIANCE_FLOOR).
+    Raises EmptyResultError when a score is missing."""
+    if np.isnan(scores).any():
+        raise EmptyResultError("panel has missing scores; filter_complete it first")
+    mean, std = scores.mean(axis=0), scores.std(axis=0)
+    return mean, std, std <= _VARIANCE_FLOOR
+
+
+def one_per_row(values: np.ndarray, n_rows: int) -> np.ndarray:
+    """values as an array; raises ShapeMismatchError unless it holds one
+    entry per panel row."""
+    values = np.asarray(values)
+    if values.shape != (n_rows,):
+        raise ShapeMismatchError(f"shape {values.shape} for {n_rows} panel rows, need one per row")
+    return values
 
 
 def standardize(panel: ScorePanel) -> StandardizedPanel:
     """Z-score each goal column against moments pooled over all observations.
 
     Country-year rows are pooled jointly, so a single mean and spread per
-    goal covers the whole panel. Population denominator. A constant goal
+    goal covers the whole panel. Population denominator. A flat goal
     column raises ZeroVarianceError.
     """
-    if np.isnan(panel.scores).any():
-        raise EmptyResultError("panel has missing scores; filter_complete it first")
-    mean, std = _pooled_moments(panel.scores)
-    for g, sigma in enumerate(std):
-        if sigma <= _VARIANCE_FLOOR:
-            raise ZeroVarianceError(GOAL_COLUMNS[g])
+    mean, std, flat = goal_moments(panel.scores)
+    if flat.any():
+        raise ZeroVarianceError(GOAL_COLUMNS[int(np.argmax(flat))])
     z = (panel.scores - mean) / std
     return StandardizedPanel(
         index=panel.index,
@@ -238,22 +253,15 @@ def standardize_within_cluster(
 
     labels holds one integer cluster id per observation; noise (-1) forms its
     own group. Returns the z-scored array and a map from cluster id to that
-    cluster's (mean, std). A goal constant within some cluster (every goal
-    of a one-member cluster) has z = 0 on that cluster's rows.
+    cluster's (mean, std). A goal flat within some cluster (every goal of a
+    one-member cluster) has z = 0 on that cluster's rows.
     """
-    labels = np.asarray(labels)
-    if labels.shape != (panel.n_observations,):
-        raise ShapeMismatchError(
-            f"labels shape {labels.shape} does not match {panel.n_observations} observations"
-        )
-    if np.isnan(panel.scores).any():
-        raise EmptyResultError("panel has missing scores; filter_complete it first")
+    labels = one_per_row(labels, panel.n_observations)
     z = np.empty_like(panel.scores)
     moments: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for label in sorted(set(labels.tolist())):
         rows = labels == label
-        mean, std = _pooled_moments(panel.scores[rows])
-        flat = std <= _VARIANCE_FLOOR
+        mean, std, flat = goal_moments(panel.scores[rows])
         z[rows] = np.where(flat, 0.0, (panel.scores[rows] - mean) / np.where(flat, 1.0, std))
         moments[int(label)] = (_freeze(mean), _freeze(std))
     return _freeze(z), moments

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sdgpipe.errors import DimensionMismatchError, RankDeficientError
+from sdgpipe.errors import RankDeficientError, ShapeMismatchError
 
 # Eigenvalue gaps below this are treated as degenerate for ordering.
 _DEGENERACY_GAP = 1e-12
@@ -52,10 +52,10 @@ def fit(X: np.ndarray, k: int) -> PcaModel:
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
-        raise DimensionMismatchError(f"expected a 2-d array, got shape {X.shape}")
+        raise ShapeMismatchError(f"expected a 2-d array, got shape {X.shape}")
     n, m = X.shape
     if not 1 <= k <= m:
-        raise DimensionMismatchError(f"k={k} not in [1, {m}]")
+        raise ShapeMismatchError(f"k={k} not in [1, {m}]")
     if n <= k:
         raise RankDeficientError(f"{n} observations cannot support {k} components")
     center = X.mean(axis=0)
@@ -106,7 +106,7 @@ def project(model: PcaModel, X: np.ndarray) -> np.ndarray:
     """Coordinates of rows of X in the fitted basis, shape (n, k)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.n_features:
-        raise DimensionMismatchError(
+        raise ShapeMismatchError(
             f"X has {X.shape[1]} features, model expects {model.n_features}"
         )
     centered = X - model.center
@@ -117,7 +117,7 @@ def reconstruct(model: PcaModel, coords: np.ndarray) -> np.ndarray:
     """Map k-dimensional coordinates back into the original feature space."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.shape[1] != model.n_components:
-        raise DimensionMismatchError(
+        raise ShapeMismatchError(
             f"coords have {coords.shape[1]} columns, model has {model.n_components}"
         )
     return np.einsum("nk,ki->ni", coords, model.components, optimize=False) + model.center
@@ -126,6 +126,6 @@ def reconstruct(model: PcaModel, coords: np.ndarray) -> np.ndarray:
 def loadings(model: PcaModel) -> np.ndarray:
     """Biplot vectors: component g entries scaled by sqrt(eigenvalue), (m, 2)."""
     if model.n_components < 2:
-        raise DimensionMismatchError("loadings need at least two fitted components")
+        raise ShapeMismatchError("loadings need at least two fitted components")
     scale = np.sqrt(model.explained_variance[:2])
     return (model.components[:2] * scale[:, None]).T

@@ -323,10 +323,9 @@ def stage_dynamics(config: PipelineConfig, dest: Path) -> None:
     artifacts.write_csv(dest / artifacts.DISTANCES, ["country", "year", "cluster", "distance"],
                         artifacts.format_rows(labelled, distances[:, None]))
 
-    cluster_ids = sorted(c for c in set(labels.tolist()) if c >= 0)
     dist_years = [y for y in DISTRIBUTION_YEARS if y in panel.years]
     fit_rows = []
-    for cluster_id in cluster_ids:
+    for cluster_id in dbscan.cluster_ids(labels):
         for year in dist_years:
             try:
                 fit, _ = dynamics.cluster_distance_distribution(

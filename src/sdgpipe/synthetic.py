@@ -13,7 +13,7 @@ import string
 
 import numpy as np
 
-from sdgpipe.panel import N_GOALS, ScorePanel, _freeze
+from sdgpipe.panel import N_GOALS, ScorePanel
 
 
 def _country_codes(n: int) -> list[str]:
@@ -53,7 +53,7 @@ def synthetic_panel(
             row = group_base[g] + offsets[ci] + drift + noise
             rows.append(np.clip(row, 1.0, 99.0))
             index.append((country, year))
-    return ScorePanel(tuple(index), _freeze(np.array(rows)))
+    return ScorePanel(tuple(index), np.array(rows))
 
 
 def synthetic_gdp(panel: ScorePanel, seed: int = 11) -> dict[str, float]:

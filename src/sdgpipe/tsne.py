@@ -139,6 +139,9 @@ def _calibrate(sq: np.ndarray, first: int, perplexity: float) -> tuple[np.ndarra
         failed.update(dict.fromkeys(flat, f"all neighbors equidistant; perplexity fixed at "
                       f"{n - 1}, target {perplexity} unreachable"))
     rows = np.flatnonzero(finite & (highs > lows))
+    if perplexity > n - 1 + PERPLEXITY_TOL:
+        failed.update(dict.fromkeys(rows, f"perplexity {perplexity} exceeds n - 1 = {n - 1}"))
+        rows = rows[:0]
     # Shifting by the minimum cancels in the normalized row but keeps the sum
     # well above underflow for any beta.
     shifted = shifted[rows]

@@ -9,12 +9,8 @@ from sdgpipe.correlation import (
     pearson_matrix,
     yearly_correlations,
 )
-from sdgpipe.errors import (
-    ShapeMismatchError,
-    TooFewObservationsError,
-    ZeroVarianceError,
-)
-from sdgpipe.panel import N_GOALS, ScorePanel
+from sdgpipe.errors import ShapeMismatchError, TooFewObservationsError
+from sdgpipe.panel import N_GOALS, ScorePanel, standardize_within_cluster
 
 
 def panel_from_scores(scores, countries_per_year=None):
@@ -102,11 +98,21 @@ class TestValidation:
             pearson_matrix(panel_from_scores(X))
 
     def test_zero_variance_column(self):
-        X = spread_scores(np.random.default_rng(7), 10)
-        X[:, 4] = 55.0
-        with pytest.raises(ZeroVarianceError) as err:
-            pearson_matrix(panel_from_scores(X))
-        assert "goal05" in str(err.value)
+        # goal05 is flat within the first 10 rows (cluster 0), a goal already
+        # met there: it correlates 0 with every other goal and 1 with itself,
+        # and its within-cluster z-scores are 0
+        X = spread_scores(np.random.default_rng(7), 14)
+        X[:10, 4] = 55.0
+        labels = np.repeat([0, 1], [10, 4])
+        panel = panel_from_scores(X)
+        got = pearson_matrix(panel, rows=labels == 0, basis="cluster 0").values
+        assert got[4].tolist() == got[:, 4].tolist() == [0.0] * 4 + [1.0] + [0.0] * 12
+        others = np.delete(np.arange(N_GOALS), 4)
+        want = oracle_pearson(X[:10, others])
+        assert np.allclose(got[np.ix_(others, others)], want, atol=1e-12)
+        z, _ = standardize_within_cluster(panel, labels)
+        assert z[:10, 4].tolist() == [0.0] * 10
+        assert np.all(z[10:, 4] != 0.0)
 
     def test_mask_shape(self):
         X = spread_scores(np.random.default_rng(8), 10)
@@ -176,6 +182,14 @@ class TestClusterCorrelations:
         assert got[0].n_observations == 12
         assert got[1].n_observations == 9  # country 7 excluded entirely
         assert got[0].basis == "cluster 0"
+
+    def test_cluster_under_three_rows_left_out(self):
+        # country 2 alone ends in cluster 1: two rows, too few for a matrix
+        X = spread_scores(np.random.default_rng(13), 6)
+        panel = panel_from_scores(X, countries_per_year=2)
+        got = cluster_correlations(panel, np.array([0, 0, 0, 0, 1, 1]))
+        assert sorted(got) == [0]
+        assert got[0].n_observations == 4
 
     def test_all_noise_gives_empty_dict(self):
         X = spread_scores(np.random.default_rng(11), 6)

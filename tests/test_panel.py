@@ -8,6 +8,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sdgpipe.correlation import pearson_matrix
+from sdgpipe.dbscan import detect_switches, final_year_labels, final_year_membership
+from sdgpipe.dynamics import cluster_distance_distribution
 from sdgpipe.errors import (
     DuplicateObservationError,
     EmptyResultError,
@@ -333,6 +336,27 @@ class TestStandardizeWithinCluster:
     def test_label_shape_checked(self, fixture_panel):
         with pytest.raises(ShapeMismatchError):
             standardize_within_cluster(fixture_panel, np.zeros(3, dtype=int))
+
+
+# Every reader of per-row labels, each given the panel and the labels.
+LABEL_READERS = {
+    "final_year_membership": lambda p, labels: final_year_membership(labels, list(p.index)),
+    "final_year_labels": lambda p, labels: final_year_labels(labels, list(p.index)),
+    "detect_switches": lambda p, labels: detect_switches(labels, list(p.index)),
+    "standardize_within_cluster": standardize_within_cluster,
+    "cluster_distance_distribution":
+        lambda p, labels: cluster_distance_distribution(p, labels, 0, 2000),
+    "pearson_matrix_mask": lambda p, labels: pearson_matrix(p, rows=labels == 0),
+}
+
+
+class TestOneEntryPerRow:
+    @pytest.mark.parametrize("reader", sorted(LABEL_READERS))
+    def test_short_labels_raise_one_message(self, fixture_panel, reader):
+        n = fixture_panel.n_observations
+        message = f"shape ({n - 1},) for {n} panel rows, need one per row"
+        with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
+            LABEL_READERS[reader](fixture_panel, np.zeros(n - 1, dtype=int))
 
 
 class TestYearlyMeans:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdgpipe.errors import DimensionMismatchError, RankDeficientError
+from sdgpipe.errors import RankDeficientError, ShapeMismatchError
 from sdgpipe.pca import fit, loadings, project, reconstruct
 
 
@@ -106,9 +106,9 @@ class TestFitErrors:
 
     def test_k_bounds(self):
         X = np.random.default_rng(1).normal(size=(10, 4))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ShapeMismatchError):
             fit(X, 0)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ShapeMismatchError):
             fit(X, 5)
 
     def test_too_few_observations(self):
@@ -119,7 +119,7 @@ class TestFitErrors:
     def test_project_feature_mismatch(self):
         X = np.random.default_rng(3).normal(size=(10, 4))
         model = fit(X, 2)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ShapeMismatchError):
             project(model, np.zeros((5, 3)))
 
 
@@ -136,5 +136,5 @@ class TestLoadings:
     def test_needs_two_components(self):
         X = np.random.default_rng(4).normal(size=(10, 3))
         model = fit(X, 1)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ShapeMismatchError):
             loadings(model)

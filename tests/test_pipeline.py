@@ -28,7 +28,7 @@ from sdgpipe import artifacts, dbscan, tsne
 from sdgpipe.cli import _config_from_args, build_parser, main
 from sdgpipe.dynamics import TrajectoryFit, future_root
 from sdgpipe.errors import ConfigError, MissingArtifactError, StageError
-from sdgpipe.panel import GOAL_COLUMNS, write_gdp_csv, write_panel_csv
+from sdgpipe.panel import GOAL_COLUMNS, ScorePanel, write_gdp_csv, write_panel_csv
 from sdgpipe.pipeline import (
     DEFAULT_EPS_GRID,
     EXTRAPOLATE_TO,
@@ -863,6 +863,49 @@ class TestLoneNoisePoint:
             assert (config.out / artifacts.trajectory_name(cluster_id)).exists()
 
 
+class TestEdgePanels:
+    """Valid panels that a full run must carry through, or stop on at once."""
+
+    def run_all(self, panel: ScorePanel, tmp_path: Path, *flags: str) -> tuple[int, Path]:
+        write_panel_csv(panel, tmp_path / "panel.csv")
+        out = tmp_path / "out"
+        code = main(["all", "--panel", str(tmp_path / "panel.csv"), "--out", str(out),
+                     *flags])
+        return code, out
+
+    def test_goal_met_by_a_whole_cluster(self, fixture_panel, tmp_path, capsys):
+        # goal01 at 100 in every row of latent group 0 (every third country)
+        scores = np.array(fixture_panel.scores)
+        group = fixture_panel.countries[::3]
+        scores[[country in group for country, _ in fixture_panel.index], 0] = 100.0
+        code, out = self.run_all(ScorePanel(fixture_panel.index, scores), tmp_path,
+                                 "--perplexity", "30", "--iterations", "400",
+                                 "--eps", "5.0", "--seed", "0")
+        assert code == 0, capsys.readouterr().err
+        _, membership = artifacts.read_csv(out / artifacts.CLUSTER_COUNTRIES)
+        cluster_id = dict(membership)[group[0]]
+        _, rows = artifacts.read_csv(out / artifacts.correlation_cluster_name(cluster_id))
+        assert rows[0] == ["goal01", "+1.0000"] + ["+0.0000"] * (len(GOAL_COLUMNS) - 1)
+        figures = [name for name in STAGES["figures"].writes if "*" not in name]
+        figures += [artifacts.svg_name(path.name) for path in out.glob("correlation_*.csv")]
+        assert [name for name in figures if not (out / name).exists()] == []
+
+    def test_years_of_two_countries_get_no_matrix(self, tmp_path, capsys):
+        code, out = self.run_all(synthetic_panel(n_countries=2, n_groups=2), tmp_path,
+                                 "--perplexity", "10", "--iterations", "300",
+                                 "--eps", "5.0", "--per-year")
+        assert code == 0, capsys.readouterr().err
+        assert list(out.glob("correlation_year*")) == []
+
+    def test_perplexity_above_n_minus_one_fails_at_once(self, tmp_path, capsys):
+        code, out = self.run_all(synthetic_panel(n_countries=2, n_groups=2), tmp_path,
+                                 "--iterations", "300", "--eps", "5.0")
+        assert code == STAGES["tsne"].exit_code == 4
+        assert capsys.readouterr().err == (
+            "error: stage 'tsne' failed: point 0: perplexity 50.0 exceeds n - 1 = 45\n")
+        assert not (out / artifacts.EMBEDDING).exists()
+
+
 class TestScanEpsStage:
     def test_table_covers_grid(self, pipeline_run, tmp_path):
         config = copy_run(pipeline_run, tmp_path / "copy")
@@ -1178,6 +1221,27 @@ class TestScanRun:
 
 def test_public_names_resolve():
     assert [name for name in sdgpipe.__all__ if not hasattr(sdgpipe, name)] == []
+
+
+def test_no_module_reaches_into_another():
+    """A leading underscore keeps a name to its module: no other module of
+    the package imports it or reads it off the module."""
+    package = Path(sdgpipe.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sdgpipe"):
+                found += [f"{path.stem} imports {node.module}.{alias.name}"
+                          for alias in node.names if private(alias.name)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules - {path.stem} and private(node.attr)):
+                found.append(f"{path.stem} reads {node.value.id}.{node.attr}")
+    assert found == []
 
 
 class TestStartupImports:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 import tracemalloc
 
@@ -147,6 +148,8 @@ def reference_sigma(sq_dists, perplexity):
             f"all neighbors equidistant; perplexity fixed at {n_others}, "
             f"target {perplexity} unreachable"
         )
+    if perplexity > n_others + PERPLEXITY_TOL:
+        raise CalibrationFailedError(f"perplexity {perplexity} exceeds n - 1 = {n_others}")
     beta, lo, hi = 1.0, 0.0, math.inf
     for _ in range(MAX_CALIBRATION_STEPS):
         p, perp = reference_row(sq_dists, beta)
@@ -250,11 +253,15 @@ class TestBlockCalibration:
             joint_affinities(X, 10.0)
         assert_calibrates_as_reference(X, 10.0)
 
-    # perplexity lies in (1, n - 1] for every bandwidth
-    @pytest.mark.parametrize(("n", "perplexity"), [(BLOCK_ROWS + 9, 0.9), (12, 20.0)])
-    def test_unreachable_target(self, n, perplexity):
+    # perplexity lies in (1, n - 1] for every bandwidth: a target below is
+    # bisected in vain, one above fails before any bisection
+    @pytest.mark.parametrize(("n", "perplexity", "message"), [
+        (BLOCK_ROWS + 9, 0.9, "no bandwidth reached perplexity 0.9 within"),
+        (12, 20.0, "perplexity 20.0 exceeds n - 1 = 11"),
+    ], ids=["73-0.9", "12-20.0"])
+    def test_unreachable_target(self, n, perplexity, message):
         X = np.random.default_rng(5).normal(size=(n, 2))
-        with pytest.raises(CalibrationFailedError, match="^point 0: no bandwidth reached"):
+        with pytest.raises(CalibrationFailedError, match=f"^point 0: {re.escape(message)}"):
             joint_affinities(X, perplexity)
         assert_calibrates_as_reference(X, perplexity)
 
