@@ -17,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from sdgpipe import artifacts
-from sdgpipe.dbscan import cluster_name
+from sdgpipe.dbscan import cluster_members, cluster_name
 from sdgpipe.errors import PipelineError, StageError
 from sdgpipe.pipeline import (
     FIELD_PARSERS,
@@ -77,12 +77,10 @@ def _print_summary(out: Path) -> None:
     stdout cannot encode (a country name under an ASCII locale) is printed
     as a backslash escape."""
     _, rows = artifacts.read_csv(out / artifacts.CLUSTER_COUNTRIES)
-    members: dict[int, list[str]] = {}
-    for country, cluster_id in rows:
-        members.setdefault(int(cluster_id), []).append(country)
+    members = cluster_members({country: int(cluster_id) for country, cluster_id in rows})
     lines = []
-    for cluster_id in sorted(members):
-        lines.append(f"  {cluster_name(cluster_id)}: {', '.join(members[cluster_id])}")
+    for cluster_id, countries in members.items():
+        lines.append(f"  {cluster_name(cluster_id)}: {', '.join(countries)}")
     fits = artifacts.read_json(out / artifacts.TRAJECTORY_FITS)
     for cluster_id in sorted(fits, key=int):
         year = fits[cluster_id]["attainment_year"]

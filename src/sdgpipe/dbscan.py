@@ -11,12 +11,13 @@ clusters keeps the lowest id. Unreachable points get the noise label -1.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from sdgpipe.errors import ShapeMismatchError
-from sdgpipe.panel import one_per_row
+from sdgpipe.panel import country_rows, one_per_row
 
 NOISE = -1
 
@@ -134,19 +135,22 @@ def scan_eps(
 def final_year_membership(labels: np.ndarray, index: list[tuple[str, int]]) -> dict[str, int]:
     """Each country's label in its last panel year (noise included, as -1)."""
     labels = one_per_row(labels, len(index))
-    latest: dict[str, int] = {}
-    latest_year: dict[str, int] = {}
-    for label, (country, year) in zip(labels, index):
-        if country not in latest_year or year > latest_year[country]:
-            latest_year[country] = year
-            latest[country] = int(label)
-    return latest
+    return {country: int(labels[rows[-1]]) for country, rows in country_rows(index).items()}
 
 
 def final_year_labels(labels: np.ndarray, index: list[tuple[str, int]]) -> np.ndarray:
     """Each row's country's final_year_membership label, in index order."""
     membership = final_year_membership(labels, index)
     return np.array([membership[country] for country, _ in index], dtype=int)
+
+
+def cluster_members(membership: Mapping[str, int]) -> dict[int, list[str]]:
+    """The sorted countries of each cluster id in membership, ids sorted, so
+    noise comes first."""
+    members: dict[int, list[str]] = {}
+    for country in sorted(membership):
+        members.setdefault(membership[country], []).append(country)
+    return dict(sorted(members.items()))
 
 
 def detect_switches(
@@ -158,17 +162,13 @@ def detect_switches(
     scanned in sorted order, years ascending.
     """
     labels = one_per_row(labels, len(index))
-    by_country: dict[str, list[tuple[int, int]]] = {}
-    for label, (country, year) in zip(labels, index):
-        by_country.setdefault(country, []).append((year, int(label)))
     switches = []
-    for country in sorted(by_country):
-        series = sorted(by_country[country])
-        for (_, prev), (year, cur) in zip(series, series[1:]):
+    for country, rows in country_rows(index).items():
+        for prev_row, row in zip(rows, rows[1:]):
+            prev, cur = int(labels[prev_row]), int(labels[row])
             if cur != prev:
-                switches.append(
-                    ClusterSwitch(country=country, year=year, from_cluster=prev, to_cluster=cur)
-                )
+                switches.append(ClusterSwitch(country=country, year=index[row][1],
+                                              from_cluster=prev, to_cluster=cur))
     return switches
 
 

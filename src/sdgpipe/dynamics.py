@@ -25,6 +25,10 @@ from sdgpipe.panel import N_GOALS, ScorePanel, one_per_row
 
 IDEAL_DISTANCE_MAX = math.sqrt(N_GOALS)
 
+# A quadratic trend needs this many distinct fit years; from 4 on, the
+# design matrix always has full rank.
+MIN_FIT_YEARS = 4
+
 
 def distance_to_ideal(scores: np.ndarray) -> np.ndarray:
     """Euclidean distance from 0..100 goal scores to the all-100 ideal.
@@ -107,14 +111,14 @@ def fit_trajectory(
     """Least-squares quadratic through (year, mean distance) points.
 
     excluded_years are dropped before fitting (shock years typically).
-    Needs at least 4 remaining years. The solve runs in a centered-year
-    basis for conditioning and the coefficients are converted back to raw
-    calendar years, which is exact algebra.
+    Needs at least MIN_FIT_YEARS remaining years. The solve runs in a
+    centered-year basis for conditioning and the coefficients are converted
+    back to raw calendar years, which is exact algebra.
     """
     excluded = set(int(y) for y in excluded_years)
     years = sorted(int(y) for y in mean_by_year if int(y) not in excluded)
-    if len(years) < 4:
-        raise SingularFitError(f"only {len(years)} usable years, need at least 4")
+    if len(years) < MIN_FIT_YEARS:
+        raise SingularFitError(f"only {len(years)} usable years, need at least {MIN_FIT_YEARS}")
     t = np.array(years, dtype=float)
     r = np.array([float(mean_by_year[y]) for y in years])
     t0 = t.mean()

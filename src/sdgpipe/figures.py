@@ -23,7 +23,7 @@ from numpy.typing import ArrayLike
 
 from sdgpipe import artifacts
 from sdgpipe.dbscan import NOISE, cluster_name
-from sdgpipe.panel import GOAL_COLUMNS, N_GOALS
+from sdgpipe.panel import GOAL_COLUMNS, N_GOALS, country_rows
 
 CLUSTER_PALETTE = (
     "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
@@ -266,15 +266,6 @@ def _goal_positions(frame: Frame) -> np.ndarray:
     return frame.x(np.arange(1, N_GOALS + 1))
 
 
-def _by_country(meta: list[list[str]]) -> dict[str, list[int]]:
-    """Row indices of each country in year order, countries sorted."""
-    order = sorted(range(len(meta)), key=lambda i: (meta[i][0], int(meta[i][1])))
-    rows: dict[str, list[int]] = {}
-    for i in order:
-        rows.setdefault(meta[i][0], []).append(i)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # individual figures
 
@@ -315,7 +306,7 @@ def fig_pca_scatter(meta: list[list[str]], coords: ArrayLike, ideal: list[float]
     frame = _scatter_frame(parts, np.vstack((coords, ideal)), width, height, 100,
                            "component 1", "component 2")
     px, py = frame.x(coords[:, 0]), frame.y(coords[:, 1])
-    by_country = _by_country(meta)
+    by_country = country_rows([(c, int(y)) for c, y in meta])
     for rows in by_country.values():
         parts.append(_polyline(px[rows], py[rows], "#bbbbbb", 0.6, opacity=0.5))
     years = [int(m[1]) for m in meta]
@@ -358,7 +349,7 @@ def fig_tsne_clusters(meta: list[list[str]], coords: ArrayLike,
     frame = _scatter_frame(parts, coords, width, height, 160, "map x", "map y")
     px, py = frame.x(coords[:, 0]), frame.y(coords[:, 1])
     switch_set = set(switch_countries)
-    for country, rows in _by_country(meta).items():
+    for country, rows in country_rows([(c, int(y)) for c, y in meta]).items():
         if country in switch_set:
             parts.append(_polyline(px[rows], py[rows], "#444444", 0.9, opacity=0.8, dash="3,3"))
     for x, y, label, m in zip(px.tolist(), py.tolist(), labels, meta):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -220,6 +220,15 @@ def one_per_row(values: np.ndarray, n_rows: int) -> np.ndarray:
     if values.shape != (n_rows,):
         raise ShapeMismatchError(f"shape {values.shape} for {n_rows} panel rows, need one per row")
     return values
+
+
+def country_rows(index: Sequence[tuple[str, int]]) -> dict[str, list[int]]:
+    """The row positions of each country in index, in year order, countries
+    sorted. index may be in any order and need not cover every year."""
+    rows: dict[str, list[int]] = {}
+    for i in sorted(range(len(index)), key=index.__getitem__):
+        rows.setdefault(index[i][0], []).append(i)
+    return rows
 
 
 def standardize(panel: ScorePanel) -> StandardizedPanel:

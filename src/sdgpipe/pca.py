@@ -36,13 +36,6 @@ class PcaModel:
         return self.components.shape[1]
 
 
-def _canonical_sign(component: np.ndarray) -> tuple[np.ndarray, int]:
-    anchor = int(np.argmax(np.abs(component)))
-    if component[anchor] < 0:
-        component = -component
-    return component, anchor
-
-
 def fit(X: np.ndarray, k: int) -> PcaModel:
     """Fit a k-component model to rows of X.
 
@@ -73,25 +66,17 @@ def fit(X: np.ndarray, k: int) -> PcaModel:
     if rank < k:
         raise RankDeficientError(f"covariance rank {rank} < requested k={k}")
 
-    # Canonical sign first, then stable re-order inside degenerate blocks by
-    # the feature index of each component's largest-magnitude entry.
-    signed = []
-    anchors = []
-    for row in eigvecs:
-        component, anchor = _canonical_sign(row.copy())
-        signed.append(component)
-        anchors.append(anchor)
-    components = np.array(signed)
-
-    start = 0
-    for i in range(1, m + 1):
-        if i == m or eigvals[start] - eigvals[i] >= _DEGENERACY_GAP:
-            if i - start > 1:
-                block = range(start, i)
-                perm = sorted(block, key=lambda j: anchors[j])
-                components[start:i] = components[perm]
-                # eigenvalues inside the block agree to 1e-12; keep them as is
-            start = i
+    # Canonical sign first, then a stable re-order inside each degenerate
+    # block by the feature index of each component's largest-magnitude
+    # entry. block[i] is the first component of the block holding i; the
+    # eigenvalues inside a block agree to 1e-12 and are kept as they are.
+    anchors = np.abs(eigvecs).argmax(axis=1)
+    signed = eigvecs * np.where(eigvecs[np.arange(m), anchors] < 0, -1.0, 1.0)[:, None]
+    block = np.zeros(m, dtype=int)
+    for i in range(1, m):
+        gap = eigvals[block[i - 1]] - eigvals[i]
+        block[i] = i if gap >= _DEGENERACY_GAP else block[i - 1]
+    components = signed[np.lexsort((anchors, block))]
 
     ratios = eigvals / total if total > 0 else np.zeros_like(eigvals)
     return PcaModel(

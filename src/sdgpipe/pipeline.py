@@ -27,6 +27,7 @@ from sdgpipe.correlation import cluster_correlations, pearson_matrix, yearly_cor
 from sdgpipe.errors import (
     ConfigError,
     PipelineError,
+    SingularFitError,
     StageError,
     TooFewMembersError,
 )
@@ -269,8 +270,7 @@ def stage_cluster(config: PipelineConfig, dest: Path) -> None:
     if config.gdp is not None:
         gdp = load_gdp(config.gdp)
         rows = []
-        for cluster_id in sorted(set(membership.values())):
-            members = sorted(c for c, label in membership.items() if label == cluster_id)
+        for cluster_id, members in dbscan.cluster_members(membership).items():
             values = np.array([gdp[c] for c in members if c in gdp])
             if values.size:
                 mean = artifacts.fmt(float(values.mean()), 2)
@@ -353,7 +353,10 @@ def stage_dynamics(config: PipelineConfig, dest: Path) -> None:
                              for year, mean, std, n in table])
 
         curve = {year: mean for year, mean, _, _ in table}
-        fit = dynamics.fit_trajectory(curve, EXCLUDED_YEARS)
+        try:
+            fit = dynamics.fit_trajectory(curve, EXCLUDED_YEARS)
+        except SingularFitError:
+            continue  # under dynamics.MIN_FIT_YEARS fit years: the series stays, no fit
         fits_payload[str(cluster_id)] = {
             "a": fit.a,
             "b": fit.b,

@@ -11,6 +11,7 @@ from sdgpipe.dbscan import (
     ClusterSwitch,
     adjusted_rand_index,
     cluster,
+    cluster_members,
     detect_switches,
     final_year_labels,
     final_year_membership,
@@ -263,6 +264,10 @@ class TestMembership:
         assert got.tolist() == [1, 1, 0, 0, NOISE]
         with pytest.raises(ShapeMismatchError):
             final_year_labels(np.array([0, 1]), self.INDEX)
+
+    def test_cluster_members_noise_first_countries_sorted(self):
+        got = cluster_members({"CCC": 0, "AAA": 1, "DDD": NOISE, "BBB": 0})
+        assert list(got.items()) == [(NOISE, ["DDD"]), (0, ["BBB", "CCC"]), (1, ["AAA"])]
 
 
 class TestSwitches:

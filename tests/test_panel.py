@@ -24,6 +24,7 @@ from sdgpipe.panel import (
     GOAL_COLUMNS,
     N_GOALS,
     ScorePanel,
+    country_rows,
     destandardize,
     filter_complete,
     load_gdp,
@@ -357,6 +358,14 @@ class TestOneEntryPerRow:
         message = f"shape ({n - 1},) for {n} panel rows, need one per row"
         with pytest.raises(ShapeMismatchError, match=f"^{re.escape(message)}$"):
             LABEL_READERS[reader](fixture_panel, np.zeros(n - 1, dtype=int))
+
+
+class TestCountryRows:
+    def test_rows_in_year_order_countries_sorted(self):
+        # any row order, and CCC has no 2000 row
+        index = [("BBB", 2001), ("AAA", 2001), ("CCC", 2001), ("BBB", 2000), ("AAA", 2000)]
+        got = country_rows(index)
+        assert list(got.items()) == [("AAA", [4, 1]), ("BBB", [3, 0]), ("CCC", [2])]
 
 
 class TestYearlyMeans:

@@ -44,6 +44,20 @@ class TestFitHandCases:
         assert int(np.argmax(np.abs(model.components[0]))) == 0
         assert int(np.argmax(np.abs(model.components[1]))) == 1
 
+    def test_degenerate_blocks_ordered_by_anchor(self):
+        # +-3 on three features, +-2 on two and +-1 on one, the features
+        # shuffled: a 3-wide degenerate block, a 2-wide one, then a single
+        shuffled = [4, 0, 5, 2, 1, 3]
+        scale = np.empty(6)
+        scale[shuffled] = [3.0, 3.0, 3.0, 2.0, 2.0, 1.0]
+        X = np.vstack([np.diag(scale), -np.diag(scale)])
+        model = fit(X, 6)
+        anchors = np.abs(model.components).argmax(axis=1)
+        # blocks in descending eigenvalue order, anchors ascending inside each
+        assert anchors.tolist() == [0, 4, 5, 1, 2, 3]
+        assert np.all(model.components[np.arange(6), anchors] > 0)
+        assert np.allclose(model.explained_variance, 2 * scale[anchors] ** 2 / 11)
+
     def test_projection_matches_oracle(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 6)) @ np.diag([5, 3, 2, 1, 0.5, 0.2])

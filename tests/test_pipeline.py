@@ -905,6 +905,24 @@ class TestEdgePanels:
             "error: stage 'tsne' failed: point 0: perplexity 50.0 exceeds n - 1 = 45\n")
         assert not (out / artifacts.EMBEDDING).exists()
 
+    @pytest.mark.parametrize("years, eps", [
+        ((2018, 2019, 2020, 2021, 2022), "30"),  # 2 fit years once 2020-2022 are left out
+        ((2000, 2001, 2002), "50"),
+    ], ids=["two-fit-years", "three-fit-years"])
+    def test_cluster_under_min_fit_years_gets_no_fit(self, years, eps, tmp_path, capsys):
+        code, out = self.run_all(synthetic_panel(n_countries=12, years=years), tmp_path,
+                                 "--perplexity", "5", "--iterations", "300",
+                                 "--eps", eps, "--seed", "0")
+        assert code == 0, capsys.readouterr().err
+        assert "projected attainment" not in capsys.readouterr().out
+        assert artifacts.read_json(out / artifacts.TRAJECTORY_FITS) == {}
+        _, membership = artifacts.read_csv(out / artifacts.CLUSTER_COUNTRIES)
+        ids = dbscan.cluster_ids([int(cluster_id) for _, cluster_id in membership])
+        assert ids
+        assert sorted(out.glob(artifacts.trajectory_name("*"))) == sorted(
+            out / artifacts.trajectory_name(cluster_id) for cluster_id in ids)
+        assert (out / artifacts.TRAJECTORIES_SVG).exists()
+
 
 class TestScanEpsStage:
     def test_table_covers_grid(self, pipeline_run, tmp_path):
