@@ -33,7 +33,7 @@ import csv
 import hashlib
 import json
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +80,18 @@ def correlation_year_name(year: int) -> str:
 
 def trajectory_name(cluster_id: int) -> str:
     return f"trajectory_cluster{cluster_id}.csv"
+
+
+def numbered_files(out: Path, name_of: Callable[[int | str], str]) -> dict[int, Path]:
+    """The files in out that name_of names, keyed by their cluster id or
+    year, in name order: the inverse of one of the name functions above."""
+    prefix, suffix = name_of("*").split("*")
+    files = {}
+    for path in sorted(out.glob(name_of("*"))):
+        key = path.name[len(prefix):len(path.name) - len(suffix)]
+        if key.isdigit() and name_of(int(key)) == path.name:
+            files[int(key)] = path
+    return files
 
 
 def svg_name(csv_name: str) -> str:

@@ -22,7 +22,8 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from sdgpipe import artifacts
-from sdgpipe.dbscan import NOISE, cluster_name
+from sdgpipe.dbscan import NOISE, cluster_ids, cluster_name
+from sdgpipe.errors import MissingArtifactError
 from sdgpipe.panel import GOAL_COLUMNS, N_GOALS, country_rows
 
 CLUSTER_PALETTE = (
@@ -321,8 +322,7 @@ def fig_pca_scatter(meta: list[list[str]], coords: ArrayLike, ideal: list[float]
     return _svg(width, height, parts, "Observations in the first two components")
 
 
-def fig_pca_biplot(meta: list[list[str]], coords: ArrayLike,
-                   loadings: list[tuple[float, float]]) -> str:
+def fig_pca_biplot(coords: ArrayLike, loadings: list[tuple[float, float]]) -> str:
     width, height = 720, 560
     parts: list[str] = []
     coords = np.asarray(coords, dtype=float)
@@ -438,9 +438,7 @@ def fig_correlation_heatmap(values: ArrayLike, subtitle: str) -> str:
 
 def fig_distributions(fits: list[tuple[int, int, float, float, int]],
                       years: list[int]) -> str:
-    """fits: (cluster, year, mean, std, n)."""
-    if not fits:  # nothing but noise: a labeled empty figure
-        return _svg(500, 120, [], "Distance-to-ideal distributions: no clusters found")
+    """fits: (cluster, year, mean, std, n), at least one."""
     panel_w, panel_h = 340, 260
     width, height, origins = _grid(len(years), panel_w, panel_h, 24)
     parts: list[str] = []
@@ -497,38 +495,43 @@ def _sample_years(first: int, last: int) -> list[float]:
 
 
 def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
-                     fits: dict[int, dict], extrapolate_to: int) -> str:
-    """tables: cluster -> [(year, mean, std)]; fits: cluster -> fit payload."""
-    if not fits:  # nothing but noise: a labeled empty figure, as for distributions
-        return _svg(500, 120, [], "Mean distance to ideal: no clusters found")
+                     fits: dict[int, dict], extrapolate_to: int | None) -> str:
+    """tables: cluster -> [(year, mean, std)], at least one; fits: cluster ->
+    fit payload, for some of those clusters. A point that no fit used is
+    hollow, only a fitted cluster gets a curve, and with no fit the
+    extrapolation panel is left out."""
 
     def curve(fit: dict, year: float | np.ndarray) -> float | np.ndarray:
         return fit["a"] + fit["b"] * year + fit["c"] * year * year
 
-    width, height = 780, 540
+    width, height = (780 if fits else 420), 540
     parts: list[str] = []
     all_years = sorted({y for rows in tables.values() for y, _, _ in rows})
     first_year, last_year = all_years[0], all_years[-1]
     observed = [m for rows in tables.values() for _, m, _ in rows]
     o_lo, o_hi = _padded(min(observed), max(observed))
-    left_frame = Frame(first_year, last_year, o_lo, o_hi, 60, 46, 310, 430)
+    # a lone year, of a cluster that has no fit, sits at the left edge
+    left_frame = Frame(first_year, max(last_year, first_year + 1), o_lo, o_hi, 60, 46, 310, 430)
     _axes(parts, left_frame, "year", "mean distance to ideal")
     observed_years = np.array(_sample_years(first_year, last_year))
     observed_xs = left_frame.x(observed_years)
     for cid in sorted(tables):
         color = cluster_color(cid)
-        fit = fits[cid]
-        excluded = set(fit["excluded_years"])
+        fit = fits.get(cid)
+        used = set(fit["years_used"]) if fit else set()
         for year, mean, _ in tables[cid]:
-            if year in excluded:
+            if year not in used:
                 parts.append(
                     f"<circle cx='{left_frame.x(year):.2f}' cy='{left_frame.y(mean):.2f}' "
                     f"r='2.4' fill='none' stroke='{color}' stroke-width='1'/>"
                 )
             else:
                 parts.append(_circle(left_frame.x(year), left_frame.y(mean), 2.4, color))
-        parts.append(_polyline(observed_xs, left_frame.y(curve(fit, observed_years)), color,
-                               1.3, opacity=0.9))
+        if fit:
+            parts.append(_polyline(observed_xs, left_frame.y(curve(fit, observed_years)),
+                                   color, 1.3, opacity=0.9))
+    if not fits:
+        return _svg(width, height, parts, "Mean distance to ideal: observed")
 
     # right panel: extrapolation down to zero
     curve_max = o_hi
@@ -591,39 +594,51 @@ def emit_figures(out: str | Path, dest: str | Path) -> list[Path]:
     _, ideal = artifacts.read_matrix(out / artifacts.PCA_IDEAL, 0)
     emit(artifacts.PCA_SCATTER_SVG, fig_pca_scatter(proj_meta, proj, ideal[0, :2].tolist()))
     _, vectors = artifacts.read_matrix(out / artifacts.PCA_LOADINGS, 1)
-    emit(artifacts.PCA_BIPLOT_SVG, fig_pca_biplot(proj_meta, proj, vectors.tolist()))
+    emit(artifacts.PCA_BIPLOT_SVG, fig_pca_biplot(proj, vectors.tolist()))
 
     _, switch_rows = artifacts.read_csv(out / artifacts.SWITCHES)
     switchers = sorted({row[0] for row in switch_rows})
+    labels = labels[:, 0].astype(int)
     emit(artifacts.TSNE_CLUSTERS_SVG, fig_tsne_clusters(
-        proj_meta, embed[:, :2], labels[:, 0].astype(int).tolist(), switchers))
+        proj_meta, embed[:, :2], labels.tolist(), switchers))
+
+    def nothing_to_draw(title: str, missing: str) -> str:
+        """The labeled empty figure of a figure with nothing to plot."""
+        return _svg(500, 120, [],
+                    f"{title}: {missing if cluster_ids(labels) else 'no clusters found'}")
 
     profile_meta, z = artifacts.read_matrix(out / artifacts.CLUSTER_STANDARDIZED, 3)
     profiles = [(c, int(y), int(k), row) for (c, y, k), row in zip(profile_meta, z.tolist())]
     emit(artifacts.CLUSTER_PROFILES_SVG, fig_cluster_profiles(profiles))
 
-    heatmaps = {artifacts.CORRELATION_GLOBAL: "all countries"}
+    heatmaps = {out / artifacts.CORRELATION_GLOBAL: "all countries"}
     for kind, name_of in (("cluster", artifacts.correlation_cluster_name),
                           ("year", artifacts.correlation_year_name)):
-        prefix, suffix = name_of("*").split("*")
-        for path in sorted(out.glob(name_of("*"))):
-            heatmaps[path.name] = f"{kind} {path.name.removeprefix(prefix).removesuffix(suffix)}"
-    for name, subtitle in heatmaps.items():
-        _, values = artifacts.read_matrix(out / name, 1)
-        emit(artifacts.svg_name(name), fig_correlation_heatmap(values, subtitle))
+        for key, path in artifacts.numbered_files(out, name_of).items():
+            heatmaps[path] = f"{kind} {key}"
+    for path, subtitle in heatmaps.items():
+        _, values = artifacts.read_matrix(path, 1)
+        emit(artifacts.svg_name(path.name), fig_correlation_heatmap(values, subtitle))
 
     fit_meta, fit_values = artifacts.read_matrix(out / artifacts.GAUSSIAN_FITS, 2)
     fits = [(int(c), int(y), m, s, int(n))
             for (c, y), (m, s, n) in zip(fit_meta, fit_values.tolist())]
-    emit(artifacts.DISTRIBUTIONS_SVG, fig_distributions(fits, sorted({f[1] for f in fits})))
+    emit(artifacts.DISTRIBUTIONS_SVG,
+         fig_distributions(fits, sorted({f[1] for f in fits})) if fits
+         else nothing_to_draw("Distance-to-ideal distributions", "no Gaussian fits"))
 
+    tables = {}
+    for cid, path in artifacts.numbered_files(out, artifacts.trajectory_name).items():
+        _, rows = artifacts.read_matrix(path, 0)
+        tables[cid] = [(int(year), mean, std) for year, mean, std, _ in rows.tolist()]
     payload = artifacts.read_json(out / artifacts.TRAJECTORY_FITS)
     trajectory_fits = {int(k): v for k, v in payload.items()}
-    tables = {}
-    for cid in sorted(trajectory_fits):
-        _, rows = artifacts.read_matrix(out / artifacts.trajectory_name(cid), 0)
-        tables[cid] = [(int(year), mean, std) for year, mean, std, _ in rows.tolist()]
+    missing = sorted(trajectory_fits.keys() - tables.keys())
+    if missing:  # a fit whose table is gone
+        raise MissingArtifactError(artifacts.trajectory_name(missing[0]))
     extrapolate_to = max((fit["extrapolate_to"] for fit in trajectory_fits.values()),
                          default=None)
-    emit(artifacts.TRAJECTORIES_SVG, fig_trajectories(tables, trajectory_fits, extrapolate_to))
+    emit(artifacts.TRAJECTORIES_SVG,
+         fig_trajectories(tables, trajectory_fits, extrapolate_to) if tables
+         else nothing_to_draw("Mean distance to ideal", "no trajectory tables"))
     return produced

@@ -155,11 +155,13 @@ def _calibrate(sq: np.ndarray, first: int, perplexity: float) -> tuple[np.ndarra
         np.exp(p, out=p)
         totals = p.sum(axis=1)
         p /= totals[:, None]
-        # Entropy in nats, H = ln(total) + beta * E[shifted distance], one row
-        # at a time: numpy's log and exp may round differently from math's,
-        # and one ulp can flip a comparison.
-        perp = np.array([math.exp(math.log(total) + b_r * float(np.dot(p_r, s_r)))
-                         for total, b_r, p_r, s_r in zip(totals, beta, p, shifted)])
+        # Entropy in nats, H = ln(total) + beta * E[shifted distance]. The
+        # expectations are one batched dot, bitwise each row's np.dot; log and
+        # exp go one row at a time, as numpy's may round differently from
+        # math's, and one ulp can flip a comparison.
+        means = np.matmul(p[:, None, :], shifted[:, :, None])[:, 0, 0]
+        perp = np.array([math.exp(math.log(total) + b_r * mean) for total, b_r, mean
+                         in zip(totals.tolist(), beta.tolist(), means.tolist())])
         done = abs(perp - perplexity) <= PERPLEXITY_TOL
         sigmas[rows[done]] = np.sqrt(0.5 / beta[done])
         for r, p_r in zip(rows[done], p[done]):

@@ -230,6 +230,44 @@ class TestTrajectoryFigure:
         markers = [el for el in text_elements(root) if el.text == "2030"]
         assert len(markers) == 1
 
+    def test_unfitted_cluster_gets_hollow_points_only(self):
+        tables, fits = self.synthetic_inputs()
+        both = svg_root(fig_trajectories(tables, fits, 2100))
+        root = svg_root(fig_trajectories(tables, {0: fits[0]}, 2100))
+
+        def marks(root, cid):
+            color = cluster_color(cid)
+            circles = [el for el in root.iter(f"{SVG_NS}circle")
+                       if color in (el.get("fill"), el.get("stroke"))]
+            lines = [el.get("points") for el in root.iter(f"{SVG_NS}polyline")
+                     if el.get("stroke") == color]
+            labels = [el for el in text_elements(root) if el.get("fill") == color]
+            return [el.get("fill") == "none" for el in circles], lines, labels
+
+        hollow, lines, labels = marks(root, 0)
+        assert hollow == [False] * len(tables[0])
+        # the observed panel's curve is unchanged; the extrapolation follows
+        assert len(lines) == 2 and lines[0] == marks(both, 0)[1][0]
+        assert [el.text for el in labels] == [str(fits[0]["attainment_year"])]
+        hollow, lines, labels = marks(root, 1)
+        assert hollow == [True] * len(tables[1])
+        assert lines == [] and labels == []
+
+    def test_no_fit_leaves_out_the_extrapolation(self):
+        tables, _ = self.synthetic_inputs()
+        root = svg_root(fig_trajectories(tables, {}, None))
+        assert list(root.iter(f"{SVG_NS}polyline")) == []
+        hollow = [el for el in root.iter(f"{SVG_NS}circle") if el.get("fill") == "none"]
+        assert len(hollow) == sum(len(rows) for rows in tables.values())
+        assert [el.text for el in text_elements(root)][0] == "Mean distance to ideal: observed"
+        assert "2030" not in [el.text for el in text_elements(root)]
+
+    def test_lone_year_gets_a_point(self):
+        # a one-year panel's table; no fit needs fewer than 4 years
+        root = svg_root(fig_trajectories({0: [(2010, 1.5, 0.25)]}, {}, None))
+        circles = list(root.iter(f"{SVG_NS}circle"))
+        assert [(el.get("cx"), el.get("fill")) for el in circles] == [("60.00", "none")]
+
 
 @pytest.fixture(scope="module")
 def noise_run(pipeline_run, tmp_path_factory):
@@ -261,6 +299,23 @@ class TestNoiseOnlyRun:
     def test_trajectory_fits_empty(self, noise_run):
         payload = artifacts.read_json(noise_run.out / artifacts.TRAJECTORY_FITS)
         assert payload == {}
+
+
+class TestNothingToDraw:
+    def test_clusters_without_fits_or_tables_are_not_called_missing(self, tmp_path):
+        # "no clusters found" is kept for a labels.csv without a cluster (the
+        # noise-only digests); here the placeholders name what is missing. No
+        # table is what a run gets when every country is noise in its final year.
+        inputs = {**golden_inputs(), "gaussian_fits": [], "tables": {},
+                  "trajectory_fits": {}}
+        write_golden_artifacts(tmp_path, inputs)
+        emit_figures(tmp_path, dest=tmp_path)
+        titles = {name: next(text_elements(svg_root((tmp_path / name).read_text()))).text
+                  for name in (artifacts.DISTRIBUTIONS_SVG, artifacts.TRAJECTORIES_SVG)}
+        assert titles == {
+            artifacts.DISTRIBUTIONS_SVG: "Distance-to-ideal distributions: no Gaussian fits",
+            artifacts.TRAJECTORIES_SVG: "Mean distance to ideal: no trajectory tables",
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +481,7 @@ def golden_renders(inputs: dict) -> dict[str, str]:
     svgs = {
         "parallel.svg": fig_parallel(inputs["years"], inputs["means"]),
         "pca_scatter.svg": fig_pca_scatter(inputs["meta"], inputs["proj"], inputs["ideal"]),
-        "pca_biplot.svg": fig_pca_biplot(inputs["meta"], inputs["proj"], inputs["loadings"]),
+        "pca_biplot.svg": fig_pca_biplot(inputs["proj"], inputs["loadings"]),
         "tsne_clusters.svg": fig_tsne_clusters(
             inputs["meta"], inputs["embed"], inputs["labels"], inputs["switchers"]),
         "cluster_profiles.svg": fig_cluster_profiles(inputs["profiles"]),

@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from sdgpipe import artifacts, dbscan, tsne
 from sdgpipe.cli import _config_from_args, build_parser, main
 from sdgpipe.dynamics import TrajectoryFit, future_root
 from sdgpipe.errors import ConfigError, MissingArtifactError, StageError
+from sdgpipe.figures import cluster_color
 from sdgpipe.panel import GOAL_COLUMNS, ScorePanel, write_gdp_csv, write_panel_csv
 from sdgpipe.pipeline import (
     DEFAULT_EPS_GRID,
@@ -468,6 +470,20 @@ class TestFailureHandling:
         with pytest.raises(StageError, match=f"extrapolate_to {EXTRAPOLATE_TO} is not after "
                                              f"the last panel year {last_year}"):
             run_stage("dynamics", config)
+
+
+class TestNumberedFiles:
+    def test_inverse_of_the_name_functions(self, tmp_path):
+        for name in (artifacts.trajectory_name(2), artifacts.trajectory_name(10),
+                     artifacts.trajectory_name(0), artifacts.correlation_cluster_name(3),
+                     "trajectory_cluster01.csv", "trajectory_cluster-1.csv",
+                     "trajectory_clusterx.csv"):
+            (tmp_path / name).write_text("")
+        found = artifacts.numbered_files(tmp_path, artifacts.trajectory_name)
+        # keyed by id, in name order; only names the function builds count
+        assert list(found.items()) == [
+            (k, tmp_path / artifacts.trajectory_name(k)) for k in (0, 10, 2)]
+        assert artifacts.numbered_files(tmp_path, artifacts.correlation_year_name) == {}
 
 
 class TestReadMatrix:
@@ -922,6 +938,40 @@ class TestEdgePanels:
         assert sorted(out.glob(artifacts.trajectory_name("*"))) == sorted(
             out / artifacts.trajectory_name(cluster_id) for cluster_id in ids)
         assert (out / artifacts.TRAJECTORIES_SVG).exists()
+
+    def small_run(self, years: range, tmp_path: Path) -> Path:
+        code, out = self.run_all(synthetic_panel(n_countries=12, years=tuple(years)), tmp_path,
+                                 "--perplexity", "5", "--iterations", "300",
+                                 "--eps", "30", "--seed", "0")
+        assert code == 0
+        _, rows = artifacts.read_csv(out / artifacts.LABELS)
+        assert dbscan.cluster_ids([int(row[2]) for row in rows])
+        return out
+
+    def test_clusters_without_fits_are_drawn_hollow(self, tmp_path):
+        out = self.small_run(range(2018, 2023), tmp_path)
+        assert artifacts.read_json(out / artifacts.TRAJECTORY_FITS) == {}
+        text = (out / artifacts.TRAJECTORIES_SVG).read_text()
+        assert "no clusters found" not in text
+        root = ET.fromstring(text)
+        svg = "{http://www.w3.org/2000/svg}"
+        assert list(root.iter(f"{svg}polyline")) == []
+        hollow = [el.get("stroke") for el in root.iter(f"{svg}circle")
+                  if el.get("fill") == "none"]
+        tables = artifacts.numbered_files(out, artifacts.trajectory_name)
+        assert len(tables) >= 2
+        for cluster_id, path in tables.items():
+            _, rows = artifacts.read_csv(path)
+            assert hollow.count(cluster_color(cluster_id)) == len(rows) > 0
+        assert len(hollow) == sum(len(artifacts.read_csv(p)[1]) for p in tables.values())
+
+    def test_cluster_without_gaussian_fits_is_not_called_missing(self, tmp_path):
+        # none of the distribution years 2000, 2010 and 2020 is in the panel
+        out = self.small_run(range(2001, 2010), tmp_path)
+        assert artifacts.read_csv(out / artifacts.GAUSSIAN_FITS)[1] == []
+        text = (out / artifacts.DISTRIBUTIONS_SVG).read_text()
+        assert "no clusters found" not in text
+        assert "no Gaussian fits" in text
 
 
 class TestScanEpsStage:

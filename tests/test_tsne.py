@@ -266,6 +266,22 @@ class TestBlockCalibration:
         assert_calibrates_as_reference(X, perplexity)
 
 
+class TestBatchedDot:
+    def test_equals_each_rows_dot(self):
+        # _calibrate takes a block's expected distances from one matmul, and
+        # reference_row takes each from np.dot: they must agree to the bit at
+        # every block height and width a run meets
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            rows, width = int(rng.integers(1, BLOCK_ROWS + 1)), int(rng.integers(1, 2500))
+            p = rng.random((rows, width))
+            p /= p.sum(axis=1, keepdims=True)
+            shifted = rng.random((rows, width)) * 10.0 ** rng.uniform(-3, 3)
+            batched = np.matmul(p[:, None, :], shifted[:, :, None])[:, 0, 0]
+            per_row = np.array([np.dot(p_r, s_r) for p_r, s_r in zip(p, shifted)])
+            assert batched.tobytes() == per_row.tobytes()
+
+
 class TestQMatrix:
     def test_unit_square_hand_values(self):
         # corners of the unit square: 8 ordered side pairs at squared distance
