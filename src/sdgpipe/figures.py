@@ -24,7 +24,7 @@ from numpy.typing import ArrayLike
 from sdgpipe import artifacts
 from sdgpipe.dbscan import NOISE, cluster_ids, cluster_name
 from sdgpipe.errors import MissingArtifactError
-from sdgpipe.panel import GOAL_COLUMNS, N_GOALS, country_rows
+from sdgpipe.panel import N_GOALS, country_rows
 
 CLUSTER_PALETTE = (
     "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
@@ -436,9 +436,9 @@ def fig_correlation_heatmap(values: ArrayLike, subtitle: str) -> str:
     return _svg(width, height, parts, f"Goal correlations ({subtitle})")
 
 
-def fig_distributions(fits: list[tuple[int, int, float, float, int]],
-                      years: list[int]) -> str:
-    """fits: (cluster, year, mean, std, n), at least one."""
+def fig_distributions(fits: list[tuple[int, int, float, float, int]]) -> str:
+    """fits: (cluster, year, mean, std, n), at least one; one panel per year."""
+    years = sorted({f[1] for f in fits})
     panel_w, panel_h = 340, 260
     width, height, origins = _grid(len(years), panel_w, panel_h, 24)
     parts: list[str] = []
@@ -446,8 +446,6 @@ def fig_distributions(fits: list[tuple[int, int, float, float, int]],
     for year, (x0, y0) in zip(years, origins):
         left, top = x0 + 42, y0 + 26
         sub = [f for f in fits if f[1] == year]
-        if not sub:
-            continue
         x_lo = max(0.0, min(m - 3.5 * max(s, 1e-3) for _, _, m, s, _ in sub))
         x_hi = max(m + 3.5 * max(s, 1e-3) for _, _, m, s, _ in sub)
         peak = max(
@@ -474,6 +472,7 @@ def fig_distributions(fits: list[tuple[int, int, float, float, int]],
     return _svg(width, height, parts)
 
 
+EXTRAPOLATE_TO = 2100  # the trajectories are extrapolated to this year
 EXTRAP_PANEL = dict(left=420.0, top=46.0, width=330.0, height=430.0)
 EXTRAP_SAMPLE_STEP = 0.25
 
@@ -495,19 +494,21 @@ def _sample_years(first: int, last: int) -> list[float]:
 
 
 def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
-                     fits: dict[int, dict], extrapolate_to: int | None) -> str:
+                     fits: dict[int, dict]) -> str:
     """tables: cluster -> [(year, mean, std)], at least one; fits: cluster ->
     fit payload, for some of those clusters. A point that no fit used is
-    hollow, only a fitted cluster gets a curve, and with no fit the
-    extrapolation panel is left out."""
+    hollow, and only a fitted cluster gets a curve. The extrapolation panel
+    is drawn only when some cluster has a fit and the tables end before
+    EXTRAPOLATE_TO."""
 
     def curve(fit: dict, year: float | np.ndarray) -> float | np.ndarray:
         return fit["a"] + fit["b"] * year + fit["c"] * year * year
 
-    width, height = (780 if fits else 420), 540
-    parts: list[str] = []
     all_years = sorted({y for rows in tables.values() for y, _, _ in rows})
     first_year, last_year = all_years[0], all_years[-1]
+    extrapolate = bool(fits) and last_year < EXTRAPOLATE_TO
+    width, height = (780 if extrapolate else 420), 540
+    parts: list[str] = []
     observed = [m for rows in tables.values() for _, m, _ in rows]
     o_lo, o_hi = _padded(min(observed), max(observed))
     # a lone year, of a cluster that has no fit, sits at the left edge
@@ -530,31 +531,31 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
         if fit:
             parts.append(_polyline(observed_xs, left_frame.y(curve(fit, observed_years)),
                                    color, 1.3, opacity=0.9))
-    if not fits:
+    if not extrapolate:
         return _svg(width, height, parts, "Mean distance to ideal: observed")
 
     # right panel: extrapolation down to zero
     curve_max = o_hi
     for fit in fits.values():
-        probe = [float(first_year), float(extrapolate_to)]
+        probe = [float(first_year), float(EXTRAPOLATE_TO)]
         if fit["c"] != 0.0:
             vertex = -fit["b"] / (2.0 * fit["c"])
-            if first_year <= vertex <= extrapolate_to:
+            if first_year <= vertex <= EXTRAPOLATE_TO:
                 probe.append(vertex)
         for y in probe:
             curve_max = max(curve_max, curve(fit, y))
     e_lo, e_hi = _padded(0.0, curve_max)
-    frame = extrapolation_frame(first_year, extrapolate_to, e_lo, e_hi)
+    frame = extrapolation_frame(first_year, EXTRAPOLATE_TO, e_lo, e_hi)
     _axes(parts, frame, "year", "mean distance to ideal")
     zero_y = frame.y(0.0)
     parts.append(_line(frame.left, zero_y, frame.left + frame.width, zero_y,
                        "#777777", 0.8, dash="5,4"))
-    if first_year <= 2030 <= extrapolate_to:
+    if first_year <= 2030 <= EXTRAPOLATE_TO:
         px = frame.x(2030)
         parts.append(_line(px, frame.top, px, frame.top + frame.height,
                            "#777777", 0.8, dash="2,3"))
         parts.append(_text(_num(px + 3), _num(frame.top + 12), 2030, 9, fill="#555555"))
-    extrapolated_years = np.array(_sample_years(first_year, extrapolate_to))
+    extrapolated_years = np.array(_sample_years(first_year, EXTRAPOLATE_TO))
     extrapolated_xs = frame.x(extrapolated_years)
     for cid in sorted(fits):
         fit = fits[cid]
@@ -562,7 +563,7 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
         ys = frame.y(np.maximum(curve(fit, extrapolated_years), e_lo))
         parts.append(_polyline(extrapolated_xs, ys, color, 1.3, opacity=0.9))
         crossing = fit["zero_crossing"]  # None exactly when attainment_year is
-        if crossing is not None and crossing <= extrapolate_to:
+        if crossing is not None and crossing <= EXTRAPOLATE_TO:
             parts.append(_text(_num(frame.x(crossing)), _num(zero_y - 5),
                                fit["attainment_year"], 9, fill=color, anchor="middle"))
     return _svg(width, height, parts, "Mean distance to ideal: observed and extrapolated")
@@ -624,7 +625,7 @@ def emit_figures(out: str | Path, dest: str | Path) -> list[Path]:
     fits = [(int(c), int(y), m, s, int(n))
             for (c, y), (m, s, n) in zip(fit_meta, fit_values.tolist())]
     emit(artifacts.DISTRIBUTIONS_SVG,
-         fig_distributions(fits, sorted({f[1] for f in fits})) if fits
+         fig_distributions(fits) if fits
          else nothing_to_draw("Distance-to-ideal distributions", "no Gaussian fits"))
 
     tables = {}
@@ -636,9 +637,7 @@ def emit_figures(out: str | Path, dest: str | Path) -> list[Path]:
     missing = sorted(trajectory_fits.keys() - tables.keys())
     if missing:  # a fit whose table is gone
         raise MissingArtifactError(artifacts.trajectory_name(missing[0]))
-    extrapolate_to = max((fit["extrapolate_to"] for fit in trajectory_fits.values()),
-                         default=None)
     emit(artifacts.TRAJECTORIES_SVG,
-         fig_trajectories(tables, trajectory_fits, extrapolate_to) if tables
+         fig_trajectories(tables, trajectory_fits) if tables
          else nothing_to_draw("Mean distance to ideal", "no trajectory tables"))
     return produced

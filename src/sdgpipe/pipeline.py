@@ -51,7 +51,6 @@ DEFAULT_EPS_GRID = tuple(round(0.5 * k, 1) for k in range(1, 17))
 PCA_COMPONENTS = 10
 EXCLUDED_YEARS = (2020, 2021, 2022)  # left out of the trajectory fits
 DISTRIBUTION_YEARS = (2000, 2010, 2020)  # each gets a Gaussian fit per cluster
-EXTRAPOLATE_TO = 2100  # the trajectories are extrapolated to this year
 
 
 @dataclass(frozen=True)
@@ -314,9 +313,6 @@ def stage_dynamics(config: PipelineConfig, dest: Path) -> None:
     panel, cluster_column = _read_aligned(config.out, artifacts.LABELS)
     labels = cluster_column[:, 0].astype(int)
     last_year = max(panel.years)
-    if EXTRAPOLATE_TO <= last_year:
-        raise PipelineError(f"extrapolate_to {EXTRAPOLATE_TO} is not after "
-                            f"the last panel year {last_year}")
     labelled = [(*key, label) for key, label in zip(panel.index, labels.tolist())]
     distances = dynamics.distance_series(panel)
 
@@ -363,11 +359,9 @@ def stage_dynamics(config: PipelineConfig, dest: Path) -> None:
             "c": fit.c,
             "rms_residual": fit.rms_residual,
             "years_used": list(fit.years_used),
-            "excluded_years": sorted(set(EXCLUDED_YEARS) & set(curve)),
             "last_data_year": last_year,
             "zero_crossing": dynamics.future_root(fit, last_year),
             "attainment_year": dynamics.attainment_year(fit, last_year),
-            "extrapolate_to": EXTRAPOLATE_TO,
         }
     artifacts.write_json(dest / artifacts.TRAJECTORY_FITS, fits_payload)
 

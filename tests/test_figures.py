@@ -14,6 +14,7 @@ from sdgpipe import artifacts
 from sdgpipe.errors import MissingArtifactError
 from sdgpipe.figures import (
     EXTRAP_PANEL,
+    EXTRAPOLATE_TO,
     Frame,
     NOISE_COLOR,
     _ticks,
@@ -145,8 +146,7 @@ def label_pixel_checks(out):
     for cid, fit in fits.items():
         if fit["attainment_year"] is None or fit["zero_crossing"] is None:
             continue
-        extrapolate_to = fit["extrapolate_to"]
-        if fit["zero_crossing"] > extrapolate_to:
+        if fit["zero_crossing"] > EXTRAPOLATE_TO:
             continue
         # find the root again with a generic solver, not the package's algebra
         candidates = np.roots([fit["c"], fit["b"], fit["a"]])
@@ -154,7 +154,7 @@ def label_pixel_checks(out):
         future = sorted(r for r in real if r > fit["last_data_year"])
         assert future, "fit payload claims a crossing the solver cannot find"
         expected_px = extrapolation_frame(
-            first_year, extrapolate_to, 0.0, 1.0
+            first_year, EXTRAPOLATE_TO, 0.0, 1.0
         ).x(future[0])
         color = cluster_color(cid)
         labels = [
@@ -177,11 +177,9 @@ class TestTrajectoryFigure:
                 "a": a * scale, "b": b * scale, "c": c * scale,
                 "rms_residual": 0.0,
                 "years_used": list(range(2000, last_year + 1)),
-                "excluded_years": [],
                 "last_data_year": last_year,
                 "zero_crossing": zero,
                 "attainment_year": math.ceil(zero),
-                "extrapolate_to": 2100,
             }
 
         fits = {0: payload(2043.37, 2172.0, 2019), 1: payload(2061.91, 2130.0, 2019)}
@@ -195,7 +193,7 @@ class TestTrajectoryFigure:
 
     def test_zero_crossing_label_within_one_pixel(self, tmp_path):
         tables, fits = self.synthetic_inputs()
-        svg = fig_trajectories(tables, fits, 2100)
+        svg = fig_trajectories(tables, fits)
         out = tmp_path
         (out / "trajectories.svg").write_text(svg)
         (out / artifacts.TRAJECTORY_FITS).write_text(
@@ -226,14 +224,14 @@ class TestTrajectoryFigure:
 
     def test_2030_marker_present(self):
         tables, fits = self.synthetic_inputs()
-        root = svg_root(fig_trajectories(tables, fits, 2100))
+        root = svg_root(fig_trajectories(tables, fits))
         markers = [el for el in text_elements(root) if el.text == "2030"]
         assert len(markers) == 1
 
     def test_unfitted_cluster_gets_hollow_points_only(self):
         tables, fits = self.synthetic_inputs()
-        both = svg_root(fig_trajectories(tables, fits, 2100))
-        root = svg_root(fig_trajectories(tables, {0: fits[0]}, 2100))
+        both = svg_root(fig_trajectories(tables, fits))
+        root = svg_root(fig_trajectories(tables, {0: fits[0]}))
 
         def marks(root, cid):
             color = cluster_color(cid)
@@ -255,7 +253,7 @@ class TestTrajectoryFigure:
 
     def test_no_fit_leaves_out_the_extrapolation(self):
         tables, _ = self.synthetic_inputs()
-        root = svg_root(fig_trajectories(tables, {}, None))
+        root = svg_root(fig_trajectories(tables, {}))
         assert list(root.iter(f"{SVG_NS}polyline")) == []
         hollow = [el for el in root.iter(f"{SVG_NS}circle") if el.get("fill") == "none"]
         assert len(hollow) == sum(len(rows) for rows in tables.values())
@@ -264,7 +262,7 @@ class TestTrajectoryFigure:
 
     def test_lone_year_gets_a_point(self):
         # a one-year panel's table; no fit needs fewer than 4 years
-        root = svg_root(fig_trajectories({0: [(2010, 1.5, 0.25)]}, {}, None))
+        root = svg_root(fig_trajectories({0: [(2010, 1.5, 0.25)]}, {}))
         circles = list(root.iter(f"{SVG_NS}circle"))
         assert [(el.get("cx"), el.get("fill")) for el in circles] == [("60.00", "none")]
 
@@ -343,15 +341,13 @@ def golden_inputs(noise_only: bool = False) -> dict:
     trajectory_fits = {
         0: {  # linear, crosses zero in 2060: labelled; 2004 excluded
             "a": 1030.0, "b": -0.5, "c": 0.0, "rms_residual": 0.25,
-            "years_used": [2000, 2001, 2002, 2003, 2005], "excluded_years": [2004],
-            "last_data_year": 2005, "zero_crossing": 2060.0,
-            "attainment_year": 2060, "extrapolate_to": 2100,
+            "years_used": [2000, 2001, 2002, 2003, 2005],
+            "last_data_year": 2005, "zero_crossing": 2060.0, "attainment_year": 2060,
         },
         1: {  # parabola with its vertex (2050, 5) inside the panel: no crossing
             "a": 42030.0, "b": -41.0, "c": 0.01, "rms_residual": 0.5,
-            "years_used": GOLDEN_YEARS, "excluded_years": [],
-            "last_data_year": 2005, "zero_crossing": None,
-            "attainment_year": None, "extrapolate_to": 2100,
+            "years_used": GOLDEN_YEARS,
+            "last_data_year": 2005, "zero_crossing": None, "attainment_year": None,
         },
     }
     correlations = {
@@ -416,9 +412,8 @@ def study_fit(a: float, b: float, c: float, zero: float | None, excluded=()) -> 
     return {
         "a": a, "b": b, "c": c, "rms_residual": 0.125,
         "years_used": [y for y in STUDY_YEARS if y not in excluded],
-        "excluded_years": list(excluded), "last_data_year": 2022,
+        "last_data_year": 2022,
         "zero_crossing": zero, "attainment_year": None if zero is None else math.ceil(zero),
-        "extrapolate_to": 2100,
     }
 
 
@@ -463,7 +458,7 @@ def study_inputs() -> dict:
             0: study_fit(1030.0, -0.5, 0.0, 2060.0, shocks),  # crossing, labelled
             1: study_fit(42030.0, -41.0, 0.01, None),  # vertex above zero: no crossing
             2: study_fit(4396.75, -4.195, 0.001, 2045.0, shocks),  # roots 2045 and 2150
-            3: study_fit(21.5, -0.01, 0.0, 2150.0),  # crosses after extrapolate_to
+            3: study_fit(21.5, -0.01, 0.0, 2150.0),  # crosses after EXTRAPOLATE_TO
             4: study_fit(-20.0, 0.02, 0.0, None, shocks),  # rising: no future zero
             5: study_fit(1038.75, -0.5, 0.0, 2077.5),  # fractional crossing
         },
@@ -487,12 +482,10 @@ def golden_renders(inputs: dict) -> dict[str, str]:
         "cluster_profiles.svg": fig_cluster_profiles(inputs["profiles"]),
         **{artifacts.svg_name(heatmap_name(subtitle)): fig_correlation_heatmap(matrix, subtitle)
            for subtitle, matrix in inputs["correlations"].items()},
-        "distributions.svg": fig_distributions(
-            inputs["gaussian_fits"], sorted({f[1] for f in inputs["gaussian_fits"]})),
+        "distributions.svg": fig_distributions(inputs["gaussian_fits"]),
     }
     if inputs["tables"]:
-        svgs["trajectories.svg"] = fig_trajectories(
-            inputs["tables"], inputs["trajectory_fits"], 2100)
+        svgs["trajectories.svg"] = fig_trajectories(inputs["tables"], inputs["trajectory_fits"])
     return svgs
 
 

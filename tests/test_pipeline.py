@@ -29,11 +29,10 @@ from sdgpipe import artifacts, dbscan, tsne
 from sdgpipe.cli import _config_from_args, build_parser, main
 from sdgpipe.dynamics import TrajectoryFit, future_root
 from sdgpipe.errors import ConfigError, MissingArtifactError, StageError
-from sdgpipe.figures import cluster_color
+from sdgpipe.figures import EXTRAPOLATE_TO, cluster_color
 from sdgpipe.panel import GOAL_COLUMNS, ScorePanel, write_gdp_csv, write_panel_csv
 from sdgpipe.pipeline import (
     DEFAULT_EPS_GRID,
-    EXTRAPOLATE_TO,
     FIELD_PARSERS,
     FULL_RUN,
     STAGES,
@@ -299,6 +298,14 @@ class TestFullRunArtifacts:
         fits = artifacts.read_json(out / artifacts.TRAJECTORY_FITS)
         assert sorted(int(k) for k in fits) == ids
 
+    def test_fit_entries_hold_only_the_fit(self, pipeline_run):
+        fits = artifacts.read_json(pipeline_run.out / artifacts.TRAJECTORY_FITS)
+        assert fits
+        for payload in fits.values():
+            assert sorted(payload) == sorted([
+                "a", "b", "c", "rms_residual", "years_used", "last_data_year",
+                "zero_crossing", "attainment_year"])
+
     def test_zero_crossing_is_future_root(self, pipeline_run):
         fits = artifacts.read_json(pipeline_run.out / artifacts.TRAJECTORY_FITS)
         assert fits
@@ -391,8 +398,9 @@ def copy_run(pipeline_run, destination) -> PipelineConfig:
 
 @pytest.fixture(scope="module")
 def late_runs(demo_config, tmp_path_factory):
-    """last_year -> a run, through cluster, of the fixture's scores dated to
-    end in last_year, at or past the extrapolation horizon; built once each."""
+    """last_year -> a run, through correlate, of the fixture's scores dated to
+    end in last_year, at or past the figures' extrapolation horizon; built
+    once each."""
     runs = {}
 
     def run(last_year: int) -> PipelineConfig:
@@ -401,12 +409,30 @@ def late_runs(demo_config, tmp_path_factory):
             write_panel_csv(synthetic_panel(years=tuple(range(last_year - 22, last_year + 1))),
                             base / "panel.csv")
             config = replace(demo_config, panel=base / "panel.csv", out=base / "out", gdp=None)
-            for stage in ("ingest", "pca", "tsne", "cluster"):
+            for stage in ("ingest", "pca", "tsne", "cluster", "correlate"):
                 run_stage(stage, config)
             runs[last_year] = config
         return runs[last_year]
 
     return run
+
+
+def assert_observed_trajectories(out: Path) -> None:
+    """trajectories.svg of a run whose panel reaches the horizon: fits, but
+    only the observed panel, with every table's points."""
+    assert artifacts.read_json(out / artifacts.TRAJECTORY_FITS)
+    root = ET.fromstring((out / artifacts.TRAJECTORIES_SVG).read_text())
+    svg = "{http://www.w3.org/2000/svg}"
+    texts = [el.text for el in root.iter(f"{svg}text")]
+    assert texts[0] == "Mean distance to ideal: observed"
+    assert "2030" not in texts
+    circles = [el.get("fill") if el.get("fill") != "none" else el.get("stroke")
+               for el in root.iter(f"{svg}circle")]
+    tables = artifacts.numbered_files(out, artifacts.trajectory_name)
+    assert tables
+    for cluster_id, path in tables.items():
+        _, rows = artifacts.read_csv(path)
+        assert circles.count(cluster_color(cluster_id)) == len(rows) > 0
 
 
 class TestFailureHandling:
@@ -462,14 +488,15 @@ class TestFailureHandling:
 
     # Each case is a horizon placed against a 2000-2022 panel, at or before
     # its last year; the panel is dated later by EXTRAPOLATE_TO - horizon so
-    # the fixed horizon falls at the same place in it.
+    # the fixed horizon falls at the same place in it. The extrapolation
+    # panel needs the horizon to follow the data; a panel that reaches it
+    # is no failure, and its figure shows the observed panel only.
     @pytest.mark.parametrize("horizon", [1990, 2000, 2010, 2022])
     def test_extrapolate_to_must_follow_the_data(self, late_runs, horizon):
-        last_year = 2022 + EXTRAPOLATE_TO - horizon
-        config = late_runs(last_year)
-        with pytest.raises(StageError, match=f"extrapolate_to {EXTRAPOLATE_TO} is not after "
-                                             f"the last panel year {last_year}"):
-            run_stage("dynamics", config)
+        config = late_runs(2022 + EXTRAPOLATE_TO - horizon)
+        run_stage("dynamics", config)
+        run_stage("figures", config)
+        assert_observed_trajectories(config.out)
 
 
 class TestNumberedFiles:
@@ -717,15 +744,16 @@ def study_stage_digests(tmp_path_factory):
 
 # Recorded before the artifact writers and readers and the figures moved to
 # whole-row formatting and parsing: (files written, digest over their names
-# and bytes).
+# and bytes). The dynamics entries were recorded again when the entries of
+# trajectory_fits.json lost excluded_years and extrapolate_to.
 STUDY_STAGE_DIGESTS = {
     (1.0, 'cluster'): (5, '7af567b9ee756ebf63a6a362149aa37d73dbc222f57e31a9c1eb14799b4a47b1'),
     (1.0, 'correlate'): (7, 'f56c6b0c620f9be657b0e9454c408b66231b358126006ab872d6df2db716c9e9'),
-    (1.0, 'dynamics'): (9, '5a44c74bb5cd032733a2184055d7ddec388ea1ae43070e36aa131ccff175cec3'),
+    (1.0, 'dynamics'): (9, '5d2230f1fc478c103423b9883d211742fee27b4624ca698a289096c293ec1c66'),
     (1.0, 'figures'): (14, '331f1288d16d0b34c1b442d46977a57ffab14fbaac5dc56c4a4caf6799524692'),
     (2.5, 'cluster'): (5, 'bf99e69df52e6fe778dd791645b3247ded8f36115201f76fa1c416aad5f75704'),
     (2.5, 'correlate'): (6, '6b3080d0858c9784ad7915bbfd5bf4d8abdc1e6b1334e8d6396b779791708f92'),
-    (2.5, 'dynamics'): (8, 'b2edc77124f26c8a27c8e35bd9c9dce66c81dc4dc2ff2188759dd2af884b1cd4'),
+    (2.5, 'dynamics'): (8, 'c844d31dec72cdaee50b37bae787979485a08637195e86a38349fe1aa04182cd'),
     (2.5, 'figures'): (13, '20b943c0331b7b58a62c59bed10c60047088970040c8c8f72a34809c2b7c5b41'),
 }
 
@@ -1060,12 +1088,12 @@ class TestCli:
         assert code == STAGES["cluster"].exit_code == 5
         capsys.readouterr()
 
-    def test_extrapolate_to_inside_the_data_is_a_dynamics_failure(self, late_runs, capsys):
-        config = late_runs(2100)
-        code = self.run_cli("dynamics", "--panel", config.panel, "--out", config.out)
-        assert code == STAGES["dynamics"].exit_code == 7
-        assert (f"extrapolate_to {EXTRAPOLATE_TO} is not after the last panel year 2100"
-                in capsys.readouterr().err)
+    def test_panel_reaching_the_horizon_completes(self, late_runs, capsys):
+        config = late_runs(EXTRAPOLATE_TO)
+        for stage in ("dynamics", "figures"):
+            assert self.run_cli(stage, "--panel", config.panel, "--out", config.out) == 0
+        assert capsys.readouterr().err == ""
+        assert_observed_trajectories(config.out)
 
     def test_stage_manifest_checksums_only_the_inputs_it_reads(self, pipeline_run, tmp_path,
                                                               capsys):
@@ -1310,6 +1338,26 @@ def test_no_module_reaches_into_another():
                   and node.value.id in modules - {path.stem} and private(node.attr)):
                 found.append(f"{path.stem} reads {node.value.id}.{node.attr}")
     assert found == []
+
+
+def test_every_import_is_used():
+    """No module of the package but __init__, which re-exports, imports a
+    name that it never uses."""
+    package = Path(sdgpipe.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem} imports {name}" for name in imported if name not in used]
+    assert unused == []
 
 
 class TestStartupImports:

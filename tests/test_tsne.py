@@ -615,7 +615,7 @@ class TestPinnedBytes:
     def recorded_numeric_path(self):
         if numeric_path() != RECORDED_NUMERIC_PATH:
             pytest.skip("numpy's exp and log round differently here than where the "
-                        "digests were recorded (ROADMAP item 2)")
+                        "digests were recorded (ROADMAP item 3)")
 
     def test_fixture_affinities(self, pipeline_run):
         _, X = artifacts.read_matrix(pipeline_run.out / artifacts.PCA_PROJECTION, 2)
