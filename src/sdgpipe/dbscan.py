@@ -48,11 +48,9 @@ def check_settings(eps: float | None = None, min_pts: int | None = None,
 
 @dataclass(frozen=True)
 class ClusterLabels:
-    """Per-point integer labels (noise = -1) and the parameters that made them."""
+    """Per-point integer labels, noise = -1."""
 
     labels: np.ndarray
-    eps: float
-    min_pts: int
 
     @property
     def n_clusters(self) -> int:
@@ -107,7 +105,7 @@ def _label(dist: np.ndarray, eps: float, min_pts: int) -> ClusterLabels:
         labels[reached & (labels == NOISE)] = cluster_id
         cluster_id += 1
     labels.flags.writeable = False
-    return ClusterLabels(labels=labels, eps=float(eps), min_pts=int(min_pts))
+    return ClusterLabels(labels)
 
 
 def cluster(points: np.ndarray, eps: float, min_pts: int = DEFAULT_MIN_PTS) -> ClusterLabels:

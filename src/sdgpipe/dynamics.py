@@ -58,17 +58,13 @@ class GaussianFit:
     std: float
     n_members: int
 
-    @property
-    def degenerate(self) -> bool:
-        return self.std == 0.0
-
 
 def cluster_distance_distribution(
     panel: ScorePanel,
     labels: np.ndarray,
     cluster_id: int,
     year: int,
-) -> tuple[GaussianFit, np.ndarray]:
+) -> GaussianFit:
     """Fit a Gaussian to the distances of one cluster's members in one year.
 
     Membership is per observation (the label of that country-year row), so a
@@ -82,11 +78,8 @@ def cluster_distance_distribution(
     if count < 2:
         raise TooFewMembersError(cluster_id, year, count)
     distances = distance_to_ideal(panel.scores[mask])
-    mean = float(distances.mean())
-    std = float(distances.std())
-    fit = GaussianFit(cluster=int(cluster_id), year=int(year), mean=mean, std=std,
-                      n_members=count)
-    return fit, distances
+    return GaussianFit(cluster=int(cluster_id), year=int(year), mean=float(distances.mean()),
+                       std=float(distances.std()), n_members=count)
 
 
 @dataclass(frozen=True)

@@ -477,12 +477,6 @@ EXTRAP_PANEL = dict(left=420.0, top=46.0, width=330.0, height=430.0)
 EXTRAP_SAMPLE_STEP = 0.25
 
 
-def extrapolation_frame(first_year: int, extrapolate_to: int,
-                        y_lo: float, y_hi: float) -> Frame:
-    """Pixel mapping of the extrapolation panel; tests reuse it."""
-    return Frame(first_year, extrapolate_to, y_lo, y_hi, **EXTRAP_PANEL)
-
-
 def _sample_years(first: int, last: int) -> list[float]:
     """first, first + step, ... up to last, by repeated addition of the step."""
     years = []
@@ -545,7 +539,7 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
         for y in probe:
             curve_max = max(curve_max, curve(fit, y))
     e_lo, e_hi = _padded(0.0, curve_max)
-    frame = extrapolation_frame(first_year, EXTRAPOLATE_TO, e_lo, e_hi)
+    frame = Frame(first_year, EXTRAPOLATE_TO, e_lo, e_hi, **EXTRAP_PANEL)
     _axes(parts, frame, "year", "mean distance to ideal")
     zero_y = frame.y(0.0)
     parts.append(_line(frame.left, zero_y, frame.left + frame.width, zero_y,

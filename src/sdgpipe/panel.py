@@ -255,25 +255,20 @@ def destandardize(standardized: StandardizedPanel) -> np.ndarray:
     return standardized.z * standardized.std + standardized.mean
 
 
-def standardize_within_cluster(
-    panel: ScorePanel, labels: np.ndarray
-) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
+def standardize_within_cluster(panel: ScorePanel, labels: np.ndarray) -> np.ndarray:
     """Z-score each observation against its own cluster's pooled moments.
 
     labels holds one integer cluster id per observation; noise (-1) forms its
-    own group. Returns the z-scored array and a map from cluster id to that
-    cluster's (mean, std). A goal flat within some cluster (every goal of a
-    one-member cluster) has z = 0 on that cluster's rows.
+    own group. A goal flat within some cluster (every goal of a one-member
+    cluster) has z = 0 on that cluster's rows.
     """
     labels = one_per_row(labels, panel.n_observations)
     z = np.empty_like(panel.scores)
-    moments: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for label in sorted(set(labels.tolist())):
+    for label in set(labels.tolist()):
         rows = labels == label
         mean, std, flat = goal_moments(panel.scores[rows])
         z[rows] = np.where(flat, 0.0, (panel.scores[rows] - mean) / np.where(flat, 1.0, std))
-        moments[int(label)] = (_freeze(mean), _freeze(std))
-    return _freeze(z), moments
+    return _freeze(z)
 
 
 def yearly_goal_means(panel: ScorePanel) -> tuple[np.ndarray, np.ndarray]:

@@ -261,7 +261,7 @@ def stage_cluster(config: PipelineConfig, dest: Path) -> None:
     artifacts.write_csv(dest / artifacts.CLUSTER_COUNTRIES, ["country", "cluster"],
                         sorted(membership.items()))
 
-    z, _ = standardize_within_cluster(panel, labels)
+    z = standardize_within_cluster(panel, labels)
     artifacts.write_csv(dest / artifacts.CLUSTER_STANDARDIZED,
                         ["country", "year", "cluster", *GOAL_COLUMNS],
                         artifacts.format_rows(labelled, z))
@@ -296,7 +296,7 @@ def stage_correlate(config: PipelineConfig, dest: Path) -> None:
     panel, cluster_column = _read_aligned(config.out, artifacts.LABELS)
     labels = cluster_column[:, 0].astype(int)
 
-    matrices = {artifacts.CORRELATION_GLOBAL: pearson_matrix(panel)}
+    matrices = {artifacts.CORRELATION_GLOBAL: pearson_matrix(panel.scores)}
     for cluster_id, matrix in cluster_correlations(panel, labels).items():
         matrices[artifacts.correlation_cluster_name(cluster_id)] = matrix
     if config.per_year_correlations:
@@ -304,7 +304,7 @@ def stage_correlate(config: PipelineConfig, dest: Path) -> None:
             matrices[artifacts.correlation_year_name(year)] = matrix
 
     for name, matrix in matrices.items():
-        rows = artifacts.format_rows(zip(GOAL_COLUMNS), matrix.values, artifacts.SIGNED_CELL)
+        rows = artifacts.format_rows(zip(GOAL_COLUMNS), matrix, artifacts.SIGNED_CELL)
         artifacts.write_csv(dest / name, ["goal", *GOAL_COLUMNS], rows)
 
 
@@ -324,9 +324,7 @@ def stage_dynamics(config: PipelineConfig, dest: Path) -> None:
     for cluster_id in dbscan.cluster_ids(labels):
         for year in dist_years:
             try:
-                fit, _ = dynamics.cluster_distance_distribution(
-                    panel, labels, cluster_id, year
-                )
+                fit = dynamics.cluster_distance_distribution(panel, labels, cluster_id, year)
             except TooFewMembersError:
                 continue  # cluster empty or singleton that year
             fit_rows.append(

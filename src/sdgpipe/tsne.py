@@ -100,7 +100,6 @@ class AffinityMatrix:
 
     P: np.ndarray
     sigmas: np.ndarray
-    perplexity: float
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,6 @@ class Embedding:
     """Final map coordinates plus the recorded KL trace."""
 
     Y: np.ndarray
-    seed: int
     kl_history: tuple[tuple[int, float], ...] = field(default_factory=tuple)
 
     @property
@@ -234,7 +232,7 @@ def joint_affinities(X: np.ndarray, perplexity: float) -> AffinityMatrix:
     P /= P.sum()
     np.maximum(P, P_FLOOR, out=P)
     np.fill_diagonal(P, 0.0)
-    return AffinityMatrix(P=P, sigmas=sigmas, perplexity=float(perplexity))
+    return AffinityMatrix(P=P, sigmas=sigmas)
 
 
 def _blocks(n: int) -> list[slice]:
@@ -441,7 +439,7 @@ def embed(
             Y -= Y.mean(axis=0)
         history.append((iterations, _gradient(P, 1.0, Y, kernel, sweep, True)[1]))
 
-    return Embedding(Y=Y, seed=seed, kl_history=tuple(history))
+    return Embedding(Y=Y, kl_history=tuple(history))
 
 
 def run(

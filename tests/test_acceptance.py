@@ -39,7 +39,6 @@ from sdgpipe import artifacts, dbscan, dynamics, pca, tsne
 from sdgpipe.correlation import pearson_matrix
 from sdgpipe.panel import (
     N_GOALS,
-    ScorePanel,
     filter_complete,
     load_panel,
     standardize,
@@ -351,16 +350,6 @@ def test_criterion_5_fit_recovery():
 # criterion 6
 
 
-def panel_of(scores: np.ndarray) -> ScorePanel:
-    scores = np.asarray(scores, dtype=float)
-    n = scores.shape[0]
-    countries = tuple(f"C{i:03d}" for i in range(n))
-    return ScorePanel(
-        index=tuple((c, 2020) for c in countries),
-        scores=scores,
-    )
-
-
 def pearson_oracle(X: np.ndarray) -> np.ndarray:
     out = np.eye(X.shape[1])
     for i in range(X.shape[1]):
@@ -379,7 +368,7 @@ def test_criterion_6_correlation_properties():
     for _ in range(6):
         n = int(rng.integers(25, 61))
         scores = rng.uniform(0.0, 100.0, size=(n, N_GOALS))
-        values = pearson_matrix(panel_of(scores)).values
+        values = pearson_matrix(scores)
 
         worst["symmetry"] = max(worst["symmetry"], float(np.abs(values - values.T).max()))
         worst["diagonal"] = max(worst["diagonal"], float(np.abs(np.diag(values) - 1.0).max()))
@@ -387,7 +376,7 @@ def test_criterion_6_correlation_properties():
 
         slopes = rng.uniform(0.1, 3.0, size=N_GOALS)
         offsets = rng.uniform(-50.0, 50.0, size=N_GOALS)
-        rescaled = pearson_matrix(panel_of(scores * slopes + offsets)).values
+        rescaled = pearson_matrix(scores * slopes + offsets)
         worst["affine"] = max(worst["affine"], float(np.abs(values - rescaled).max()))
 
         worst["oracle"] = max(
@@ -461,7 +450,7 @@ def test_criterion_7_real_export():
     checks.append(("PC2 = 8.7 +/- 1.0 pp", abs(evr[1] - 8.7) <= 1.0, f"{evr[1]:.2f}"))
     checks.append(("10 PCs >= 94%", float(evr.sum()) >= 94.0, f"{evr.sum():.2f}"))
 
-    corr = pearson_matrix(panel).values
+    corr = pearson_matrix(panel.scores)
     pair_positive = corr[11, 12] > 0.0
     anti = all(corr[g, 11] < 0.0 and corr[g, 12] < 0.0 for g in range(11))
     checks.append(

@@ -3,13 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdgpipe.correlation import (
-    CorrelationMatrix,
-    cluster_correlations,
-    pearson_matrix,
-    yearly_correlations,
-)
-from sdgpipe.errors import ShapeMismatchError, TooFewObservationsError
+from sdgpipe.correlation import cluster_correlations, pearson_matrix, yearly_correlations
+from sdgpipe.errors import TooFewObservationsError
 from sdgpipe.panel import N_GOALS, ScorePanel, standardize_within_cluster
 
 
@@ -59,43 +54,31 @@ class TestHandCases:
     def test_perfect_positive_and_negative(self):
         X = np.tile(np.array([[10.0], [20.0], [30.0]]), (1, N_GOALS))
         X[:, 1] = [30.0, 20.0, 10.0]  # goal 2 runs exactly opposite
-        got = pearson_matrix(panel_from_scores(X))
-        assert got.values[0, 2] == pytest.approx(1.0)
-        assert got.values[0, 1] == pytest.approx(-1.0)
-        assert got.values[1, 2] == pytest.approx(-1.0)
+        got = pearson_matrix(X)
+        assert got[0, 2] == pytest.approx(1.0)
+        assert got[0, 1] == pytest.approx(-1.0)
+        assert got[1, 2] == pytest.approx(-1.0)
 
     def test_orthogonal_columns(self):
         X = np.full((4, N_GOALS), 50.0)
         X += np.random.default_rng(0).normal(scale=3.0, size=X.shape)
         X[:, 0] = [40.0, 60.0, 40.0, 60.0]
         X[:, 1] = [40.0, 40.0, 60.0, 60.0]
-        got = pearson_matrix(panel_from_scores(X))
-        assert got.values[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert pearson_matrix(X)[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(4)
         X = spread_scores(rng, 25)
-        got = pearson_matrix(panel_from_scores(X))
-        assert np.allclose(got.values, oracle_pearson(X), atol=1e-12)
-        assert got.basis == "global"
-        assert got.n_observations == 25
-
-    def test_row_mask(self):
-        rng = np.random.default_rng(5)
-        X = spread_scores(rng, 20)
-        mask = np.zeros(20, dtype=bool)
-        mask[:8] = True
-        got = pearson_matrix(panel_from_scores(X), rows=mask, basis="subset")
-        assert np.allclose(got.values, oracle_pearson(X[:8]), atol=1e-12)
-        assert got.n_observations == 8
-        assert got.basis == "subset"
+        got = pearson_matrix(X)
+        assert got.shape == (N_GOALS, N_GOALS)
+        assert np.allclose(got, oracle_pearson(X), atol=1e-12)
 
 
 class TestValidation:
     def test_too_few_observations(self):
         X = spread_scores(np.random.default_rng(6), 2)
         with pytest.raises(TooFewObservationsError):
-            pearson_matrix(panel_from_scores(X))
+            pearson_matrix(X)
 
     def test_zero_variance_column(self):
         # goal05 is flat within the first 10 rows (cluster 0), a goal already
@@ -105,19 +88,14 @@ class TestValidation:
         X[:10, 4] = 55.0
         labels = np.repeat([0, 1], [10, 4])
         panel = panel_from_scores(X)
-        got = pearson_matrix(panel, rows=labels == 0, basis="cluster 0").values
+        got = cluster_correlations(panel, labels)[0]
         assert got[4].tolist() == got[:, 4].tolist() == [0.0] * 4 + [1.0] + [0.0] * 12
         others = np.delete(np.arange(N_GOALS), 4)
         want = oracle_pearson(X[:10, others])
         assert np.allclose(got[np.ix_(others, others)], want, atol=1e-12)
-        z, _ = standardize_within_cluster(panel, labels)
+        z = standardize_within_cluster(panel, labels)
         assert z[:10, 4].tolist() == [0.0] * 10
         assert np.all(z[10:, 4] != 0.0)
-
-    def test_mask_shape(self):
-        X = spread_scores(np.random.default_rng(8), 10)
-        with pytest.raises(ShapeMismatchError):
-            pearson_matrix(panel_from_scores(X), rows=np.ones(9, dtype=bool))
 
 
 class TestMatrixProperties:
@@ -126,10 +104,10 @@ class TestMatrixProperties:
     def test_symmetric_unit_diagonal_bounded(self, seed):
         rng = np.random.default_rng(seed)
         X = spread_scores(rng, int(rng.integers(3, 40)))
-        got = pearson_matrix(panel_from_scores(X))
-        assert np.array_equal(got.values, got.values.T)
-        assert np.array_equal(np.diag(got.values), np.ones(N_GOALS))
-        assert np.all(got.values >= -1.0) and np.all(got.values <= 1.0)
+        got = pearson_matrix(X)
+        assert np.array_equal(got, got.T)
+        assert np.array_equal(np.diag(got), np.ones(N_GOALS))
+        assert np.all(got >= -1.0) and np.all(got <= 1.0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40)
@@ -138,8 +116,8 @@ class TestMatrixProperties:
         X = spread_scores(rng, 15)
         scale = rng.uniform(0.5, 20.0, size=N_GOALS)
         shift = rng.uniform(-100.0, 100.0, size=N_GOALS)
-        base = pearson_matrix(panel_from_scores(X)).values
-        moved = pearson_matrix(panel_from_scores(X * scale + shift)).values
+        base = pearson_matrix(X)
+        moved = pearson_matrix(X * scale + shift)
         assert np.allclose(base, moved, atol=1e-12)
 
     @given(st.integers(0, 10_000))
@@ -147,14 +125,12 @@ class TestMatrixProperties:
     def test_matches_oracle_property(self, seed):
         rng = np.random.default_rng(seed)
         X = spread_scores(rng, int(rng.integers(3, 25)))
-        got = pearson_matrix(panel_from_scores(X))
-        assert np.allclose(got.values, oracle_pearson(X), atol=1e-12)
+        assert np.allclose(pearson_matrix(X), oracle_pearson(X), atol=1e-12)
 
     def test_values_frozen(self):
-        X = spread_scores(np.random.default_rng(9), 5)
-        got = pearson_matrix(panel_from_scores(X))
+        got = pearson_matrix(spread_scores(np.random.default_rng(9), 5))
         with pytest.raises(ValueError):
-            got.values[0, 0] = 0.0
+            got[0, 0] = 0.0
 
 
 class TestClusterCorrelations:
@@ -175,13 +151,10 @@ class TestClusterCorrelations:
         got = cluster_correlations(panel, labels)
         assert sorted(got) == [0, 1]
         in_zero = np.array([int(c[1:]) < 4 for c, _ in panel.index])
-        assert np.allclose(
-            got[0].values, oracle_pearson(np.asarray(panel.scores)[in_zero]),
-            atol=1e-12,
-        )
-        assert got[0].n_observations == 12
-        assert got[1].n_observations == 9  # country 7 excluded entirely
-        assert got[0].basis == "cluster 0"
+        assert np.allclose(got[0], oracle_pearson(panel.scores[in_zero]), atol=1e-12)
+        # country 7 is left out entirely
+        in_one = np.array([4 <= int(c[1:]) < 7 for c, _ in panel.index])
+        assert np.allclose(got[1], oracle_pearson(panel.scores[in_one]), atol=1e-12)
 
     def test_cluster_under_three_rows_left_out(self):
         # country 2 alone ends in cluster 1: two rows, too few for a matrix
@@ -189,7 +162,7 @@ class TestClusterCorrelations:
         panel = panel_from_scores(X, countries_per_year=2)
         got = cluster_correlations(panel, np.array([0, 0, 0, 0, 1, 1]))
         assert sorted(got) == [0]
-        assert got[0].n_observations == 4
+        assert np.allclose(got[0], oracle_pearson(X[:4]), atol=1e-12)
 
     def test_all_noise_gives_empty_dict(self):
         X = spread_scores(np.random.default_rng(11), 6)
@@ -206,7 +179,6 @@ class TestYearlyCorrelations:
         assert sorted(got) == [2000, 2001, 2002]
         years = panel.row_years()
         for year, matrix in got.items():
-            assert isinstance(matrix, CorrelationMatrix)
-            want = oracle_pearson(np.asarray(panel.scores)[years == year])
-            assert np.allclose(matrix.values, want, atol=1e-12)
-            assert matrix.n_observations == 10
+            assert isinstance(matrix, np.ndarray)
+            want = oracle_pearson(panel.scores[years == year])
+            assert np.allclose(matrix, want, atol=1e-12)

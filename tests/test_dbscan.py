@@ -365,9 +365,7 @@ class TestAdjustedRandIndex:
 
 class TestClusterLabels:
     def test_properties(self):
-        labels = ClusterLabels(
-            labels=np.array([0, 0, 1, NOISE]), eps=1.0, min_pts=2
-        )
+        labels = ClusterLabels(np.array([0, 0, 1, NOISE]))
         assert labels.n_clusters == 2
         assert labels.noise_fraction == pytest.approx(0.25)
 

@@ -21,7 +21,6 @@ from sdgpipe.figures import (
     cluster_color,
     corr_color,
     emit_figures,
-    extrapolation_frame,
     fig_cluster_profiles,
     fig_correlation_heatmap,
     fig_distributions,
@@ -153,9 +152,7 @@ def label_pixel_checks(out):
         real = [float(r.real) for r in candidates if abs(r.imag) < 1e-9]
         future = sorted(r for r in real if r > fit["last_data_year"])
         assert future, "fit payload claims a crossing the solver cannot find"
-        expected_px = extrapolation_frame(
-            first_year, EXTRAPOLATE_TO, 0.0, 1.0
-        ).x(future[0])
+        expected_px = Frame(first_year, EXTRAPOLATE_TO, 0.0, 1.0, **EXTRAP_PANEL).x(future[0])
         color = cluster_color(cid)
         labels = [
             el
@@ -216,11 +213,13 @@ class TestTrajectoryFigure:
             assert abs(got_px - want_px) <= 1.0
 
     def test_extrapolation_frame_uses_panel_constants(self):
-        frame = extrapolation_frame(2000, 2100, 0.0, 2.0)
-        assert frame.left == EXTRAP_PANEL["left"]
-        assert frame.width == EXTRAP_PANEL["width"]
-        assert frame.x(2000) == EXTRAP_PANEL["left"]
-        assert frame.x(2100) == EXTRAP_PANEL["left"] + EXTRAP_PANEL["width"]
+        # the dashed zero line spans the extrapolation panel, first year to horizon
+        tables, fits = self.synthetic_inputs()
+        root = svg_root(fig_trajectories(tables, fits))
+        zero = [el for el in root.iter(f"{SVG_NS}line") if el.get("stroke-dasharray") == "5,4"]
+        assert len(zero) == 1
+        left, width = EXTRAP_PANEL["left"], EXTRAP_PANEL["width"]
+        assert (float(zero[0].get("x1")), float(zero[0].get("x2"))) == (left, left + width)
 
     def test_2030_marker_present(self):
         tables, fits = self.synthetic_inputs()

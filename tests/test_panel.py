@@ -8,7 +8,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sdgpipe.correlation import pearson_matrix
 from sdgpipe.dbscan import detect_switches, final_year_labels, final_year_membership
 from sdgpipe.dynamics import cluster_distance_distribution
 from sdgpipe.errors import (
@@ -292,13 +291,11 @@ class TestStandardizeWithinCluster:
         ]
         panel = make_panel(rows)
         labels = np.array([0, 0, 1, 1])
-        z, moments = standardize_within_cluster(panel, labels)
+        z = standardize_within_cluster(panel, labels)
         # cluster 0 on goal01: values {0,10}, mean 5, sigma 5
-        assert moments[0][0][0] == pytest.approx(5.0)
-        assert moments[0][1][0] == pytest.approx(5.0)
         assert z[0, 0] == pytest.approx(-1.0)
+        assert z[1, 0] == pytest.approx(1.0)
         # cluster 1 on goal01: values {50,70}, mean 60, sigma 10
-        assert moments[1][0][0] == pytest.approx(60.0)
         assert z[2, 0] == pytest.approx(-1.0)
         assert z[3, 0] == pytest.approx(1.0)
 
@@ -310,9 +307,10 @@ class TestStandardizeWithinCluster:
             ("DDD", 2000, goal_row(40, **{"0": 60})),
         ]
         labels = np.array([-1, -1, 0, 0])
-        _, moments = standardize_within_cluster(make_panel(rows), labels)
-        assert set(moments) == {-1, 0}
-        assert moments[-1][0][0] == pytest.approx(5.0)
+        z = standardize_within_cluster(make_panel(rows), labels)
+        # noise on goal01: values {0,10}, mean 5, sigma 5
+        assert z[:2, 0] == pytest.approx([-1.0, 1.0])
+        assert z[2:, 0] == pytest.approx([-1.0, 1.0])
 
     def test_constant_within_cluster_gives_zero(self):
         rows = [
@@ -322,16 +320,12 @@ class TestStandardizeWithinCluster:
             ("DDD", 2000, goal_row(40, **{"0": 60})),
             ("EEE", 2000, goal_row(90)),
         ]
-        z, moments = standardize_within_cluster(
-            make_panel(rows), np.array([0, 0, 1, 1, -1])
-        )
+        z = standardize_within_cluster(make_panel(rows), np.array([0, 0, 1, 1, -1]))
         # goal01 is constant within cluster 0; the other goals are not
         assert z[:2, 0].tolist() == [0.0, 0.0]
         assert z[:2, 1].tolist() == [-1.0, 1.0]
-        assert moments[0][1][0] == 0.0
         # a one-member group is constant on every goal
         assert z[4].tolist() == [0.0] * N_GOALS
-        assert moments[-1][1].tolist() == [0.0] * N_GOALS
         assert z[2:4, 0].tolist() == [-1.0, 1.0]
 
     def test_label_shape_checked(self, fixture_panel):
@@ -347,7 +341,6 @@ LABEL_READERS = {
     "standardize_within_cluster": standardize_within_cluster,
     "cluster_distance_distribution":
         lambda p, labels: cluster_distance_distribution(p, labels, 0, 2000),
-    "pearson_matrix_mask": lambda p, labels: pearson_matrix(p, rows=labels == 0),
 }
 
 

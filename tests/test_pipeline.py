@@ -1605,6 +1605,28 @@ def test_traced_names_resolve(monkeypatch):
     assert missing == []
 
 
+def test_traced_run_fits_the_tracer_hooks(monkeypatch, demo_dir, tmp_path):
+    # the tracer's hooks read what the traced functions return; a return that
+    # no longer fits its hook breaks only a traced run, so trace the demo run
+    tracer_module = load_perfbench(monkeypatch, "tracer")
+    tracer = tracer_module.Tracer()
+    out = tmp_path / "out"
+    argv = ["all", f"--panel={demo_dir / 'panel.csv'}", f"--gdp={demo_dir / 'gdp.csv'}",
+            f"--out={out}",
+            *(f"--{key.replace('_', '-')}={value}" for key, value in DEMO_SETTINGS.items())]
+    tracer.install()
+    try:
+        span = tracer.open("cli.main")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        tracer.close(span)
+    finally:
+        tracer.uninstall()
+    metrics = tracer_module.layer_metrics(tracer.spans, tracer.spans)
+    assert metrics["correlation.matrices"] == len(list(out.glob("correlation_*.csv")))
+    assert metrics["dynamics.fits"] > 0
+
+
 def test_benchmark_argv_are_valid_settings(monkeypatch, tmp_path):
     # perfbench/workloads.py drives the CLI with these argv; a settings change
     # that would break the benchmark (a flag dropped or a rule tightened)
