@@ -493,7 +493,8 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
     fit payload, for some of those clusters. A point that no fit used is
     hollow, and only a fitted cluster gets a curve. The extrapolation panel
     is drawn only when some cluster has a fit and the tables end before
-    EXTRAPOLATE_TO."""
+    EXTRAPOLATE_TO; an attainment year past it is labelled "2207 →" at the
+    panel's right edge, on the zero line."""
 
     def curve(fit: dict, year: float | np.ndarray) -> float | np.ndarray:
         return fit["a"] + fit["b"] * year + fit["c"] * year * year
@@ -551,15 +552,22 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
         parts.append(_text(_num(px + 3), _num(frame.top + 12), 2030, 9, fill="#555555"))
     extrapolated_years = np.array(_sample_years(first_year, EXTRAPOLATE_TO))
     extrapolated_xs = frame.x(extrapolated_years)
+    beyond = 0  # crossings past the horizon so far, labelled up the right edge
     for cid in sorted(fits):
         fit = fits[cid]
         color = cluster_color(cid)
         ys = frame.y(np.maximum(curve(fit, extrapolated_years), e_lo))
         parts.append(_polyline(extrapolated_xs, ys, color, 1.3, opacity=0.9))
         crossing = fit["zero_crossing"]  # None exactly when attainment_year is
-        if crossing is not None and crossing <= EXTRAPOLATE_TO:
+        if crossing is None:
+            continue
+        if crossing <= EXTRAPOLATE_TO:
             parts.append(_text(_num(frame.x(crossing)), _num(zero_y - 5),
                                fit["attainment_year"], 9, fill=color, anchor="middle"))
+        else:
+            parts.append(_text(_num(frame.left + frame.width), _num(zero_y - 5 - 11 * beyond),
+                               f"{fit['attainment_year']} →", 9, fill=color, anchor="end"))
+            beyond += 1
     return _svg(width, height, parts, "Mean distance to ideal: observed and extrapolated")
 
 

@@ -212,6 +212,27 @@ class TestTrajectoryFigure:
         for _, got_px, want_px in label_pixel_checks(pipeline_run.out):
             assert abs(got_px - want_px) <= 1.0
 
+    def test_every_attainment_year_is_labelled(self, pipeline_run):
+        # the demo run's cluster 0 attains in 2207, past the horizon
+        payload = json.loads((pipeline_run.out / artifacts.TRAJECTORY_FITS).read_text())
+        years = [fit["attainment_year"] for fit in payload.values()]
+        assert any(year is not None and year > EXTRAPOLATE_TO for year in years)
+        root = svg_root((pipeline_run.out / "trajectories.svg").read_text())
+        shown = {el.text.removesuffix(" →") for el in text_elements(root)}
+        assert {str(year) for year in years if year is not None} <= shown
+
+    def test_crossing_past_the_horizon_labelled_at_right_edge(self):
+        # the labels follow the payload's crossings, not the curves
+        tables, fits = self.synthetic_inputs()
+        fits[0]["zero_crossing"], fits[0]["attainment_year"] = 2140.5, 2141
+        fits[1]["zero_crossing"], fits[1]["attainment_year"] = 2170.5, 2171
+        root = svg_root(fig_trajectories(tables, fits))
+        labels = [el for el in text_elements(root) if el.text.endswith(" →")]
+        assert [el.text for el in labels] == ["2141 →", "2171 →"]
+        right = EXTRAP_PANEL["left"] + EXTRAP_PANEL["width"]
+        assert [float(el.get("x")) for el in labels] == [right, right]
+        assert float(labels[0].get("y")) > float(labels[1].get("y"))  # stacked upwards
+
     def test_extrapolation_frame_uses_panel_constants(self):
         # the dashed zero line spans the extrapolation panel, first year to horizon
         tables, fits = self.synthetic_inputs()
@@ -573,7 +594,8 @@ class TestGoldenBytes:
 
 
 # Recorded from the renderer before the figures learned to format whole
-# polylines and to map whole coordinate arrays at once.
+# polylines and to map whole coordinate arrays at once. trajectories.svg was
+# recorded again when attainment years past the horizon got their label.
 STUDY_DIGESTS = {
     "cluster_profiles.svg": "fee3e50409d87a3d4f5832252d5bfd0822332002fa38af2b18589422a7a62d36",
     "correlation_cluster0.svg": "89d8ddfa8c770a34b7c7d0ddaf20ae2083e444ecc84427eb65679fa4edc73673",
@@ -587,7 +609,7 @@ STUDY_DIGESTS = {
     "parallel.svg": "a126b058db715c7a7753bc029e279c0be81ef8591163b43978201dbfc581356e",
     "pca_biplot.svg": "20d7af0519ebd55aaede16421150d5859b23ce366fcdaa5fc190dd7ca7899f90",
     "pca_scatter.svg": "021247279e331118b096bff6acc0786585eaf8ee84db464266f7f7d235f33672",
-    "trajectories.svg": "1dd0a481cb50c3e8ed3da7a914ac14840e105c3ff2b6a81bc8425e4079d45a7d",
+    "trajectories.svg": "8dbffd7e16d948e9ab5ce679364cd20b482f1f421828a9869c1a0ec7bbc9f48c",
     "tsne_clusters.svg": "fcf6d5df821ffde1a3e0e3ab140cd87d1abc0268ff581d525e25829ff289ed57",
 }
 
