@@ -17,32 +17,41 @@ optimizer schedule is fixed by the module constants ITERATIONS through
 INIT_SCALE; `run` and `embed` take only the iteration count, the seed and
 the learning rate.
 
-All n x n work walks fixed blocks of BLOCK_ROWS rows, each row computed as
-a one-point or whole-matrix call would compute it, so results are bitwise
-the same however the blocks are shared out. Calibration bisects a block's
+All n x n work walks blocks of at most BLOCK_ROWS rows, each row computed
+as a one-point or whole-matrix call would compute it, so results are bitwise
+the same however the rows are shared out. Calibration bisects a block's
 bandwidths together, one exp over the block, while each row's perplexity
-stays a scalar. Each gradient sweeps the map's blocks twice: the first pass
-writes the kernel rows (1 + d^2)^-1, and one serial sum over them gives the
-normalizer Z; the second forms each block's weights (a p_ij - q_ij)
-(1 + d^2)^-1, with the exaggeration a as a scalar, their row sums and their
-contraction with the map, after summing the block's KL terms on a recorded
-step (the partials are added in row order). From PARALLEL_MIN_ROWS rows on,
-`embed` splits the blocks of each pass over one thread per usable CPU;
-smaller maps run serially, where threads cost more than they save.
+stays a scalar. Each gradient makes two sweeps over the map. The first
+writes the kernel (1 + d^2)^-1, and its sum is the normalizer Z; the second
+forms the weights (a p_ij - q_ij) (1 + d^2)^-1, with the exaggeration a as a
+scalar, their row sums and their contraction with the map, after summing a
+block's KL terms on a recorded step (the partials are added in row order).
 
-Memory: `embed` holds two n x n arrays, P and the kernel (Z must be one
-serial sum over the whole kernel to stay bitwise fixed), plus one
-2 x BLOCK_ROWS x n scratch per worker, allocated once per call. Calibration
-holds P, into whose rows each block's distances are written, and at most
-two block-sized arrays more.
+From PARALLEL_MIN_ROWS rows on, `embed` shares each sweep out over worker
+processes, one per usable CPU rounded down to a power of two, forked once
+per call where `os.fork` exists; smaller maps, and platforms without fork,
+run serially in-process. numpy sums an array as a pairwise tree, and each
+worker owns one subtree ("leaf") of that tree over the flattened kernel: it
+writes those entries, sums them, and forms the weights of the same rows.
+The parent joins the leaf sums in tree order, which gives the bits of one
+sum over the whole kernel, and updates the map. Pools of 1, 2 and 4 workers
+are checked to give the same bits.
+
+Memory: `embed` holds two n x n arrays, P and the kernel. The kernel, the
+map and the per-row results live in shared memory; P is inherited and never
+written. Each process has one 2 x BLOCK_ROWS x n scratch of its own, its
+first row the buffer of a row that two leaves split. Calibration holds P,
+into whose rows each block's distances are written, and at most two
+block-sized arrays more.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import struct
 from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -58,9 +67,20 @@ MAX_CALIBRATION_STEPS = 100
 
 # Rows per block of the sweeps.
 BLOCK_ROWS = 64
-# Maps with fewer rows run the sweep serially. On a 2-CPU Linux VM two
-# workers were slower than one up to about 400 rows (0.83 against 0.72 ms
-# per gradient at 276) and faster from about 420 (3.0 against 4.1 ms at 690).
+# Maps with fewer rows run serially. On a 2-CPU Linux VM, `embed` alone
+# with 400 iterations on two worker processes against one, 10 interleaved
+# pairs:
+#   rows   pairs won   median serial -> pooled
+#   100     0/10       0.045 -> 0.061 s
+#   160     1/10       0.083 -> 0.095 s
+#   200     8/10       0.116 -> 0.110 s
+#   256    10/10       0.171 -> 0.144 s
+#   276    10/10       0.223 -> 0.174 s
+#   448    10/10       0.525 -> 0.362 s
+# But a whole 276-row `sdgpipe all` in a process that had already run many
+# (the benchmark's fixture op, 72 MB RSS) took 0.36-0.41 s pooled against
+# 0.29-0.30 s serial: the fork and the copy-on-write faults after it cost
+# such a process more than the map saves. So pooling starts above it.
 PARALLEL_MIN_ROWS = 448
 
 # The optimizer schedule of exact t-SNE (van der Maaten, JMLR 2014).
@@ -86,12 +106,6 @@ def check_settings(perplexity: float | None = None, iterations: int | None = Non
         raise ValueError("seed must be >= 0")
     if learning_rate is not None and not 0 < learning_rate < math.inf:
         raise ValueError("learning_rate must be finite and positive")
-
-
-# Work on one row block of the map, given its worker's scratch.
-Work = Callable[[slice, np.ndarray], None]
-# Applies work to every row block of the map.
-Sweep = Callable[[Work], None]
 
 
 @dataclass(frozen=True)
@@ -241,7 +255,7 @@ def _blocks(n: int) -> list[slice]:
 
 
 def _pool_size(n_blocks: int) -> int:
-    """Worker threads for a sweep over n_blocks blocks: one per usable CPU."""
+    """Workers for a map of n_blocks row blocks: one per usable CPU."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not provided on every platform
@@ -249,116 +263,205 @@ def _pool_size(n_blocks: int) -> int:
     return min(cpus, n_blocks)
 
 
-def _in_order(blocks: list[slice], n: int) -> Sweep:
-    """Sweep that applies work to the given row blocks of an n-row map in
-    order, in the calling thread, with a 2 x BLOCK_ROWS x n scratch of its
-    own: two contiguous block x n buffers side by side."""
-    scratch = np.empty((2, BLOCK_ROWS, n))
+def _pairwise(lo: int, hi: int, depth: int, leaf: Callable[[int, int], float]) -> float:
+    """The sum of items lo..hi as numpy's pairwise summation adds it, cut
+    `depth` levels down its tree: leaf(lo, hi) gives each range left there.
 
-    def sweep(work: Work) -> None:
-        for rows in blocks:
-            work(rows, scratch)
-
-    return sweep
-
-
-@contextmanager
-def _pooled(n: int, workers: int) -> Iterator[Sweep]:
-    """Sweep that splits the row blocks of an n-row map over `workers` threads.
-
-    Each worker takes one contiguous run of blocks per sweep, because a task
-    per block costs more than the arithmetic of a small block, and each run
-    owns its scratch for as long as the sweep is open. The calling thread is
-    one of the workers: handing its run to the pool and waiting would only
-    add a thread switch per sweep.
+    numpy halves a range of more than 128 items at a multiple of 8 below the
+    middle and adds the two halves' sums; it sums up to 128 items in one
+    unrolled loop. The leaves are visited left to right.
     """
-    blocks = _blocks(n)
-    if workers <= 1:
-        yield _in_order(blocks, n)
-        return
-    first, *rest = [
-        _in_order(blocks[k * len(blocks) // workers:(k + 1) * len(blocks) // workers], n)
-        for k in range(workers)
-    ]
-    with ThreadPoolExecutor(workers - 1) as pool:
-
-        def sweep(work: Work) -> None:
-            pending = [pool.submit(run, work) for run in rest]
-            try:
-                first(work)
-            finally:
-                # The workers write into the caller's buffers, so return or
-                # raise only once all have finished; result() re-raises a
-                # worker's exception.
-                for future in pending:
-                    future.result()
-
-        yield sweep
+    if depth and hi - lo > 128:
+        half = (hi - lo) // 2
+        half -= half % 8
+        return (_pairwise(lo, lo + half, depth - 1, leaf)
+                + _pairwise(lo + half, hi, depth - 1, leaf))
+    return leaf(lo, hi)
 
 
-def _student_t(Y: np.ndarray, kernel: np.ndarray, sweep: Sweep) -> float:
-    """Write the Student-t kernel of map points Y into kernel; return its sum Z.
+def _shared(shape: tuple[int, ...], order: str = "C") -> np.ndarray:
+    """A float array in anonymous shared memory: the pages that a worker
+    forked after this call writes are the pages its parent reads."""
+    return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * math.prod(shape)), order=order)
 
-    Row blocks of kernel are computed independently, and Z is one serial sum
-    over the whole buffer, so the result does not depend on the pool.
+
+def _student_t(Y: np.ndarray, kernel: np.ndarray, lo: int = 0, hi: int | None = None,
+               edge: np.ndarray | None = None) -> float:
+    """Write the Student-t kernel of map points Y, entries lo..hi of it
+    flattened (all by default), into kernel with a zero diagonal; return
+    their sum.
+
+    Whole rows are computed a block at a time in place. A row that the range
+    holds only part of is computed in edge, a 1 x n buffer, and only that
+    part is copied, so no entry outside the range is ever written. The sum is
+    one numpy sum over the range.
     """
     from scipy.spatial.distance import cdist  # see dbscan._checked_distances
 
+    n = Y.shape[0]
+    hi = n * n if hi is None else hi
     Yc = np.ascontiguousarray(Y)  # cdist is slower on Fortran order
+    flat = kernel.reshape(-1)
 
-    def rows_of(rows: slice, _scratch: np.ndarray) -> None:
-        block = kernel[rows]
-        cdist(Yc[rows], Yc, metric="sqeuclidean", out=block)
-        np.add(block, 1.0, out=block)
-        np.reciprocal(block, out=block)
+    def rows_of(rows: slice, out: np.ndarray) -> None:
+        cdist(Yc[rows], Yc, metric="sqeuclidean", out=out)
+        np.add(out, 1.0, out=out)
+        np.reciprocal(out, out=out)
 
-    sweep(rows_of)
-    np.fill_diagonal(kernel, 0.0)  # one call, not one per block
-    return float(kernel.sum())
+    whole = range(-(-lo // n), hi // n)
+    for start in whole[::BLOCK_ROWS]:
+        rows = slice(start, min(start + BLOCK_ROWS, whole.stop))
+        rows_of(rows, kernel[rows])
+    for row in {lo // n, (hi - 1) // n}:  # the first and the last row in range
+        first, last = max(lo, row * n), min(hi, row * n + n)
+        if last - first < n:
+            rows_of(slice(row, row + 1), edge)
+            flat[first:last] = edge[0, first - row * n:last - row * n]
+    flat[lo + -lo % (n + 1):hi:n + 1] = 0.0  # the diagonal entries in range
+    return float(flat[lo:hi].sum())
 
 
-def _gradient(
-    P: np.ndarray,
-    scale: float,
-    Y: np.ndarray,
-    kernel: np.ndarray,
-    sweep: Sweep,
-    record_kl: bool = False,
-) -> tuple[np.ndarray, float | None]:
-    """Gradient of KL(scale * P || Q) with respect to the map points:
+# What a sweep asks of each worker.
+_KERNEL, _WEIGHTS, _WEIGHTS_AND_KL = range(3)
+_MESSAGE = struct.Struct("=bdd")  # the sweep, Z and the exaggeration
+_DONE = b"\0"
+# POSIX's least PIPE_BUF: a reply no longer than this arrives in one read.
+_REPLY_BYTES = 512
 
-        dC/dy_i = 4 sum_j (scale p_ij - q_ij) (y_i - y_j) (1 + ||y_i - y_j||^2)^-1
 
-    kernel is an n x n buffer and is left holding the kernel; the weights are
-    formed a block at a time in the sweep's scratch. With record_kl, the
-    KL(P || Q) of the unexaggerated P is returned too, else None.
+class _Pool:
+    """One embed's map and gradient buffers, in memory that forked workers
+    share, and the share of each sweep that each worker takes.
+
+    Worker k owns leaf k of numpy's summation tree over the flattened kernel
+    (`depth` levels down, so 2^depth workers): it writes those entries and
+    sums them, and the parent joins the leaf sums in tree order into Z, the
+    bits of kernel.sum(). Worker k then forms the gradient weights of the
+    rows that start in its leaf; on a recorded step those boundaries move to
+    the nearest block, so each KL partial is still one block's sum. Worker 0
+    is the parent.
     """
-    Z = _student_t(Y, kernel, sweep)
-    row_sums = np.empty(Y.shape[0])
-    contraction = np.empty(Y.shape)
-    partials = np.empty(math.ceil(Y.shape[0] / BLOCK_ROWS))
 
-    def rows_of(rows: slice, scratch: np.ndarray) -> None:
-        target, weights = scratch[:, :rows.stop - rows.start]
-        if record_kl:
-            np.maximum(P[rows], P_FLOOR, out=target)
+    def __init__(self, P: np.ndarray, Y: np.ndarray, workers: int) -> None:
+        n = P.shape[0]
+        self.P = P  # inherited, and never written after the fork
+        self.Y = _shared(Y.shape, "F" if np.isfortran(Y) else "C")  # einsum rounds by layout
+        self.Y[...] = Y
+        self.kernel = _shared((n, n))
+        self.row_sums = _shared((n,))
+        self.contraction = _shared(Y.shape)
+        self.partials = _shared((math.ceil(n / BLOCK_ROWS),))
+        self.depth = workers.bit_length() - 1
+        self.leaves: list[tuple[int, int]] = []
+        _pairwise(0, n * n, self.depth, lambda lo, hi: self.leaves.append((lo, hi)) or 0.0)
+        self.leaf_sums = _shared((len(self.leaves),))
+        cuts = [lo // n for lo, _ in self.leaves[1:]]
+        blocks = [min(n, (cut + BLOCK_ROWS // 2) // BLOCK_ROWS * BLOCK_ROWS) for cut in cuts]
+        self.bounds = {False: [0, *cuts, n], True: [0, *blocks, n]}
+        # Two contiguous block x n buffers side by side; a forked worker
+        # writes its own copy.
+        self.scratch = np.empty((2, BLOCK_ROWS, n))
+        self.pipes: list[tuple[int, int]] = []  # (command, reply) fds per forked worker
+
+    def gradient(self, scale: float, record_kl: bool = False) -> tuple[np.ndarray, float | None]:
+        """Gradient of KL(scale * P || Q) with respect to the map points:
+
+            dC/dy_i = 4 sum_j (scale p_ij - q_ij) (y_i - y_j) (1 + ||y_i - y_j||^2)^-1
+
+        The kernel buffer is left holding the kernel. With record_kl, the
+        KL(P || Q) of the unexaggerated P is returned too, else None.
+        """
+        self._sweep(_KERNEL, 0.0, scale)
+        sums = iter(self.leaf_sums.tolist())
+        Z = _pairwise(0, self.kernel.size, self.depth, lambda lo, hi: next(sums))
+        self._sweep(_WEIGHTS_AND_KL if record_kl else _WEIGHTS, Z, scale)
+        kl = sum(self.partials.tolist()) if record_kl else None
+        return 4.0 * (self.row_sums[:, None] * self.Y - self.contraction), kl
+
+    def _sweep(self, task: int, Z: float, scale: float) -> None:
+        message = _MESSAGE.pack(task, Z, scale)
+        for command, _ in self.pipes:
+            os.write(command, message)
+        try:
+            self._share(0, task, Z, scale)
+        finally:
+            # The workers write into the parent's buffers, so return or
+            # raise only once each has replied.
+            replies = [os.read(reply, _REPLY_BYTES) for _, reply in self.pipes]
+        failures = [r.decode(errors="replace") or "worker exited" for r in replies if r != _DONE]
+        if failures:
+            raise RuntimeError(f"t-SNE worker failed: {'; '.join(failures)}")
+
+    def _share(self, k: int, task: int, Z: float, scale: float) -> None:
+        """Worker k's part of one sweep."""
+        if task == _KERNEL:
+            self.leaf_sums[k] = _student_t(self.Y, self.kernel, *self.leaves[k], self.scratch[0, :1])
+            return
+        P, kernel, record_kl = self.P, self.kernel, task == _WEIGHTS_AND_KL
+        bounds = self.bounds[record_kl]
+        for start in range(bounds[k], bounds[k + 1], BLOCK_ROWS):
+            rows = slice(start, min(start + BLOCK_ROWS, bounds[k + 1]))
+            target, weights = self.scratch[:, :rows.stop - start]
+            if record_kl:
+                np.maximum(P[rows], P_FLOOR, out=target)
+                np.divide(kernel[rows], Z, out=weights)
+                np.maximum(weights, P_FLOOR, out=weights)
+                np.divide(target, weights, out=weights)
+                np.log(weights, out=weights)
+                np.multiply(P[rows], weights, out=weights)
+                self.partials[start // BLOCK_ROWS] = weights.sum()
+            # x * 1.0 == x, so the unexaggerated steps read P itself.
+            target = P[rows] if scale == 1.0 else np.multiply(P[rows], scale, out=target)
             np.divide(kernel[rows], Z, out=weights)
-            np.maximum(weights, P_FLOOR, out=weights)
-            np.divide(target, weights, out=weights)
-            np.log(weights, out=weights)
-            np.multiply(P[rows], weights, out=weights)
-            partials[rows.start // BLOCK_ROWS] = weights.sum()
-        # x * 1.0 == x, so the unexaggerated steps read P itself.
-        target = P[rows] if scale == 1.0 else np.multiply(P[rows], scale, out=target)
-        np.divide(kernel[rows], Z, out=weights)
-        np.subtract(target, weights, out=weights)
-        np.multiply(weights, kernel[rows], out=weights)
-        weights.sum(axis=1, out=row_sums[rows])
-        np.einsum("ij,jk->ik", weights, Y, out=contraction[rows], optimize=False)
+            np.subtract(target, weights, out=weights)
+            np.multiply(weights, kernel[rows], out=weights)
+            weights.sum(axis=1, out=self.row_sums[rows])
+            np.einsum("ij,jk->ik", weights, self.Y, out=self.contraction[rows], optimize=False)
 
-    sweep(rows_of)
-    kl = sum(partials.tolist()) if record_kl else None
-    return 4.0 * (row_sums[:, None] * Y - contraction), kl
+    def _serve(self, k: int, command: int, reply: int) -> None:
+        """Worker k's loop in its forked process: one reply per sweep, the
+        failure's text if it raised. It leaves when its command pipe closes."""
+        try:
+            for fd in (fd for pipe in self.pipes for fd in pipe):
+                os.close(fd)  # else an earlier worker never sees its pipe close
+            while message := os.read(command, _MESSAGE.size):
+                try:
+                    self._share(k, *_MESSAGE.unpack(message))
+                    done = _DONE
+                except Exception as exc:
+                    done = f"{type(exc).__name__}: {exc}".encode()[:_REPLY_BYTES]
+                os.write(reply, done)
+        finally:
+            os._exit(0)
+
+
+@contextmanager
+def _pooled(P: np.ndarray, Y: np.ndarray, workers: int) -> Iterator[_Pool]:
+    """A _Pool for the map Y under affinities P, with the largest power of
+    two <= workers of them (fewer on a kernel too small to split, one where
+    os.fork is missing), of which all but the calling process are forked
+    here. No worker and no pipe outlives the block."""
+    pool = _Pool(P, Y, workers if hasattr(os, "fork") else 1)
+    pids = []
+    try:
+        for k in range(1, len(pool.leaves)):
+            (command, to_worker), (from_worker, reply) = os.pipe(), os.pipe()
+            pool.pipes.append((to_worker, from_worker))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    pool._serve(k, command, reply)
+            finally:
+                os.close(command)
+                os.close(reply)
+            pids.append(pid)
+        yield pool
+    finally:
+        for fds in pool.pipes:
+            for fd in fds:
+                os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def q_matrix(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -372,7 +475,7 @@ def q_matrix(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need a 2-d array with at least 2 rows")
     n = Y.shape[0]
     kernel = np.empty((n, n))
-    return kernel / _student_t(Y, kernel, _in_order(_blocks(n), n)), kernel
+    return kernel / _student_t(Y, kernel), kernel
 
 
 def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
@@ -392,8 +495,8 @@ def kl_gradient(P: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if P.shape != (Y.shape[0], Y.shape[0]):
         raise ShapeMismatchError(f"P {P.shape} does not pair with Y {Y.shape}")
-    n = Y.shape[0]
-    return _gradient(P, 1.0, Y, np.empty_like(P), _in_order(_blocks(n), n))[0]
+    with _pooled(P, Y, 1) as pool:
+        return pool.gradient(1.0)[0]
 
 
 def embed(
@@ -416,20 +519,20 @@ def embed(
 
     rng = np.random.default_rng(seed)
     # Fortran order keeps the einsum contraction on its fast stride path.
-    # Every step reuses one n x n kernel buffer (a fresh one per step
-    # page-faults in every time). The KL of the map a step leaves is summed
-    # in the next step's sweep, so one more sweep gives the final KL.
-    Y = np.asfortranarray(rng.normal(0.0, INIT_SCALE, size=(n, 2)))
-    velocity = np.zeros_like(Y)
-    kernel = np.empty_like(P)
+    # Every step reuses the pool's one n x n kernel buffer (a fresh one per
+    # step page-faults in every time). The KL of the map a step leaves is
+    # summed in the next step's sweep, so one more sweep gives the final KL.
+    start = np.asfortranarray(rng.normal(0.0, INIT_SCALE, size=(n, 2)))
     history: list[tuple[int, float]] = []
     workers = _pool_size(len(_blocks(n))) if n >= PARALLEL_MIN_ROWS else 1
 
-    with _pooled(n, workers) as sweep:
+    with _pooled(P, start, workers) as pool:
+        Y = pool.Y  # updated in place, where the workers read it
+        velocity = np.zeros_like(Y)
         for step in range(1, iterations + 1):
             scale = EXAGGERATION if step <= EXAGGERATION_UNTIL else 1.0
             recorded = step > 1 and (step - 1) % RECORD_EVERY == 0
-            grad, kl = _gradient(P, scale, Y, kernel, sweep, recorded)
+            grad, kl = pool.gradient(scale, recorded)
             if recorded:
                 history.append((step - 1, kl))
             velocity *= MOMENTUM_EARLY if step < MOMENTUM_SWITCH else MOMENTUM_LATE
@@ -437,7 +540,7 @@ def embed(
             velocity -= grad
             Y += velocity
             Y -= Y.mean(axis=0)
-        history.append((iterations, _gradient(P, 1.0, Y, kernel, sweep, True)[1]))
+        history.append((iterations, pool.gradient(1.0, True)[1]))
 
     return Embedding(Y=Y, kl_history=tuple(history))
 

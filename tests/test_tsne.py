@@ -1,7 +1,7 @@
 import hashlib
 import math
+import os
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -391,6 +391,18 @@ def random_affinities(rng, n):
     return P / P.sum()
 
 
+def child_failing(function):
+    """function, but raising when called in a forked worker."""
+    parent = os.getpid()
+
+    def wrapper(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("block failed")
+        return function(*args)
+
+    return wrapper
+
+
 class TestBlockedSweep:
     @pytest.mark.parametrize("n", [4, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
                                    2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1,
@@ -407,13 +419,12 @@ class TestBlockedSweep:
                 expected = dense_gradient(scale * P, Y)
                 assert np.array_equal(kl_gradient(scale * P, Y), expected)
                 kls = []
-                for workers in (1, 2, 3):
-                    kernel = np.empty_like(P)
-                    with tsne._pooled(n, workers) as sweep:
-                        grad, no_kl = tsne._gradient(P, scale, Y, kernel, sweep)
-                        recorded, kl = tsne._gradient(P, scale, Y, kernel, sweep, record_kl=True)
+                for workers in (1, 2, 4):
+                    with tsne._pooled(P, Y, workers) as pool:
+                        grad, no_kl = pool.gradient(scale)
+                        recorded, kl = pool.gradient(scale, record_kl=True)
                     assert np.array_equal(grad, expected)
-                    assert np.array_equal(kernel / kernel.sum(), Q)
+                    assert np.array_equal(pool.kernel / pool.kernel.sum(), Q)
                     # summing the KL terms first leaves the step as it was
                     assert no_kl is None
                     assert np.array_equal(recorded, grad)
@@ -422,30 +433,33 @@ class TestBlockedSweep:
                 assert kls == [kls[0]] * 3
                 assert abs(kls[0] - dense_kl) <= 1e-12 * abs(dense_kl)
 
-    def test_repeated_sweeps_under_frequent_thread_switches(self):
+    def test_repeated_gradients_on_four_workers(self):
         n = 2 * BLOCK_ROWS + 3
         rng = np.random.default_rng(11)
         P = random_affinities(rng, n)
         Y = rng.normal(size=(n, 2))
         expected = dense_gradient(P, Y)
-        kernel = np.empty_like(P)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with tsne._pooled(n, 3) as sweep:
-                for _ in range(20):
-                    assert np.array_equal(tsne._gradient(P, 1.0, Y, kernel, sweep)[0], expected)
-        finally:
-            sys.setswitchinterval(interval)
+        with tsne._pooled(P, Y, 4) as pool:
+            assert len(pool.leaves) == 4
+            for _ in range(20):
+                assert np.array_equal(pool.gradient(1.0)[0], expected)
 
-    def test_worker_exception_reaches_caller(self):
-        def work(rows, scratch):
-            if rows.start > 0:
-                raise RuntimeError("block failed")
-
-        with tsne._pooled(3 * BLOCK_ROWS, 2) as sweep:
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(tsne, "_student_t", child_failing(tsne._student_t))
+        n = 3 * BLOCK_ROWS
+        rng = np.random.default_rng(12)
+        with tsne._pooled(random_affinities(rng, n), rng.normal(size=(n, 2)), 2) as pool:
             with pytest.raises(RuntimeError, match="block failed"):
-                sweep(work)
+                pool.gradient(1.0)
+
+    @pytest.mark.parametrize("n", [4, 63, 64, 65, 276, 690, 1200])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_leaf_sums_joined_in_tree_order_are_numpy_sum(self, n, depth):
+        # The pool's Z rests on how numpy sums a contiguous float64 array.
+        kernel = q_matrix(np.random.default_rng(n).normal(size=(n, 2)))[1]
+        flat = kernel.reshape(-1)
+        joined = tsne._pairwise(0, n * n, depth, lambda lo, hi: flat[lo:hi].sum())
+        assert np.float64(joined).tobytes() == kernel.sum().tobytes()
 
 
 def blob_separated(Y, n_per):
@@ -530,7 +544,7 @@ class TestRun:
         X = two_blobs(8, n_per=350)
         assert X.shape[0] >= PARALLEL_MIN_ROWS
         results = []
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 4):
             requested = []
 
             def pool_size(n_blocks, workers=workers):
@@ -544,6 +558,24 @@ class TestRun:
         assert [s for s, _ in results[0][1]] == [50, 60]
         assert results[1] == results[0]
         assert results[2] == results[0]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_worker_or_pipe_outlives_embed(self, monkeypatch):
+        X = two_blobs(13, n_per=225)
+        assert X.shape[0] >= PARALLEL_MIN_ROWS
+        aff = joint_affinities(X, perplexity=30.0)
+        monkeypatch.setattr(tsne, "_pool_size", lambda n_blocks: 4)
+        fds = len(os.listdir("/proc/self/fd"))
+        embed(aff, iterations=3, seed=0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        monkeypatch.setattr(tsne, "_student_t", child_failing(tsne._student_t))
+        with pytest.raises(RuntimeError, match="block failed"):
+            embed(aff, iterations=3, seed=0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == fds
 
     @pytest.mark.parametrize("kw", [dict(iterations=0), dict(learning_rate=-1.0),
                                     dict(learning_rate=math.nan), dict(learning_rate=math.inf)])
@@ -568,11 +600,22 @@ class TestMemory:
 
     X = two_blobs(10, n_per=300)
 
-    def test_embed_holds_one_n_by_n_array_beyond_p(self):
+    def test_embed_holds_one_n_by_n_array_beyond_p(self, monkeypatch):
         n = self.X.shape[0]
         aff = joint_affinities(self.X, perplexity=30.0)
+        shared = []
+
+        def counted(shape, order="C", allocate=tsne._shared):
+            shared.append(math.prod(shape) * 8)
+            return allocate(shape, order)
+
+        monkeypatch.setattr(tsne, "_shared", counted)
         # 30 iterations record only the final KL
-        assert traced_peak(lambda: embed(aff, iterations=30, seed=0)) < 2.5 * n * n * 8
+        private = traced_peak(lambda: embed(aff, iterations=30, seed=0))
+        # tracemalloc does not see the shared kernel: one n x n buffer plus
+        # the map, its row sums and contraction, the KL partials, leaf sums
+        assert n * n * 8 <= sum(shared) <= (n * n + 6 * n + 8) * 8
+        assert private < 1.0 * n * n * 8
 
     def test_calibration_holds_one_n_by_n_array(self):
         n = self.X.shape[0]
