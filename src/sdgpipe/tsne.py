@@ -22,27 +22,26 @@ as a one-point or whole-matrix call would compute it, so results are bitwise
 the same however the rows are shared out. Calibration bisects a block's
 bandwidths together, one exp over the block, while each row's perplexity
 stays a scalar. Each gradient makes two sweeps over the map. The first
-writes the kernel (1 + d^2)^-1, and its sum is the normalizer Z; the second
-forms the weights (a p_ij - q_ij) (1 + d^2)^-1, with the exaggeration a as a
-scalar, their row sums and their contraction with the map, after summing a
-block's KL terms on a recorded step (the partials are added in row order).
+writes the kernel (1 + d^2)^-1; the second forms the weights
+(a p_ij - q_ij) (1 + d^2)^-1, with the exaggeration a as a scalar, their
+row sums and their contraction with the map, after summing the KL terms on
+a recorded step. Every n x n sum is taken the same way: one numpy sum per
+row, then one numpy sum over those n row sums. That gives the normalizer Z
+from the kernel's rows and the recorded KL from the rows of its terms.
 
 From PARALLEL_MIN_ROWS rows on, `embed` shares each sweep out over worker
-processes, one per usable CPU rounded down to a power of two, forked once
-per call where `os.fork` exists; smaller maps, and platforms without fork,
-run serially in-process. numpy sums an array as a pairwise tree, and each
-worker owns one subtree ("leaf") of that tree over the flattened kernel: it
-writes those entries, sums them, and forms the weights of the same rows.
-The parent joins the leaf sums in tree order, which gives the bits of one
-sum over the whole kernel, and updates the map. Pools of 1, 2 and 4 workers
-are checked to give the same bits.
+processes, one per usable CPU, forked once per call where `os.fork` exists;
+smaller maps, and platforms without fork, run serially in-process. Each
+worker owns a contiguous range of rows and writes their per-row sums; the
+parent sums the n-vectors and updates the map. No sum depends on where the
+ranges are cut, and pools of 1 to 5 workers are checked to give the same
+bits.
 
 Memory: `embed` holds two n x n arrays, P and the kernel. The kernel, the
 map and the per-row results live in shared memory; P is inherited and never
-written. Each process has one 2 x BLOCK_ROWS x n scratch of its own, its
-first row the buffer of a row that two leaves split. Calibration holds P,
-into whose rows each block's distances are written, and at most two
-block-sized arrays more.
+written. Each process has one 2 x BLOCK_ROWS x n scratch of its own.
+Calibration holds P, into whose rows each block's distances are written,
+and at most two block-sized arrays more.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ import math
 import mmap
 import os
 import struct
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -263,62 +262,28 @@ def _pool_size(n_blocks: int) -> int:
     return min(cpus, n_blocks)
 
 
-def _pairwise(lo: int, hi: int, depth: int, leaf: Callable[[int, int], float]) -> float:
-    """The sum of items lo..hi as numpy's pairwise summation adds it, cut
-    `depth` levels down its tree: leaf(lo, hi) gives each range left there.
-
-    numpy halves a range of more than 128 items at a multiple of 8 below the
-    middle and adds the two halves' sums; it sums up to 128 items in one
-    unrolled loop. The leaves are visited left to right.
-    """
-    if depth and hi - lo > 128:
-        half = (hi - lo) // 2
-        half -= half % 8
-        return (_pairwise(lo, lo + half, depth - 1, leaf)
-                + _pairwise(lo + half, hi, depth - 1, leaf))
-    return leaf(lo, hi)
-
-
 def _shared(shape: tuple[int, ...], order: str = "C") -> np.ndarray:
     """A float array in anonymous shared memory: the pages that a worker
     forked after this call writes are the pages its parent reads."""
     return np.ndarray(shape, buffer=mmap.mmap(-1, 8 * math.prod(shape)), order=order)
 
 
-def _student_t(Y: np.ndarray, kernel: np.ndarray, lo: int = 0, hi: int | None = None,
-               edge: np.ndarray | None = None) -> float:
-    """Write the Student-t kernel of map points Y, entries lo..hi of it
-    flattened (all by default), into kernel with a zero diagonal; return
-    their sum.
-
-    Whole rows are computed a block at a time in place. A row that the range
-    holds only part of is computed in edge, a 1 x n buffer, and only that
-    part is copied, so no entry outside the range is ever written. The sum is
-    one numpy sum over the range.
-    """
+def _student_t(Y: np.ndarray, kernel: np.ndarray, row_sums: np.ndarray, share: range) -> None:
+    """Write the rows in share of the Student-t kernel of map points Y into
+    kernel, with a zero diagonal, and each row's sum into row_sums; a block
+    of rows at a time, in place."""
     from scipy.spatial.distance import cdist  # see dbscan._checked_distances
 
     n = Y.shape[0]
-    hi = n * n if hi is None else hi
     Yc = np.ascontiguousarray(Y)  # cdist is slower on Fortran order
-    flat = kernel.reshape(-1)
-
-    def rows_of(rows: slice, out: np.ndarray) -> None:
+    for start in share[::BLOCK_ROWS]:
+        rows = slice(start, min(start + BLOCK_ROWS, share.stop))
+        out = kernel[rows]
         cdist(Yc[rows], Yc, metric="sqeuclidean", out=out)
         np.add(out, 1.0, out=out)
         np.reciprocal(out, out=out)
-
-    whole = range(-(-lo // n), hi // n)
-    for start in whole[::BLOCK_ROWS]:
-        rows = slice(start, min(start + BLOCK_ROWS, whole.stop))
-        rows_of(rows, kernel[rows])
-    for row in {lo // n, (hi - 1) // n}:  # the first and the last row in range
-        first, last = max(lo, row * n), min(hi, row * n + n)
-        if last - first < n:
-            rows_of(slice(row, row + 1), edge)
-            flat[first:last] = edge[0, first - row * n:last - row * n]
-    flat[lo + -lo % (n + 1):hi:n + 1] = 0.0  # the diagonal entries in range
-    return float(flat[lo:hi].sum())
+        out.reshape(-1)[start::n + 1] = 0.0  # the block's diagonal entries
+        out.sum(axis=1, out=row_sums[rows])
 
 
 # What a sweep asks of each worker.
@@ -333,13 +298,11 @@ class _Pool:
     """One embed's map and gradient buffers, in memory that forked workers
     share, and the share of each sweep that each worker takes.
 
-    Worker k owns leaf k of numpy's summation tree over the flattened kernel
-    (`depth` levels down, so 2^depth workers): it writes those entries and
-    sums them, and the parent joins the leaf sums in tree order into Z, the
-    bits of kernel.sum(). Worker k then forms the gradient weights of the
-    rows that start in its leaf; on a recorded step those boundaries move to
-    the nearest block, so each KL partial is still one block's sum. Worker 0
-    is the parent.
+    Worker k owns rows bounds[k] to bounds[k + 1], n / workers of them give
+    or take one, in both sweeps. It writes their kernel rows and each row's
+    kernel sum, then their gradient weights and, on a recorded step, each
+    row's KL sum. The parent sums each n-vector of row sums with one numpy
+    sum, so Z and the KL do not depend on the cuts. Worker 0 is the parent.
     """
 
     def __init__(self, P: np.ndarray, Y: np.ndarray, workers: int) -> None:
@@ -348,16 +311,11 @@ class _Pool:
         self.Y = _shared(Y.shape, "F" if np.isfortran(Y) else "C")  # einsum rounds by layout
         self.Y[...] = Y
         self.kernel = _shared((n, n))
+        # The kernel's row sums until Z is read, then the weights'.
         self.row_sums = _shared((n,))
         self.contraction = _shared(Y.shape)
-        self.partials = _shared((math.ceil(n / BLOCK_ROWS),))
-        self.depth = workers.bit_length() - 1
-        self.leaves: list[tuple[int, int]] = []
-        _pairwise(0, n * n, self.depth, lambda lo, hi: self.leaves.append((lo, hi)) or 0.0)
-        self.leaf_sums = _shared((len(self.leaves),))
-        cuts = [lo // n for lo, _ in self.leaves[1:]]
-        blocks = [min(n, (cut + BLOCK_ROWS // 2) // BLOCK_ROWS * BLOCK_ROWS) for cut in cuts]
-        self.bounds = {False: [0, *cuts, n], True: [0, *blocks, n]}
+        self.kl_rows = _shared((n,))
+        self.bounds = [n * k // workers for k in range(workers + 1)]
         # Two contiguous block x n buffers side by side; a forked worker
         # writes its own copy.
         self.scratch = np.empty((2, BLOCK_ROWS, n))
@@ -372,10 +330,9 @@ class _Pool:
         KL(P || Q) of the unexaggerated P is returned too, else None.
         """
         self._sweep(_KERNEL, 0.0, scale)
-        sums = iter(self.leaf_sums.tolist())
-        Z = _pairwise(0, self.kernel.size, self.depth, lambda lo, hi: next(sums))
+        Z = float(self.row_sums.sum())
         self._sweep(_WEIGHTS_AND_KL if record_kl else _WEIGHTS, Z, scale)
-        kl = sum(self.partials.tolist()) if record_kl else None
+        kl = float(self.kl_rows.sum()) if record_kl else None
         return 4.0 * (self.row_sums[:, None] * self.Y - self.contraction), kl
 
     def _sweep(self, task: int, Z: float, scale: float) -> None:
@@ -394,13 +351,13 @@ class _Pool:
 
     def _share(self, k: int, task: int, Z: float, scale: float) -> None:
         """Worker k's part of one sweep."""
+        share = range(self.bounds[k], self.bounds[k + 1])
         if task == _KERNEL:
-            self.leaf_sums[k] = _student_t(self.Y, self.kernel, *self.leaves[k], self.scratch[0, :1])
+            _student_t(self.Y, self.kernel, self.row_sums, share)
             return
         P, kernel, record_kl = self.P, self.kernel, task == _WEIGHTS_AND_KL
-        bounds = self.bounds[record_kl]
-        for start in range(bounds[k], bounds[k + 1], BLOCK_ROWS):
-            rows = slice(start, min(start + BLOCK_ROWS, bounds[k + 1]))
+        for start in share[::BLOCK_ROWS]:
+            rows = slice(start, min(start + BLOCK_ROWS, share.stop))
             target, weights = self.scratch[:, :rows.stop - start]
             if record_kl:
                 np.maximum(P[rows], P_FLOOR, out=target)
@@ -409,7 +366,7 @@ class _Pool:
                 np.divide(target, weights, out=weights)
                 np.log(weights, out=weights)
                 np.multiply(P[rows], weights, out=weights)
-                self.partials[start // BLOCK_ROWS] = weights.sum()
+                weights.sum(axis=1, out=self.kl_rows[rows])
             # x * 1.0 == x, so the unexaggerated steps read P itself.
             target = P[rows] if scale == 1.0 else np.multiply(P[rows], scale, out=target)
             np.divide(kernel[rows], Z, out=weights)
@@ -437,14 +394,13 @@ class _Pool:
 
 @contextmanager
 def _pooled(P: np.ndarray, Y: np.ndarray, workers: int) -> Iterator[_Pool]:
-    """A _Pool for the map Y under affinities P, with the largest power of
-    two <= workers of them (fewer on a kernel too small to split, one where
-    os.fork is missing), of which all but the calling process are forked
-    here. No worker and no pipe outlives the block."""
+    """A _Pool of `workers` processes for the map Y under affinities P (one
+    where os.fork is missing), of which all but the calling process are
+    forked here. No worker and no pipe outlives the block."""
     pool = _Pool(P, Y, workers if hasattr(os, "fork") else 1)
     pids = []
     try:
-        for k in range(1, len(pool.leaves)):
+        for k in range(1, len(pool.bounds) - 1):
             (command, to_worker), (from_worker, reply) = os.pipe(), os.pipe()
             pool.pipes.append((to_worker, from_worker))
             try:
@@ -474,19 +430,21 @@ def q_matrix(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if Y.ndim != 2 or Y.shape[0] < 2:
         raise ValueError("need a 2-d array with at least 2 rows")
     n = Y.shape[0]
-    kernel = np.empty((n, n))
-    return kernel / _student_t(Y, kernel), kernel
+    kernel, row_sums = np.empty((n, n)), np.empty(n)
+    _student_t(Y, kernel, row_sums, range(n))
+    return kernel / row_sums.sum(), kernel
 
 
 def kl_divergence(P: np.ndarray, Q: np.ndarray) -> float:
-    """KL(P || Q) over off-diagonal entries, with both sides floored."""
+    """KL(P || Q) over off-diagonal entries, with both sides floored, summed
+    per row and then over the rows, as `embed` sums it."""
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if P.shape != Q.shape:
         raise ShapeMismatchError(f"P {P.shape} vs Q {Q.shape}")
     ratio = np.maximum(P, P_FLOOR) / np.maximum(Q, P_FLOOR)
     # Diagonal of P is zero, so those terms vanish regardless of ratio.
-    return float(np.sum(P * np.log(ratio)))
+    return float((P * np.log(ratio)).sum(axis=1).sum())
 
 
 def kl_gradient(P: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -380,7 +380,7 @@ def dense_gradient(P, Y):
     kernel += 1.0
     np.reciprocal(kernel, out=kernel)
     np.fill_diagonal(kernel, 0.0)
-    w = (P - kernel / kernel.sum()) * kernel
+    w = (P - kernel / kernel.sum(axis=1).sum()) * kernel
     return 4.0 * (w.sum(axis=1)[:, None] * Y - np.einsum("ij,jk->ik", w, Y, optimize=False))
 
 
@@ -419,28 +419,29 @@ class TestBlockedSweep:
                 expected = dense_gradient(scale * P, Y)
                 assert np.array_equal(kl_gradient(scale * P, Y), expected)
                 kls = []
-                for workers in (1, 2, 4):
+                for workers in (1, 2, 3, 4, 5):
                     with tsne._pooled(P, Y, workers) as pool:
                         grad, no_kl = pool.gradient(scale)
                         recorded, kl = pool.gradient(scale, record_kl=True)
                     assert np.array_equal(grad, expected)
-                    assert np.array_equal(pool.kernel / pool.kernel.sum(), Q)
+                    assert np.array_equal(pool.kernel / pool.kernel.sum(axis=1).sum(), Q)
                     # summing the KL terms first leaves the step as it was
                     assert no_kl is None
                     assert np.array_equal(recorded, grad)
                     kls.append(kl)
                 # the KL of the unexaggerated P, the same bits on every pool
-                assert kls == [kls[0]] * 3
+                assert kls == [kls[0]] * 5
                 assert abs(kls[0] - dense_kl) <= 1e-12 * abs(dense_kl)
 
-    def test_repeated_gradients_on_four_workers(self):
+    @pytest.mark.parametrize("workers", [3, 4])
+    def test_repeated_gradients(self, workers):
         n = 2 * BLOCK_ROWS + 3
         rng = np.random.default_rng(11)
         P = random_affinities(rng, n)
         Y = rng.normal(size=(n, 2))
         expected = dense_gradient(P, Y)
-        with tsne._pooled(P, Y, 4) as pool:
-            assert len(pool.leaves) == 4
+        with tsne._pooled(P, Y, workers) as pool:
+            assert len(pool.pipes) == workers - 1
             for _ in range(20):
                 assert np.array_equal(pool.gradient(1.0)[0], expected)
 
@@ -451,15 +452,6 @@ class TestBlockedSweep:
         with tsne._pooled(random_affinities(rng, n), rng.normal(size=(n, 2)), 2) as pool:
             with pytest.raises(RuntimeError, match="block failed"):
                 pool.gradient(1.0)
-
-    @pytest.mark.parametrize("n", [4, 63, 64, 65, 276, 690, 1200])
-    @pytest.mark.parametrize("depth", [1, 2, 3])
-    def test_leaf_sums_joined_in_tree_order_are_numpy_sum(self, n, depth):
-        # The pool's Z rests on how numpy sums a contiguous float64 array.
-        kernel = q_matrix(np.random.default_rng(n).normal(size=(n, 2)))[1]
-        flat = kernel.reshape(-1)
-        joined = tsne._pairwise(0, n * n, depth, lambda lo, hi: flat[lo:hi].sum())
-        assert np.float64(joined).tobytes() == kernel.sum().tobytes()
 
 
 def blob_separated(Y, n_per):
@@ -513,8 +505,8 @@ class TestRun:
             assert kl == kl_divergence(P, q_matrix(at_step.Y)[0])
 
     def test_blocked_kl_history_matches_dense_kl(self):
-        # More rows than one block, and than PARALLEL_MIN_ROWS, so the KL is
-        # summed from several partials on a pooled sweep.
+        # More rows than one block, and than PARALLEL_MIN_ROWS, so the KL's
+        # row sums are written by blocks on more than one worker.
         X = two_blobs(9, n_per=250)
         aff = joint_affinities(X, perplexity=30.0)
         emb = embed(aff, iterations=60, seed=6)
@@ -544,7 +536,7 @@ class TestRun:
         X = two_blobs(8, n_per=350)
         assert X.shape[0] >= PARALLEL_MIN_ROWS
         results = []
-        for workers in (1, 2, 4):
+        for workers in (1, 2, 3, 4, 5):
             requested = []
 
             def pool_size(n_blocks, workers=workers):
@@ -556,8 +548,7 @@ class TestRun:
             assert requested == [math.ceil(X.shape[0] / BLOCK_ROWS)]  # the pool is used
             results.append((emb.Y.tobytes(), emb.kl_history))
         assert [s for s, _ in results[0][1]] == [50, 60]
-        assert results[1] == results[0]
-        assert results[2] == results[0]
+        assert results[1:] == [results[0]] * 4
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_no_worker_or_pipe_outlives_embed(self, monkeypatch):
@@ -613,7 +604,7 @@ class TestMemory:
         # 30 iterations record only the final KL
         private = traced_peak(lambda: embed(aff, iterations=30, seed=0))
         # tracemalloc does not see the shared kernel: one n x n buffer plus
-        # the map, its row sums and contraction, the KL partials, leaf sums
+        # the map, its contraction, and the kernel's and the KL's row sums
         assert n * n * 8 <= sum(shared) <= (n * n + 6 * n + 8) * 8
         assert private < 1.0 * n * n * 8
 
@@ -626,16 +617,17 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# Recorded with numpy 2.4.6 on an x86-64 CPU with AVX-512, where the digests
-# below were taken from the per-point calibration and a separate KL sweep.
+# Recorded with numpy 2.4.6 on an x86-64 CPU with AVX-512. P and the sigmas
+# are those of the per-point calibration; the embedding and the KL history
+# are those of Z and the KL taken as one numpy sum over per-row sums.
 RECORDED_NUMERIC_PATH = "cde99b915c52aaf02b45123d87f3a8915a8f276e89634877c1f6be8295a409b1"
 PINNED_DIGESTS = {
     "fixture P": "ceb6480acef50c37418ec3512c824fee04d104000048e9c7df2120c5af5b0794",
     "fixture sigmas": "a96043b3ee7e2690ca92cb409b72bc2e71a4c30511ebd0a17eebc138c5c2f95d",
     "study P": "c8b38e0becd419aa4a3a7fe297af5fa835b28661841c714219b4b19dda21db7b",
     "study sigmas": "a4a72a46f0b637d6ac1e004a8590a064f88e353e8fe0a0446e16c0b8d6c454ea",
-    artifacts.EMBEDDING: "f6660d4fa1516f484a68ca4e79fab09c0453d647286b3011e892175207fc49f9",
-    artifacts.KL_HISTORY: "de084ec12f74f7213303606b7196ed0bc3e64f2f4ecd21d1d7b2d3b82cf2992d",
+    artifacts.EMBEDDING: "020e42de36921a58d79a00ed010b7f6360a101a8a3467838f05fd8f147172e93",
+    artifacts.KL_HISTORY: "27a0fa415fd656d49758af399fe8d9576d937e71c21bcd25cd84ef9e3b0280ca",
 }
 
 
