@@ -17,10 +17,10 @@ optimizer schedule is fixed by the module constants ITERATIONS through
 INIT_SCALE; `run` and `embed` take only the iteration count, the seed and
 the learning rate.
 
-All n x n work walks blocks of at most BLOCK_ROWS rows, each row computed
+All n x n work walks row tiles of at most BLOCK_ROWS rows, each row computed
 as a one-point or whole-matrix call would compute it, so results are bitwise
-the same however the rows are shared out. Calibration bisects a block's
-bandwidths together, one exp over the block, while each row's perplexity
+the same however the rows are shared out. Calibration bisects a tile's
+bandwidths together, one exp over the tile, while each row's perplexity
 stays a scalar. Each gradient makes two sweeps over the map. The first
 writes the kernel (1 + d^2)^-1; the second forms the weights
 (a p_ij - q_ij) (1 + d^2)^-1, with the exaggeration a as a scalar, their
@@ -29,19 +29,19 @@ a recorded step. Every n x n sum is taken the same way: one numpy sum per
 row, then one numpy sum over those n row sums. That gives the normalizer Z
 from the kernel's rows and the recorded KL from the rows of its terms.
 
-From PARALLEL_MIN_ROWS rows on, `embed` shares each sweep out over worker
-processes, one per usable CPU, forked once per call where `os.fork` exists;
-smaller maps, and platforms without fork, run serially in-process. Each
-worker owns a contiguous range of rows and writes their per-row sums; the
-parent sums the n-vectors and updates the map. No sum depends on where the
-ranges are cut, and pools of 1 to 5 workers are checked to give the same
-bits.
+`embed` shares each sweep out over worker processes, forked once per call:
+one per usable CPU and at most one per BLOCK_ROWS-row tile. Maps of at most
+BLOCK_ROWS rows, one-CPU machines and platforms without `os.fork` run
+serially in-process. Each worker owns a contiguous range of rows and writes
+their per-row sums; the parent sums the n-vectors and updates the map. No
+sum depends on where the ranges are cut, and pools of 1 to 5 workers are
+checked to give the same bits.
 
 Memory: `embed` holds two n x n arrays, P and the kernel. The kernel, the
 map and the per-row results live in shared memory; P is inherited and never
 written. Each process has one 2 x BLOCK_ROWS x n scratch of its own.
-Calibration holds P, into whose rows each block's distances are written,
-and at most two block-sized arrays more.
+Calibration holds P, into whose rows each tile's distances are written,
+and at most two tile-sized arrays more.
 """
 
 from __future__ import annotations
@@ -64,23 +64,8 @@ P_FLOOR = 1e-12
 PERPLEXITY_TOL = 1e-5
 MAX_CALIBRATION_STEPS = 100
 
-# Rows per block of the sweeps.
+# Rows per tile of the n x n work.
 BLOCK_ROWS = 64
-# Maps with fewer rows run serially. On a 2-CPU Linux VM, `embed` alone
-# with 400 iterations on two worker processes against one, 10 interleaved
-# pairs:
-#   rows   pairs won   median serial -> pooled
-#   100     0/10       0.045 -> 0.061 s
-#   160     1/10       0.083 -> 0.095 s
-#   200     8/10       0.116 -> 0.110 s
-#   256    10/10       0.171 -> 0.144 s
-#   276    10/10       0.223 -> 0.174 s
-#   448    10/10       0.525 -> 0.362 s
-# But a whole 276-row `sdgpipe all` in a process that had already run many
-# (the benchmark's fixture op, 72 MB RSS) took 0.36-0.41 s pooled against
-# 0.29-0.30 s serial: the fork and the copy-on-write faults after it cost
-# such a process more than the map saves. So pooling starts above it.
-PARALLEL_MIN_ROWS = 448
 
 # The optimizer schedule of exact t-SNE (van der Maaten, JMLR 2014).
 ITERATIONS = 1000
@@ -210,7 +195,7 @@ def calibrate_sigma(sq_dists: np.ndarray, perplexity: float) -> tuple[float, np.
 def joint_affinities(X: np.ndarray, perplexity: float) -> AffinityMatrix:
     """Calibrated, symmetrized, floored joint affinity matrix for rows of X.
 
-    P is the only n x n array: one cdist call writes each block's squared
+    P is the only n x n array: one cdist call writes each tile's squared
     distances into its rows (bitwise those rows of the full cdist), they are
     calibrated into conditionals there, then symmetrized and floored.
     """
@@ -222,16 +207,16 @@ def joint_affinities(X: np.ndarray, perplexity: float) -> AffinityMatrix:
     n = X.shape[0]
     P = np.empty((n, n))
     sigmas = np.empty(n)
-    blocks = _blocks(n)
-    for rows in blocks:
+    tiles = _tiles(range(n))
+    for rows in tiles:
         cdist(X[rows], X, metric="sqeuclidean", out=P[rows])
         sigmas[rows], failure = _calibrate(P[rows], rows.start, perplexity)
         if failure:
             raise CalibrationFailedError(f"point {rows.start + failure[0]}: {failure[1]}")
     # p_ij = (p_{j|i} + p_{i|j}) / 2n, written over both (i, j) and (j, i).
     # Addition commutes bitwise, so P is exactly symmetric.
-    for k, rows in enumerate(blocks):
-        for cols in blocks[k:]:
+    for k, rows in enumerate(tiles):
+        for cols in tiles[k:]:
             pair = P[rows, cols] + P[cols, rows].T
             pair /= 2.0 * n
             P[rows, cols] = pair
@@ -248,18 +233,19 @@ def joint_affinities(X: np.ndarray, perplexity: float) -> AffinityMatrix:
     return AffinityMatrix(P=P, sigmas=sigmas)
 
 
-def _blocks(n: int) -> list[slice]:
-    """Fixed row blocks of an n-row map; they do not depend on the pool."""
-    return [slice(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
+def _tiles(rows: range) -> list[slice]:
+    """rows cut into tiles of BLOCK_ROWS rows from its start, the last one
+    possibly shorter; they do not depend on the pool."""
+    return [slice(start, min(start + BLOCK_ROWS, rows.stop)) for start in rows[::BLOCK_ROWS]]
 
 
-def _pool_size(n_blocks: int) -> int:
-    """Workers for a map of n_blocks row blocks: one per usable CPU."""
+def _pool_size(n: int) -> int:
+    """Workers for an n-row map: one per usable CPU, at most one per tile."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not provided on every platform
         cpus = os.cpu_count() or 1
-    return min(cpus, n_blocks)
+    return min(cpus, len(_tiles(range(n))))
 
 
 def _shared(shape: tuple[int, ...], order: str = "C") -> np.ndarray:
@@ -270,19 +256,18 @@ def _shared(shape: tuple[int, ...], order: str = "C") -> np.ndarray:
 
 def _student_t(Y: np.ndarray, kernel: np.ndarray, row_sums: np.ndarray, share: range) -> None:
     """Write the rows in share of the Student-t kernel of map points Y into
-    kernel, with a zero diagonal, and each row's sum into row_sums; a block
+    kernel, with a zero diagonal, and each row's sum into row_sums; a tile
     of rows at a time, in place."""
     from scipy.spatial.distance import cdist  # see dbscan._checked_distances
 
     n = Y.shape[0]
     Yc = np.ascontiguousarray(Y)  # cdist is slower on Fortran order
-    for start in share[::BLOCK_ROWS]:
-        rows = slice(start, min(start + BLOCK_ROWS, share.stop))
+    for rows in _tiles(share):
         out = kernel[rows]
         cdist(Yc[rows], Yc, metric="sqeuclidean", out=out)
         np.add(out, 1.0, out=out)
         np.reciprocal(out, out=out)
-        out.reshape(-1)[start::n + 1] = 0.0  # the block's diagonal entries
+        out.reshape(-1)[rows.start::n + 1] = 0.0  # the tile's diagonal entries
         out.sum(axis=1, out=row_sums[rows])
 
 
@@ -356,9 +341,8 @@ class _Pool:
             _student_t(self.Y, self.kernel, self.row_sums, share)
             return
         P, kernel, record_kl = self.P, self.kernel, task == _WEIGHTS_AND_KL
-        for start in share[::BLOCK_ROWS]:
-            rows = slice(start, min(start + BLOCK_ROWS, share.stop))
-            target, weights = self.scratch[:, :rows.stop - start]
+        for rows in _tiles(share):
+            target, weights = self.scratch[:, :rows.stop - rows.start]
             if record_kl:
                 np.maximum(P[rows], P_FLOOR, out=target)
                 np.divide(kernel[rows], Z, out=weights)
@@ -482,9 +466,8 @@ def embed(
     # summed in the next step's sweep, so one more sweep gives the final KL.
     start = np.asfortranarray(rng.normal(0.0, INIT_SCALE, size=(n, 2)))
     history: list[tuple[int, float]] = []
-    workers = _pool_size(len(_blocks(n))) if n >= PARALLEL_MIN_ROWS else 1
 
-    with _pooled(P, start, workers) as pool:
+    with _pooled(P, start, _pool_size(n)) as pool:
         Y = pool.Y  # updated in place, where the workers read it
         velocity = np.zeros_like(Y)
         for step in range(1, iterations + 1):

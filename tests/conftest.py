@@ -23,7 +23,15 @@ settings.load_profile("suite")
 ACCEPTANCE_RESULTS: dict[int, tuple[str, str, str]] = {}
 
 
+# Set at session end when the test process still has a child.
+LEAKED_CHILD = pytest.StashKey[str]()
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if LEAKED_CHILD in config.stash:
+        terminalreporter.section("child processes", red=True)
+        terminalreporter.write_line(f"FAIL  a child of the test process outlived its test "
+                                    f"({config.stash[LEAKED_CHILD]})")
     if not ACCEPTANCE_RESULTS:
         return
     terminalreporter.section("acceptance criteria")
@@ -63,6 +71,20 @@ def pytest_runtest_protocol(item):
                                       file=item.config.stash[WATCHDOG_STDERR])
     yield
     faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.hookimpl(trylast=True)  # after the session fixtures are torn down
+def pytest_sessionfinish(session):
+    """Fail the run if the test process still has a child, running or
+    exited but not waited for: a forked t-SNE worker, or any process a test
+    started, that outlived its test."""
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    session.exitstatus = pytest.ExitCode.TESTS_FAILED
+    session.config.stash[LEAKED_CHILD] = (
+        f"pid {pid} exited with {os.waitstatus_to_exitcode(status)}" if pid else "running")
 
 
 # Fixture settings for the bundled 12-country panel; 400 iterations are

@@ -21,7 +21,6 @@ from sdgpipe.tsne import (
     BLOCK_ROWS,
     MAX_CALIBRATION_STEPS,
     P_FLOOR,
-    PARALLEL_MIN_ROWS,
     PERPLEXITY_TOL,
     Embedding,
     calibrate_sigma,
@@ -505,9 +504,9 @@ class TestRun:
             assert kl == kl_divergence(P, q_matrix(at_step.Y)[0])
 
     def test_blocked_kl_history_matches_dense_kl(self):
-        # More rows than one block, and than PARALLEL_MIN_ROWS, so the KL's
-        # row sums are written by blocks on more than one worker.
-        X = two_blobs(9, n_per=250)
+        # More rows than two tiles, so the KL's row sums are written by
+        # tiles on more than one worker.
+        X = two_blobs(9, n_per=BLOCK_ROWS + 1)
         aff = joint_affinities(X, perplexity=30.0)
         emb = embed(aff, iterations=60, seed=6)
         assert [s for s, _ in emb.kl_history] == [50, 60]
@@ -533,29 +532,31 @@ class TestRun:
         assert a.kl_history == b.kl_history
 
     def test_pool_size_does_not_change_the_map(self, monkeypatch):
-        X = two_blobs(8, n_per=350)
-        assert X.shape[0] >= PARALLEL_MIN_ROWS
+        # one worker per usable CPU, at most one per tile
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert tsne._pool_size(BLOCK_ROWS) == 1
+        assert tsne._pool_size(BLOCK_ROWS + 1) == min(2, cpus)
+        X = two_blobs(8, n_per=BLOCK_ROWS + 1)
         results = []
         for workers in (1, 2, 3, 4, 5):
             requested = []
 
-            def pool_size(n_blocks, workers=workers):
-                requested.append(n_blocks)
+            def pool_size(n, workers=workers):
+                requested.append(n)
                 return workers
 
             monkeypatch.setattr(tsne, "_pool_size", pool_size)
             emb = run(X, perplexity=30.0, iterations=60, seed=2)
-            assert requested == [math.ceil(X.shape[0] / BLOCK_ROWS)]  # the pool is used
+            assert requested == [X.shape[0]]  # the pool is used
             results.append((emb.Y.tobytes(), emb.kl_history))
         assert [s for s, _ in results[0][1]] == [50, 60]
         assert results[1:] == [results[0]] * 4
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_no_worker_or_pipe_outlives_embed(self, monkeypatch):
-        X = two_blobs(13, n_per=225)
-        assert X.shape[0] >= PARALLEL_MIN_ROWS
+        X = two_blobs(13, n_per=BLOCK_ROWS + 1)
         aff = joint_affinities(X, perplexity=30.0)
-        monkeypatch.setattr(tsne, "_pool_size", lambda n_blocks: 4)
+        monkeypatch.setattr(tsne, "_pool_size", lambda n: 4)
         fds = len(os.listdir("/proc/self/fd"))
         embed(aff, iterations=3, seed=0)
         with pytest.raises(ChildProcessError):
