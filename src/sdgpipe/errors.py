@@ -28,13 +28,16 @@ class NonNumericScoreError(PipelineError):
 
 
 class ScoreRangeError(PipelineError):
-    """A score falls outside [0, 100] by more than the parse tolerance."""
+    """A number breaks its column's rule: a score outside [0, 100] by more
+    than the parse tolerance, or a GDP that is not positive. rule, when
+    given, states the other rule in place of the score's."""
 
-    def __init__(self, row: int, column: str, value: float):
+    def __init__(self, row: int, column: str, value: float, rule: str = ""):
         self.row = row
         self.column = column
         self.value = value
-        super().__init__(f"row {row}, column {column}: score {value} outside [0, 100]")
+        rule = rule or f"score {value} outside [0, 100]"
+        super().__init__(f"row {row}, column {column}: {rule}")
 
 
 class DuplicateObservationError(PipelineError):

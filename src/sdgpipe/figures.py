@@ -15,7 +15,7 @@ scalar Python calls, since numpy's may round differently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from numpy.typing import ArrayLike
 
 from sdgpipe import artifacts
 from sdgpipe.dbscan import NOISE, cluster_ids, cluster_name
+from sdgpipe.dynamics import TrajectoryFit
 from sdgpipe.errors import MissingArtifactError
 from sdgpipe.panel import N_GOALS, country_rows
 
@@ -490,15 +491,14 @@ def _sample_years(first: int, last: int) -> list[float]:
 def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
                      fits: dict[int, dict]) -> str:
     """tables: cluster -> [(year, mean, std)], at least one; fits: cluster ->
-    fit payload, for some of those clusters. A point that no fit used is
-    hollow, and only a fitted cluster gets a curve. The extrapolation panel
-    is drawn only when some cluster has a fit and the tables end before
-    EXTRAPOLATE_TO; an attainment year past it is labelled "2207 →" at the
-    panel's right edge, on the zero line."""
-
-    def curve(fit: dict, year: float | np.ndarray) -> float | np.ndarray:
-        return fit["a"] + fit["b"] * year + fit["c"] * year * year
-
+    trajectory_fits.json entry, for some of those clusters. A point that no
+    fit used is hollow, and only a fitted cluster gets a curve. The
+    extrapolation panel is drawn only when some cluster has a fit and the
+    tables end before EXTRAPOLATE_TO; it spans zero to the highest point it
+    draws, and an attainment year past the horizon is labelled "2207 →" at
+    its right edge, on the zero line."""
+    trends = {cid: TrajectoryFit(**{f.name: fit[f.name] for f in fields(TrajectoryFit)})
+              for cid, fit in fits.items()}
     all_years = sorted({y for rows in tables.values() for y, _, _ in rows})
     first_year, last_year = all_years[0], all_years[-1]
     extrapolate = bool(fits) and last_year < EXTRAPOLATE_TO
@@ -513,8 +513,8 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
     observed_xs = left_frame.x(observed_years)
     for cid in sorted(tables):
         color = cluster_color(cid)
-        fit = fits.get(cid)
-        used = set(fit["years_used"]) if fit else set()
+        trend = trends.get(cid)
+        used = set(trend.years_used) if trend else set()
         for year, mean, _ in tables[cid]:
             if year not in used:
                 parts.append(
@@ -523,23 +523,17 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
                 )
             else:
                 parts.append(_circle(left_frame.x(year), left_frame.y(mean), 2.4, color))
-        if fit:
-            parts.append(_polyline(observed_xs, left_frame.y(curve(fit, observed_years)),
+        if trend:
+            parts.append(_polyline(observed_xs, left_frame.y(trend.evaluate(observed_years)),
                                    color, 1.3, opacity=0.9))
     if not extrapolate:
         return _svg(width, height, parts, "Mean distance to ideal: observed")
 
-    # right panel: extrapolation down to zero
-    curve_max = o_hi
-    for fit in fits.values():
-        probe = [float(first_year), float(EXTRAPOLATE_TO)]
-        if fit["c"] != 0.0:
-            vertex = -fit["b"] / (2.0 * fit["c"])
-            if first_year <= vertex <= EXTRAPOLATE_TO:
-                probe.append(vertex)
-        for y in probe:
-            curve_max = max(curve_max, curve(fit, y))
-    e_lo, e_hi = _padded(0.0, curve_max)
+    # right panel: extrapolation down to zero, as high as the observed
+    # panel and the highest sample of any curve
+    extrapolated_years = np.array(_sample_years(first_year, EXTRAPOLATE_TO))
+    extrapolated = {cid: trend.evaluate(extrapolated_years) for cid, trend in trends.items()}
+    e_lo, e_hi = _padded(0.0, max(o_hi, *(float(r.max()) for r in extrapolated.values())))
     frame = Frame(first_year, EXTRAPOLATE_TO, e_lo, e_hi, **EXTRAP_PANEL)
     _axes(parts, frame, "year", "mean distance to ideal")
     zero_y = frame.y(0.0)
@@ -550,13 +544,12 @@ def fig_trajectories(tables: dict[int, list[tuple[int, float, float]]],
         parts.append(_line(px, frame.top, px, frame.top + frame.height,
                            "#777777", 0.8, dash="2,3"))
         parts.append(_text(_num(px + 3), _num(frame.top + 12), 2030, 9, fill="#555555"))
-    extrapolated_years = np.array(_sample_years(first_year, EXTRAPOLATE_TO))
     extrapolated_xs = frame.x(extrapolated_years)
     beyond = 0  # crossings past the horizon so far, labelled up the right edge
     for cid in sorted(fits):
         fit = fits[cid]
         color = cluster_color(cid)
-        ys = frame.y(np.maximum(curve(fit, extrapolated_years), e_lo))
+        ys = frame.y(np.maximum(extrapolated[cid], e_lo))
         parts.append(_polyline(extrapolated_xs, ys, color, 1.3, opacity=0.9))
         crossing = fit["zero_crossing"]  # None exactly when attainment_year is
         if crossing is None:

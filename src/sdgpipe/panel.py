@@ -103,7 +103,9 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _parse_score(cell: str, row: int, column: str) -> float:
+def _parse_number(cell: str, row: int, column: str) -> float:
+    """A cell's value, NaN for a missing marker; NonNumericScoreError unless
+    the value is a finite number."""
     text = cell.strip()
     if text.lower() in _MISSING_MARKERS:
         return math.nan
@@ -113,9 +115,14 @@ def _parse_score(cell: str, row: int, column: str) -> float:
         raise NonNumericScoreError(row, column, cell) from None
     if not math.isfinite(value):
         raise NonNumericScoreError(row, column, cell)
+    return value
+
+
+def _parse_score(cell: str, row: int, column: str) -> float:
+    value = _parse_number(cell, row, column)
     if value < -PARSE_TOLERANCE or value > 100.0 + PARSE_TOLERANCE:
         raise ScoreRangeError(row, column, value)
-    return min(max(value, 0.0), 100.0)
+    return value if math.isnan(value) else min(max(value, 0.0), 100.0)
 
 
 def _records(path: Path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
@@ -279,19 +286,18 @@ def yearly_goal_means(panel: ScorePanel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_gdp(path: str | Path) -> dict[str, float]:
-    """Read a country,gdp_per_capita CSV; missing cells are skipped entirely."""
+    """Read a country,gdp_per_capita CSV; missing cells are skipped entirely,
+    and a GDP must be a finite positive number."""
     path = Path(path)
     table: dict[str, float] = {}
     for line_no, row in _records(path, GDP_HEADER):
-        country, cell = row[0].strip(), row[1].strip()
-        if cell.lower() in _MISSING_MARKERS:
+        country = row[0].strip()
+        value = _parse_number(row[1], line_no, "gdp_per_capita")
+        if math.isnan(value):
             continue
-        try:
-            value = float(cell)
-        except ValueError:
-            raise NonNumericScoreError(line_no, "gdp_per_capita", row[1]) from None
-        if not math.isfinite(value) or value <= 0:
-            raise ScoreRangeError(line_no, "gdp_per_capita", value)
+        if value <= 0:
+            raise ScoreRangeError(line_no, "gdp_per_capita", value,
+                                  f"GDP per capita must be positive, got {value}")
         if country in table:
             raise DuplicateObservationError(country)
         table[country] = value

@@ -16,7 +16,7 @@ import platform
 import shutil
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -352,11 +352,7 @@ def stage_dynamics(config: PipelineConfig, dest: Path) -> None:
         except SingularFitError:
             continue  # under dynamics.MIN_FIT_YEARS fit years: the series stays, no fit
         fits_payload[str(cluster_id)] = {
-            "a": fit.a,
-            "b": fit.b,
-            "c": fit.c,
-            "rms_residual": fit.rms_residual,
-            "years_used": list(fit.years_used),
+            **asdict(fit),
             "last_data_year": last_year,
             "zero_crossing": dynamics.future_root(fit, last_year),
             "attainment_year": dynamics.attainment_year(fit, last_year),

@@ -3,7 +3,7 @@ import json
 import math
 import shutil
 import xml.etree.ElementTree as ET
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,12 +11,15 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sdgpipe import artifacts
+from sdgpipe.dynamics import TrajectoryFit, attainment_year, future_root
 from sdgpipe.errors import MissingArtifactError
 from sdgpipe.figures import (
     EXTRAP_PANEL,
     EXTRAPOLATE_TO,
     Frame,
     NOISE_COLOR,
+    _padded,
+    _tick_label,
     _ticks,
     cluster_color,
     corr_color,
@@ -279,6 +282,26 @@ class TestTrajectoryFigure:
         assert len(hollow) == sum(len(rows) for rows in tables.values())
         assert [el.text for el in text_elements(root)][0] == "Mean distance to ideal: observed"
         assert "2030" not in [el.text for el in text_elements(root)]
+
+    def test_extrapolation_spans_the_highest_drawn_point(self):
+        # r(t) = 3 - 0.01 (t - 2050.1)^2 peaks between the samples 2050.0 and
+        # 2050.25, so the panel tops out at the higher sample, below 3
+        c = -0.01
+        years = tuple(range(2000, 2020))
+        trend = TrajectoryFit(a=3.0 + c * 2050.1 * 2050.1, b=-2.0 * c * 2050.1, c=c,
+                              rms_residual=0.0, years_used=years)
+        fit = {**asdict(trend), "last_data_year": 2019,
+               "zero_crossing": future_root(trend, 2019),
+               "attainment_year": attainment_year(trend, 2019)}
+        tables = {0: [(y, 1.0 + 0.01 * (y - 2000), 0.1) for y in years]}
+        highest = float(trend.evaluate(np.arange(2000.0, EXTRAPOLATE_TO + 0.125, 0.25)).max())
+        assert 2.99 < highest < float(trend.evaluate(2050.1))
+        frame = Frame(2000, EXTRAPOLATE_TO, *_padded(0.0, highest), **EXTRAP_PANEL)
+        root = svg_root(fig_trajectories(tables, {0: fit}))
+        tick_x = f"{EXTRAP_PANEL['left'] - 7:.2f}"
+        drawn = [(el.text, el.get("y")) for el in text_elements(root) if el.get("x") == tick_x]
+        assert drawn == [(_tick_label(tick), f"{frame.y(tick) + 3:.2f}")
+                         for tick in _ticks(frame.y_lo, frame.y_hi)]
 
     def test_lone_year_gets_a_point(self):
         # a one-year panel's table; no fit needs fewer than 4 years

@@ -112,7 +112,37 @@ class TestLoadPanel:
         values = list(range(17))
         values[0] = 100.1
         write_csv(p, [full_line("AAA", 2000, values)])
-        with pytest.raises(ScoreRangeError):
+        with pytest.raises(ScoreRangeError,
+                           match=r"^row 2, column goal01: score 100\.1 outside \[0, 100\]$"):
+            load_panel(p)
+
+    def test_infinite_score_rejected(self, tmp_path):
+        p = tmp_path / "panel.csv"
+        values = list(range(17))
+        values[2] = "inf"
+        write_csv(p, [full_line("AAA", 2000, values)])
+        with pytest.raises(NonNumericScoreError) as err:
+            load_panel(p)
+        assert (err.value.row, err.value.column, err.value.raw) == (2, "goal03", "inf")
+
+    def test_blank_rows_skipped(self, tmp_path):
+        p = tmp_path / "panel.csv"
+        blank = ",".join([" "] * 19)
+        write_csv(p, ["", full_line("AAA", 2000, range(17)), blank, ",,",
+                      full_line("AAA", 2001, range(17))])
+        assert load_panel(p).index == (("AAA", 2000), ("AAA", 2001))
+
+    def test_wrong_cell_count_rejected(self, tmp_path):
+        p = tmp_path / "panel.csv"
+        write_csv(p, [full_line("AAA", 2000, range(17)), full_line("AAA", 2001, range(16))])
+        message = f"{p}: row 3 has 18 cells, expected 19"
+        with pytest.raises(MalformedHeaderError, match=f"^{re.escape(message)}$"):
+            load_panel(p)
+
+    def test_header_without_rows_rejected(self, tmp_path):
+        p = tmp_path / "panel.csv"
+        write_csv(p, [])
+        with pytest.raises(EmptyResultError, match=f"^{re.escape(f'{p}: no data rows')}$"):
             load_panel(p)
 
     def test_rounding_residue_clamped(self, tmp_path):
@@ -398,6 +428,34 @@ class TestGdp:
         p.write_text("country,gdp_per_capita\nAAA,-3\n")
         with pytest.raises(ScoreRangeError):
             load_gdp(p)
+
+    @pytest.mark.parametrize("cell, value", [("-3", "-3.0"), ("0", "0.0")])
+    def test_nonpositive_message_states_the_rule(self, tmp_path, cell, value):
+        p = tmp_path / "gdp.csv"
+        p.write_text(f"country,gdp_per_capita\nAAA,{cell}\n")
+        message = f"row 2, column gdp_per_capita: GDP per capita must be positive, got {value}"
+        with pytest.raises(ScoreRangeError, match=f"^{re.escape(message)}$"):
+            load_gdp(p)
+
+    def test_infinite_gdp_reported_as_not_a_number(self, tmp_path):
+        # as an infinite score is
+        p = tmp_path / "gdp.csv"
+        p.write_text("country,gdp_per_capita\nAAA,5\nBBB, inf\n")
+        with pytest.raises(NonNumericScoreError,
+                           match=r"^row 3, column gdp_per_capita: not a number: ' inf'$"):
+            load_gdp(p)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        p = tmp_path / "gdp.csv"
+        p.write_text("country,gdp_per_capita\n\nAAA,5\n , \n,\nBBB,7.5\n")
+        assert load_gdp(p) == {"AAA": 5.0, "BBB": 7.5}
+
+    def test_duplicate_country_rejected(self, tmp_path):
+        p = tmp_path / "gdp.csv"
+        p.write_text("country,gdp_per_capita\nAAA,5\nBBB,6\nAAA,7\n")
+        with pytest.raises(DuplicateObservationError) as err:
+            load_gdp(p)
+        assert err.value.country == "AAA"
 
     def test_wrong_header(self, tmp_path):
         p = tmp_path / "gdp.csv"

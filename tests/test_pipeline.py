@@ -30,7 +30,7 @@ from sdgpipe.cli import _config_from_args, build_parser, main
 from sdgpipe.dynamics import TrajectoryFit, future_root
 from sdgpipe.errors import ConfigError, MissingArtifactError, StageError
 from sdgpipe.figures import EXTRAPOLATE_TO, cluster_color
-from sdgpipe.panel import GOAL_COLUMNS, ScorePanel, write_gdp_csv, write_panel_csv
+from sdgpipe.panel import GOAL_COLUMNS, ScorePanel, load_gdp, write_gdp_csv, write_panel_csv
 from sdgpipe.pipeline import (
     DEFAULT_EPS_GRID,
     FIELD_PARSERS,
@@ -685,6 +685,24 @@ class TestStaleOutputs:
         for name in [*planted, artifacts.CLUSTER_GDP]:
             assert not (out / name).exists(), name
         assert (out / artifacts.CORRELATION_GLOBAL).exists()
+
+
+class TestClusterGdp:
+    def test_cluster_without_gdp_gets_blank_summary(self, pipeline_run, tmp_path):
+        config = copy_run(pipeline_run, tmp_path / "copy")
+        _, rows = artifacts.read_csv(config.out / artifacts.CLUSTER_COUNTRIES)
+        membership = {country: int(cluster) for country, cluster in rows}
+        bare = min(k for k in membership.values() if k >= 0)
+        gdp = load_gdp(pipeline_run.gdp)
+        write_gdp_csv({c: v for c, v in gdp.items() if membership.get(c) != bare},
+                      tmp_path / "gdp.csv")
+        run_stage("cluster", replace(config, gdp=tmp_path / "gdp.csv"))
+        _, summary = artifacts.read_csv(config.out / artifacts.CLUSTER_GDP)
+        by_cluster = {int(row[0]): row[1:] for row in summary}
+        n_bare = str(sum(k == bare for k in membership.values()))
+        assert by_cluster.pop(bare) == [n_bare, "0", "", ""]
+        assert by_cluster and all(row[1] != "0" and row[2] and row[3]
+                                  for row in by_cluster.values())
 
 
 def snapshot(directory: Path) -> dict[str, tuple[int, bytes]]:
@@ -1579,7 +1597,8 @@ class TestClosedStdout:
         child = subprocess.Popen(argv, env=child_env(PYTHONUNBUFFERED=unbuffered),
                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         child.stdout.close()
-        stderr = child.stderr.read().decode()
+        with child.stderr:
+            stderr = child.stderr.read().decode()
         assert child.wait(timeout=300) == 0, stderr
         assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
         assert (out / artifacts.MANIFEST).exists()
